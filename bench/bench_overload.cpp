@@ -77,6 +77,14 @@ namespace {
 
 using namespace sysrle;
 
+/// The engine the load phases run.  Load is offered as a multiple of the
+/// calibrated service time, and the open-loop generator's sleeps only reach
+/// 2x capacity while a request costs well above their granularity: true of
+/// the cycle-level simulator, not of the ~5x faster word-parallel serving
+/// default.  The phases test admission, deadlines and hedging, so the
+/// engine is only the load.
+constexpr DiffEngine kLoadEngine = DiffEngine::kSystolic;
+
 struct ImagePair {
   RleImage a{0, 0};
   RleImage b{0, 0};
@@ -143,6 +151,7 @@ double calibrate_interarrival_us(const std::vector<ImagePair>& pool, int n,
       req.reference = p.a;
       req.scan = p.b;
       req.keep_diff = false;
+      req.options.engine = kLoadEngine;
       service.try_submit(std::move(req));
     }
     service.drain();
@@ -219,6 +228,7 @@ PhaseOutcome run_phase(const std::vector<ImagePair>& pool, double load,
     req.reference = p.a;
     req.scan = p.b;
     req.keep_diff = false;
+    req.options.engine = kLoadEngine;
     service.try_submit(std::move(req));
   }
   service.drain();
@@ -318,6 +328,7 @@ RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
       req.reference = p.a;
       req.scan = p.b;
       req.keep_diff = false;
+      req.options.engine = kLoadEngine;
       (void)router.try_submit(std::move(req));
     }
     router.drain();

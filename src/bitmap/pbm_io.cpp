@@ -1,9 +1,11 @@
 #include "bitmap/pbm_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/assert.hpp"
 
@@ -23,6 +25,17 @@ void skip_header_junk(std::istream& in) {
       return;
     }
   }
+}
+
+/// PBM packs the leftmost pixel in a byte's MSB; BitRow keeps pixel x in
+/// bit x % 64 of word x / 64 (LSB-first), so every byte is bit-reversed.
+std::uint64_t reverse_bits_in_bytes(std::uint64_t v) {
+  constexpr std::uint64_t k1 = 0x5555555555555555ull;
+  constexpr std::uint64_t k2 = 0x3333333333333333ull;
+  constexpr std::uint64_t k4 = 0x0f0f0f0f0f0f0f0full;
+  v = ((v >> 1) & k1) | ((v & k1) << 1);
+  v = ((v >> 2) & k2) | ((v & k2) << 2);
+  return ((v >> 4) & k4) | ((v & k4) << 4);
 }
 
 pos_t read_header_int(std::istream& in) {
@@ -58,18 +71,20 @@ BitmapImage read_pbm(std::istream& in) {
     const int sep = in.get();
     SYSRLE_REQUIRE(sep == ' ' || sep == '\t' || sep == '\r' || sep == '\n',
                    "PBM(P4): missing header separator");
-    const pos_t bytes_per_row = (width + 7) / 8;
+    const std::size_t bytes_per_row = static_cast<std::size_t>(width + 7) / 8;
+    std::vector<unsigned char> bytes(bytes_per_row);
     for (pos_t y = 0; y < height; ++y) {
-      for (pos_t bx = 0; bx < bytes_per_row; ++bx) {
-        const int byte = in.get();
-        SYSRLE_REQUIRE(byte != EOF, "PBM(P4): truncated pixel data");
-        for (int bit = 0; bit < 8; ++bit) {
-          const pos_t x = bx * 8 + bit;
-          if (x >= width) break;
-          // PBM: 1 = black = foreground; MSB is the leftmost pixel.
-          if (byte & (0x80 >> bit)) img.set(x, y, true);
-        }
-      }
+      in.read(reinterpret_cast<char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes_per_row));
+      SYSRLE_REQUIRE(
+          in.gcount() == static_cast<std::streamsize>(bytes_per_row),
+          "PBM(P4): truncated pixel data");
+      BitRow& row = img.mutable_row(y);
+      std::vector<std::uint64_t>& words = row.mutable_words();
+      for (std::size_t i = 0; i < bytes_per_row; ++i)
+        words[i / 8] |= std::uint64_t{bytes[i]} << (8 * (i % 8));
+      for (std::uint64_t& w : words) w = reverse_bits_in_bytes(w);
+      row.mask_tail();  // padding bits past the width are ignored
     }
   }
   return img;

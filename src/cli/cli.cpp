@@ -960,8 +960,10 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   rcfg.store = store;
   rcfg.cache = cache;
 
+  // Serving defaults to the library's engine, the host fast path; the
+  // simulator stays selectable with --engine systolic.
   ImageDiffOptions options;
-  options.engine = parse_engine(args.get("--engine", "systolic"));
+  options.engine = parse_engine(args.get("--engine", "sequential"));
 
   // Flight recorder: installed for the router's whole lifetime, removed
   // before export (no writers can race the dump once drain() returned).
@@ -1152,6 +1154,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.member("queue_cap", queue_cap);
     w.member("deadline_ms", default_deadline_ms);
     w.member("seed", seed);
+    w.member("engine", to_string(options.engine));
     w.member("checked", args.has("--checked"));
     w.member("shards", shards);
     w.member("replicas", replicas);
@@ -1630,8 +1633,10 @@ void print_help(std::ostream& out) {
          "                    SYSRLE_SIMD environment variable sets the same\n"
          "                    knob (--simd wins).  Unsupported levels are a\n"
          "                    usage error, never a silent downgrade.\n\n"
-         "engines: systolic (default) | bus | sequential | sweep | pixel |\n"
-         "         adaptive (per-row systolic/sequential by run-count shape)\n"
+         "engines: systolic | bus | sequential | sweep | pixel |\n"
+         "         adaptive (per-row systolic/sequential by run-count shape);\n"
+         "         systolic is the default for diff/inspect/perf, sequential\n"
+         "         (the word-parallel host fast path) for serve\n"
          "threads: --threads N forces N row workers (N >= 1); omitted or 0\n"
          "         sizes the pool from the hardware (1 when unknown)\n"
          "formats: auto-detected on read; chosen by extension on write\n"

@@ -3,9 +3,8 @@
 #include <optional>
 #include <utility>
 
-#include "baseline/sequential_diff.hpp"
-#include "baseline/word_diff.hpp"
 #include "common/assert.hpp"
+#include "core/image_diff.hpp"
 #include "core/invariants.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -141,11 +140,8 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
 
   if (policy.fallback_to_sequential) {
     // The sequential comparator shares no datapath with the array; a cell
-    // defect cannot reach it.  The word-parallel engine serves the
-    // canonical form; raw piecewise output only exists on the scalar merge.
-    SequentialDiffResult seq = policy.canonicalize_output
-                                   ? sequential_engine_xor(a, b)
-                                   : sequential_xor(a, b);
+    // defect cannot reach it.
+    SequentialDiffResult seq = sequential_row(a, b, policy.canonicalize_output);
     result.output = std::move(seq.output);
     result.record.fallback_iterations = seq.iterations;
     result.record.outcome = RecoveryOutcome::kFellBack;

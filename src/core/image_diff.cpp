@@ -39,6 +39,69 @@ const char* to_string(DiffEngine engine) {
   return "unknown";
 }
 
+SequentialDiffResult sequential_row(const RleRow& a, const RleRow& b,
+                                    bool canonicalize) {
+  return canonicalize ? sequential_engine_xor(a, b) : sequential_xor(a, b);
+}
+
+RowDiff diff_row(const RleRow& a, const RleRow& b,
+                 const ImageDiffOptions& options,
+                 SystolicDiffMachine& machine) {
+  RowDiff out;
+  DiffEngine engine = options.engine;
+  if (engine == DiffEngine::kAdaptive) {
+    // Route on the cheap half of the cost model only (k1, k2, |k1 - k2|);
+    // the decision depends on nothing but the input rows, so the mix is
+    // identical at every thread count.
+    out.adaptive_route =
+        choose_adaptive_route(a.run_count(), b.run_count(),
+                              options.adaptive_similarity_threshold);
+    engine = *out.adaptive_route == AdaptiveRoute::kSystolic
+                 ? DiffEngine::kSystolic
+                 : DiffEngine::kSequentialMerge;
+  }
+  switch (engine) {
+    case DiffEngine::kSystolic: {
+      SystolicConfig cfg;
+      cfg.check_invariants = options.check_invariants;
+      cfg.canonicalize_output = options.canonicalize_output;
+      SystolicResult r = systolic_xor(a, b, cfg, machine);
+      out.output = std::move(r.output);
+      out.counters = r.counters;
+      break;
+    }
+    case DiffEngine::kBusSystolic: {
+      BusConfig cfg;
+      cfg.bus_width = options.bus_width;
+      cfg.canonicalize_output = options.canonicalize_output;
+      BusResult r = bus_systolic_xor(a, b, cfg);
+      out.output = std::move(r.output);
+      out.counters = r.counters;
+      break;
+    }
+    case DiffEngine::kSequentialMerge: {
+      SequentialDiffResult r =
+          sequential_row(a, b, options.canonicalize_output);
+      out.output = std::move(r.output);
+      out.sequential_iterations = r.iterations;
+      break;
+    }
+    case DiffEngine::kParitySweep:
+      out.output = xor_rows(a, b);  // canonical by construction
+      break;
+    case DiffEngine::kPixelParallel: {
+      // Rows carry no width, so the pipeline spans the rows' joint extent.
+      const pos_t extent = std::max(a.empty() ? 0 : a.last_pixel() + 1,
+                                    b.empty() ? 0 : b.last_pixel() + 1);
+      out.output = pixel_parallel_xor(a, b, extent).output;  // canonical
+      break;
+    }
+    case DiffEngine::kAdaptive:  // resolved to a fixed engine above
+      break;
+  }
+  return out;
+}
+
 namespace {
 
 /// The scheduling grain, matching the old `schedule(dynamic, 16)`.
@@ -49,120 +112,30 @@ constexpr std::size_t kRowChunk = 16;
 /// deterministic: the same rows are sampled at any thread count.
 constexpr std::size_t kRowSpanStride = 64;
 
-/// Which engine actually ran a row (kAdaptive resolves to one of the two).
-enum class RowRoute { kFixed, kSystolic, kSequential };
-
-/// Per-row outcome gathered before serial aggregation (keeps the parallel
-/// loop free of shared mutable state).
-struct RowOutcome {
-  RleRow output;
-  SystolicCounters counters;
-  std::uint64_t sequential_iterations = 0;
-  RowRoute route = RowRoute::kFixed;
-};
-
-/// Per-participant scratch: one machine whose cell storage is recycled
-/// across every row this worker processes, instead of reallocated per row.
-struct RowScratch {
-  SystolicDiffMachine machine;
-};
-
-RowOutcome diff_row_body(const RleRow& ra, const RleRow& rb, pos_t width,
-                         const ImageDiffOptions& options, RowScratch& scratch) {
-  RowOutcome out;
-  switch (options.engine) {
-    case DiffEngine::kSystolic: {
-      SystolicConfig cfg;
-      cfg.check_invariants = options.check_invariants;
-      cfg.canonicalize_output = options.canonicalize_output;
-      SystolicResult r = systolic_xor(ra, rb, cfg, scratch.machine);
-      out.output = std::move(r.output);
-      out.counters = r.counters;
-      break;
-    }
-    case DiffEngine::kBusSystolic: {
-      BusConfig cfg;
-      cfg.bus_width = options.bus_width;
-      cfg.canonicalize_output = options.canonicalize_output;
-      BusResult r = bus_systolic_xor(ra, rb, cfg);
-      out.output = std::move(r.output);
-      out.counters = r.counters;
-      break;
-    }
-    case DiffEngine::kSequentialMerge: {
-      // The word-parallel engine serves the (default) canonical form
-      // directly; raw piecewise output — which the Observation-bound
-      // telemetry needs — is only defined by the scalar merge.
-      SequentialDiffResult r = options.canonicalize_output
-                                   ? sequential_engine_xor(ra, rb)
-                                   : sequential_xor(ra, rb);
-      out.output = std::move(r.output);
-      out.sequential_iterations = r.iterations;
-      break;
-    }
-    case DiffEngine::kParitySweep: {
-      out.output = xor_rows(ra, rb);  // canonical by construction
-      break;
-    }
-    case DiffEngine::kPixelParallel: {
-      PixelParallelResult r = pixel_parallel_xor(ra, rb, width);
-      out.output = std::move(r.output);  // canonical by construction
-      break;
-    }
-    case DiffEngine::kAdaptive: {
-      // Route on the cheap half of the cost model only (k1, k2, |k1 - k2|);
-      // the decision depends on nothing but the input rows, so the mix is
-      // identical at every thread count.
-      const AdaptiveRoute route =
-          choose_adaptive_route(ra.run_count(), rb.run_count(),
-                                options.adaptive_similarity_threshold);
-      if (route == AdaptiveRoute::kSystolic) {
-        SystolicConfig cfg;
-        cfg.check_invariants = options.check_invariants;
-        cfg.canonicalize_output = options.canonicalize_output;
-        SystolicResult r = systolic_xor(ra, rb, cfg, scratch.machine);
-        out.output = std::move(r.output);
-        out.counters = r.counters;
-        out.route = RowRoute::kSystolic;
-      } else {
-        SequentialDiffResult r = options.canonicalize_output
-                                     ? sequential_engine_xor(ra, rb)
-                                     : sequential_xor(ra, rb);
-        out.output = std::move(r.output);
-        out.sequential_iterations = r.iterations;
-        out.route = RowRoute::kSequential;
-      }
-      break;
-    }
-  }
-  return out;
-}
-
-RowOutcome diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
-                        pos_t width, const ImageDiffOptions& options,
-                        RowScratch& scratch) {
+RowDiff diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
+                     const ImageDiffOptions& options,
+                     SystolicDiffMachine& machine) {
   if (y % kRowSpanStride == 0) {
     TELEMETRY_SPAN("row_diff", "image");
-    return diff_row_body(ra, rb, width, options, scratch);
+    return diff_row(ra, rb, options, machine);
   }
-  return diff_row_body(ra, rb, width, options, scratch);
+  return diff_row(ra, rb, options, machine);
 }
 
 RowRunStats run_rows_native(const RleImage& a, const RleImage& b,
                             const ImageDiffOptions& options,
-                            std::vector<RowOutcome>& outcomes) {
+                            std::vector<RowDiff>& outcomes) {
   RowExecutor& executor = RowExecutor::global();
   const std::size_t n = outcomes.size();
-  std::vector<RowScratch> scratch(
+  std::vector<SystolicDiffMachine> machines(
       std::max<std::size_t>(1, executor.plan_slots(n, options.threads,
                                                    kRowChunk)));
   return executor.run(
       n,
       [&](std::size_t i, std::size_t slot) {
         const pos_t y = static_cast<pos_t>(i);
-        outcomes[i] =
-            diff_one_row(i, a.row(y), b.row(y), a.width(), options,
-                         scratch[slot]);
+        outcomes[i] = diff_one_row(i, a.row(y), b.row(y), options,
+                                   machines[slot]);
       },
       options.threads, kRowChunk);
 }
@@ -170,9 +143,9 @@ RowRunStats run_rows_native(const RleImage& a, const RleImage& b,
 #ifdef SYSRLE_HAVE_OPENMP
 RowRunStats run_rows_openmp(const RleImage& a, const RleImage& b,
                             const ImageDiffOptions& options,
-                            std::vector<RowOutcome>& outcomes) {
+                            std::vector<RowDiff>& outcomes) {
   const std::size_t slots = RowExecutor::resolve_threads(options.threads);
-  std::vector<RowScratch> scratch(slots);
+  std::vector<SystolicDiffMachine> machines(slots);
   RowRunStats stats;
   stats.rows_per_slot.assign(slots, 0);
   const pos_t height = static_cast<pos_t>(outcomes.size());
@@ -182,7 +155,7 @@ RowRunStats run_rows_openmp(const RleImage& a, const RleImage& b,
     const std::size_t slot = static_cast<std::size_t>(omp_get_thread_num());
     outcomes[static_cast<std::size_t>(y)] =
         diff_one_row(static_cast<std::size_t>(y), a.row(y), b.row(y),
-                     a.width(), options, scratch[slot]);
+                     options, machines[slot]);
     ++stats.rows_per_slot[slot];  // slots are per-thread: no race
   }
   return stats;
@@ -197,7 +170,7 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
   SYSRLE_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                  "image_diff: image dimensions differ");
   const pos_t height = a.height();
-  std::vector<RowOutcome> outcomes(static_cast<std::size_t>(height));
+  std::vector<RowDiff> outcomes(static_cast<std::size_t>(height));
 
   RowRunStats stats;
 #ifdef SYSRLE_HAVE_OPENMP
@@ -214,13 +187,15 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
   ImageDiffResult result;
   result.diff = RleImage(a.width(), height);
   for (pos_t y = 0; y < height; ++y) {
-    RowOutcome& o = outcomes[static_cast<std::size_t>(y)];
+    RowDiff& o = outcomes[static_cast<std::size_t>(y)];
     result.max_row_iterations =
         std::max(result.max_row_iterations, o.counters.iterations);
     result.counters += o.counters;
     result.sequential_iterations += o.sequential_iterations;
-    if (o.route == RowRoute::kSystolic) ++result.adaptive_systolic_rows;
-    if (o.route == RowRoute::kSequential) ++result.adaptive_sequential_rows;
+    if (o.adaptive_route == AdaptiveRoute::kSystolic)
+      ++result.adaptive_systolic_rows;
+    if (o.adaptive_route == AdaptiveRoute::kSequential)
+      ++result.adaptive_sequential_rows;
     result.diff.set_row(y, std::move(o.output));
   }
   result.threads_used = std::max<std::uint64_t>(stats.threads_used(), 1);

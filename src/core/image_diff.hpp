@@ -12,14 +12,19 @@
 // row, never what, and aggregation is serial in row order.
 
 #include <cstdint>
+#include <optional>
 
+#include "baseline/sequential_diff.hpp"
 #include "core/cost_model.hpp"
+#include "core/systolic_diff.hpp"
 #include "rle/rle_image.hpp"
 #include "systolic/counters.hpp"
 
 namespace sysrle {
 
-/// Which row-diff engine to run.
+/// Which row-diff engine to run.  kSystolic is the reproduction default of
+/// the paper-facing tools (sysrle diff/inspect/perf); the library and the
+/// serving stack default to kSequentialMerge, the host fast path.
 enum class DiffEngine {
   kSystolic,         ///< the paper's machine (cycle-level simulation)
   kBusSystolic,      ///< section-6 broadcast-bus variant
@@ -42,7 +47,8 @@ enum class ParallelBackend {
 
 /// Options for image_diff.
 struct ImageDiffOptions {
-  DiffEngine engine = DiffEngine::kSystolic;
+  /// Canonical output runs the word-parallel engine (baseline/word_diff.hpp).
+  DiffEngine engine = DiffEngine::kSequentialMerge;
   /// Merge adjacent runs in every output row.
   bool canonicalize_output = true;
   /// Run the section-4 invariant checkers on every systolic row (slow).
@@ -83,6 +89,28 @@ struct ImageDiffResult {
   std::uint64_t threads_used = 1;
   std::uint64_t parallel_rows = 0;
 };
+
+/// One row's diff as produced by diff_row.
+struct RowDiff {
+  RleRow output;
+  SystolicCounters counters;                ///< machine activity (systolic/bus)
+  std::uint64_t sequential_iterations = 0;  ///< merge or word iterations
+  /// kAdaptive only: the engine the row was routed to.
+  std::optional<AdaptiveRoute> adaptive_route;
+};
+
+/// The single row-engine dispatch shared by image_diff, StreamDiffer and
+/// every other caller: diffs one row pair on options.engine.  `machine` is
+/// a systolic workspace recycled across calls (one per thread).
+RowDiff diff_row(const RleRow& a, const RleRow& b,
+                 const ImageDiffOptions& options,
+                 SystolicDiffMachine& machine);
+
+/// The sequential engine: the word-parallel engine for canonical output,
+/// the paper's scalar merge — the only definition of raw piecewise output,
+/// which the Observation-bound telemetry needs — otherwise.
+SequentialDiffResult sequential_row(const RleRow& a, const RleRow& b,
+                                    bool canonicalize);
 
 /// Computes the per-row XOR of two equal-sized RLE images with the selected
 /// engine.  Rows are processed in parallel on the native executor (or the

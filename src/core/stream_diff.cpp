@@ -1,15 +1,10 @@
 #include "core/stream_diff.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
-#include "baseline/sequential_diff.hpp"
-#include "baseline/word_diff.hpp"
 #include "common/assert.hpp"
-#include "core/bus_variant.hpp"
-#include "core/cost_model.hpp"
-#include "core/systolic_diff.hpp"
-#include "rle/ops.hpp"
 #include "rle/validate.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -81,61 +76,12 @@ void StreamDiffer::record_row_telemetry(
                 static_cast<double>(summary_.rows) * 1e6 / elapsed_us);
 }
 
-RleRow StreamDiffer::run_engine(const RleRow& reference, const RleRow& scan,
-                                SystolicCounters& row_counters) {
-  if (engine_override_) return engine_override_(reference, scan, row_counters);
-
-  switch (options_.engine) {
-    case DiffEngine::kSystolic: {
-      SystolicConfig cfg;
-      cfg.check_invariants = options_.check_invariants;
-      cfg.canonicalize_output = options_.canonicalize_output;
-      SystolicResult r = systolic_xor(reference, scan, cfg, machine_workspace_);
-      row_counters = r.counters;
-      return std::move(r.output);
-    }
-    case DiffEngine::kAdaptive: {
-      if (choose_adaptive_route(reference.run_count(), scan.run_count(),
-                                options_.adaptive_similarity_threshold) ==
-          AdaptiveRoute::kSystolic) {
-        SystolicConfig cfg;
-        cfg.check_invariants = options_.check_invariants;
-        cfg.canonicalize_output = options_.canonicalize_output;
-        SystolicResult r =
-            systolic_xor(reference, scan, cfg, machine_workspace_);
-        row_counters = r.counters;
-        return std::move(r.output);
-      }
-      SequentialDiffResult r = options_.canonicalize_output
-                                   ? sequential_engine_xor(reference, scan)
-                                   : sequential_xor(reference, scan);
-      summary_.sequential_iterations += r.iterations;
-      return std::move(r.output);
-    }
-    case DiffEngine::kBusSystolic: {
-      BusConfig cfg;
-      cfg.bus_width = options_.bus_width;
-      cfg.canonicalize_output = options_.canonicalize_output;
-      BusResult r = bus_systolic_xor(reference, scan, cfg);
-      row_counters = r.counters;
-      return std::move(r.output);
-    }
-    case DiffEngine::kSequentialMerge: {
-      // Word-parallel engine for the canonical form; the scalar merge is
-      // the only definition of the raw piecewise output.
-      SequentialDiffResult r = options_.canonicalize_output
-                                   ? sequential_engine_xor(reference, scan)
-                                   : sequential_xor(reference, scan);
-      summary_.sequential_iterations += r.iterations;
-      return std::move(r.output);
-    }
-    case DiffEngine::kParitySweep:
-    case DiffEngine::kPixelParallel:
-      // Width-agnostic streaming: the sweep covers both cases here.
-      return xor_rows(reference, scan);
-  }
-  SYSRLE_CHECK(false, "StreamDiffer: unknown engine");
-  return RleRow{};
+RowDiff StreamDiffer::run_engine(const RleRow& reference, const RleRow& scan) {
+  if (!engine_override_)
+    return diff_row(reference, scan, options_, machine_workspace_);
+  RowDiff out;
+  out.output = engine_override_(reference, scan, out.counters);
+  return out;
 }
 
 bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
@@ -152,29 +98,33 @@ bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
   }
 
   const pos_t y = static_cast<pos_t>(summary_.rows);
-  RleRow diff;
-  SystolicCounters row_counters;
+  RowDiff row;
   bool fell_back = false;
 
   try {
-    diff = run_engine(reference, scan, row_counters);
+    row = run_engine(reference, scan);
   } catch (const std::exception& e) {
     // The scanner keeps delivering lines whether or not the array is
     // healthy: report the failure, then recompute the row on the sequential
     // merge engine, which shares no datapath with the array.
     report(y, e.what());
-    row_counters = SystolicCounters{};
-    SequentialDiffResult r = options_.canonicalize_output
-                                 ? sequential_engine_xor(reference, scan)
-                                 : sequential_xor(reference, scan);
-    summary_.sequential_iterations += r.iterations;
-    diff = std::move(r.output);
+    SequentialDiffResult r =
+        sequential_row(reference, scan, options_.canonicalize_output);
+    row.output = std::move(r.output);
+    row.sequential_iterations = r.iterations;
     ++summary_.fallback_rows;
     fell_back = true;
   }
 
+  const SystolicCounters& row_counters = row.counters;
   ++summary_.rows;
-  summary_.difference_pixels += diff.foreground_pixels();
+  summary_.sequential_iterations += row.sequential_iterations;
+  // Saturating: hostile near-len_t-max runs must not overflow the total.
+  const len_t pixels = row.output.foreground_pixels();
+  summary_.difference_pixels =
+      pixels > std::numeric_limits<len_t>::max() - summary_.difference_pixels
+          ? std::numeric_limits<len_t>::max()
+          : summary_.difference_pixels + pixels;
   summary_.max_row_iterations =
       std::max(summary_.max_row_iterations, row_counters.iterations);
   // Double-buffered latency: computing this row overlaps loading the next
@@ -192,7 +142,7 @@ bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
         fell_back, /*poisoned=*/false);
   }
 
-  on_row_(y, diff);
+  on_row_(y, row.output);
   return true;
 }
 

@@ -28,7 +28,7 @@ namespace sysrle {
 /// Aggregate state of a streaming run.
 struct StreamSummary {
   std::uint64_t rows = 0;
-  len_t difference_pixels = 0;
+  len_t difference_pixels = 0;  ///< saturates at the len_t maximum
   SystolicCounters counters;          ///< summed machine activity
   cycle_t max_row_iterations = 0;
   /// Pipeline latency in cycles for a double-buffered machine: each row
@@ -113,8 +113,7 @@ class StreamDiffer {
   const StreamSummary& finish() const { return summary_; }
 
  private:
-  RleRow run_engine(const RleRow& reference, const RleRow& scan,
-                    SystolicCounters& row_counters);
+  RowDiff run_engine(const RleRow& reference, const RleRow& scan);
   void report(pos_t y, const std::string& diagnostic);
   /// True (and accounts the refusal) when the deadline has expired.
   bool refuse_if_expired();

@@ -38,18 +38,20 @@ RleRow combine(const RleRow& a, const RleRow& b, Pred pred) {
     const pos_t pb = next_b();
     const pos_t p = std::min(pa, pb);
     if (p == kInf) break;
+    // A run that starts where the previous one ended (adjacent runs: legal,
+    // non-canonical input) keeps the list inside across the boundary.
     if (pa == p) {
       if (in_a) {
-        in_a = false;
         ++ia;
+        in_a = ia < a.run_count() && a[ia].start == p;
       } else {
         in_a = true;
       }
     }
     if (pb == p) {
       if (in_b) {
-        in_b = false;
         ++ib;
+        in_b = ib < b.run_count() && b[ib].start == p;
       } else {
         in_b = true;
       }

@@ -44,8 +44,8 @@ std::uint64_t image_fingerprint(const RleImage& image);
 struct CoalesceKey {
   std::uint64_t fp_a = 0;
   std::uint64_t fp_b = 0;
-  DiffEngine engine = DiffEngine::kSystolic;
-  bool canonicalize = true;
+  DiffEngine engine = ImageDiffOptions{}.engine;
+  bool canonicalize = ImageDiffOptions{}.canonicalize_output;
 
   friend bool operator==(const CoalesceKey&, const CoalesceKey&) = default;
 };

@@ -35,6 +35,29 @@ double us_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
+/// The coalesce key of a request's operands.  By-handle operands use their
+/// handles — the handle IS the content fingerprint — so no image bytes are
+/// hashed; by-value operands are hashed here, once per submit, because the
+/// route key derives from the same fingerprint pair.
+CoalesceKey operand_key(const ServiceRequest& request) {
+  if (!request.by_handle())
+    return coalesce_key(request.reference, request.scan, request.options);
+  CoalesceKey key;
+  key.fp_a = request.ref_handle;
+  key.fp_b = request.scan_handle;
+  key.engine = request.options.engine;
+  key.canonicalize = request.options.canonicalize_output;
+  return key;
+}
+
+/// The route key: an explicit override, else the operand fingerprint pair,
+/// so re-submissions of the same pair land on the same shard.
+std::uint64_t route_key_from(const ServiceRequest& request,
+                             const CoalesceKey& operands) {
+  if (request.route_key != 0) return request.route_key;
+  return mix64(operands.fp_a ^ mix64(operands.fp_b));
+}
+
 /// Pops the earliest entry of a min-heap on fire_at.
 struct HedgeEarlier {
   bool operator()(const auto& a, const auto& b) const {
@@ -95,13 +118,7 @@ void ShardRouter::count_metric(const char* name) const {
 
 std::uint64_t ShardRouter::route_key_of(const ServiceRequest& request) {
   if (request.route_key != 0) return request.route_key;
-  // By-handle requests route on their handles: the handle IS the content
-  // fingerprint, so re-submissions of the same pair land on the same shard
-  // without hashing any image bytes.
-  if (request.by_handle())
-    return mix64(request.ref_handle ^ mix64(request.scan_handle));
-  return mix64(image_fingerprint(request.reference) ^
-               mix64(image_fingerprint(request.scan)));
+  return route_key_from(request, operand_key(request));
 }
 
 std::size_t ShardRouter::shard_of(std::uint64_t key) const {
@@ -163,7 +180,13 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
           request.ref_image().width() == request.scan_image().width() &&
               request.ref_image().height() == request.scan_image().height(),
           "ShardRouter: by-handle image dimensions differ");
-      const std::uint64_t key = route_key_of(request);
+      // Coalescing: requests carrying per-request behaviour hooks (fault
+      // injection, engine overrides) never share a computation.
+      const bool coalescible = config_.coalesce && !request.fault &&
+                               !request.engine_override;
+      CoalesceKey ckey;
+      if (coalescible || request.route_key == 0) ckey = operand_key(request);
+      const std::uint64_t key = route_key_from(request, ckey);
       const std::size_t home = shard_of(key);
 
       // Result cache: only by-handle requests are eligible — their key is
@@ -212,24 +235,9 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
       if (served_from_cache) {
         // result stays nullopt: the response above is the one delivery.
       } else {
-      // Coalescing: requests carrying per-request behaviour hooks (fault
-      // injection, engine overrides) never share a computation.
-      const bool coalescible = config_.coalesce && !request.fault &&
-                               !request.engine_override;
       bool registered = false;
-      CoalesceKey ckey;
       if (coalescible) {
-        // By-handle keys reuse the store fingerprints directly — no image
-        // hashing; the equality check below still defeats collisions.
-        if (request.by_handle()) {
-          ckey.fp_a = request.ref_handle;
-          ckey.fp_b = request.scan_handle;
-          ckey.engine = request.options.engine;
-          ckey.canonicalize = request.options.canonicalize_output;
-        } else {
-          ckey =
-              coalesce_key(request.reference, request.scan, request.options);
-        }
+        // The equality check in admit() still defeats collisions.
         const Coalescer::AdmitResult admit = coalescer_.admit(
             ckey, request.ref_image(), request.scan_image(), next_call_id_);
         // A collision runs uncoalesced AND unregistered — it must never

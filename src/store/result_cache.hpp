@@ -47,8 +47,8 @@ namespace sysrle {
 struct ResultKey {
   std::uint64_t fp_a = 0;
   std::uint64_t fp_b = 0;
-  DiffEngine engine = DiffEngine::kSystolic;
-  bool canonicalize = true;
+  DiffEngine engine = ImageDiffOptions{}.engine;
+  bool canonicalize = ImageDiffOptions{}.canonicalize_output;
 
   friend bool operator==(const ResultKey&, const ResultKey&) = default;
 };

@@ -588,6 +588,21 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   EXPECT_TRUE(root.at("flight").is_null());
 }
 
+TEST_F(CliFixture, ServeDefaultsToHostFastPathAndRecordsEngine) {
+  const std::string reqs =
+      write_requests_file("serve_engine.txt", "batch 4 200 0.02\n");
+  const CliRun def = cli({"serve", "--requests", reqs, "--json"});
+  EXPECT_EQ(def.exit_code, 0) << def.err;
+  EXPECT_EQ(parse_json(def.out).at("params").at("engine").string,
+            "sequential-merge");
+  const CliRun sys =
+      cli({"serve", "--requests", reqs, "--engine", "systolic", "--json"});
+  EXPECT_EQ(sys.exit_code, 0) << sys.err;
+  const JsonValue root = parse_json(sys.out);
+  EXPECT_EQ(root.at("params").at("engine").string, "systolic");
+  EXPECT_DOUBLE_EQ(root.at("completed").number, 1.0);
+}
+
 TEST_F(CliFixture, ServeMultiShardTopologyRoutesAndStaysAccounted) {
   // Duplicate specs do NOT coalesce (each request draws fresh images), so
   // this checks routing across a 2x2 topology, not coalescing.

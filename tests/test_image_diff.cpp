@@ -72,7 +72,9 @@ TEST(ImageDiff, CountersAggregateAcrossRows) {
     Rng row_rng = rng.split();
     b.set_row(y, inject_errors(row_rng, a.row(y), a.width(), {}));
   }
-  const ImageDiffResult r = image_diff(a, b);
+  ImageDiffOptions sys;
+  sys.engine = DiffEngine::kSystolic;  // machine counters need the machine
+  const ImageDiffResult r = image_diff(a, b, sys);
   EXPECT_GT(r.counters.iterations, 0u);
   EXPECT_GE(r.counters.iterations, r.max_row_iterations);
   EXPECT_GT(r.max_row_iterations, 0u);

@@ -54,6 +54,22 @@ TEST(RleOps, ResultsAreCanonical) {
   EXPECT_TRUE(xor_rows(a, b).is_canonical());
 }
 
+TEST(RleOps, AdjacentInputRunsAreOneInterval) {
+  // Adjacent runs are legal (non-canonical) input; the sweep must treat
+  // (0,4)(4,4) exactly like (0,8) instead of opening an empty segment.
+  const RleRow split{{0, 4}, {4, 4}};
+  const RleRow whole{{0, 8}};
+  const RleRow b{{2, 4}};
+  EXPECT_EQ(xor_rows(split, b), xor_rows(whole, b));
+  EXPECT_EQ(xor_rows(b, split), xor_rows(b, whole));
+  EXPECT_EQ(and_rows(split, b), and_rows(whole, b));
+  EXPECT_EQ(or_rows(split, b), whole);
+  EXPECT_EQ(subtract_rows(split, b), subtract_rows(whole, b));
+  EXPECT_TRUE(xor_rows(split, whole).empty());
+  EXPECT_EQ(xor_rows(RleRow{{0, 2}, {2, 2}, {4, 2}}, RleRow{{6, 1}}),
+            (RleRow{{0, 7}}));
+}
+
 TEST(RleOps, IntersectionAndHamming) {
   const RleRow a = row_of("11011000");
   const RleRow b = row_of("01010110");

@@ -577,6 +577,71 @@ TEST(ShardRouter, ByHandleRequestResolvesPinsAndCompletes) {
   EXPECT_TRUE(router.stats().accounted());
 }
 
+// The route key is derived from the coalesce key's fingerprint pair, so
+// each by-value operand is hashed once per submit.  Shard placement must be
+// exactly what the direct formula gives — mix64(fp_a ^ mix64(fp_b)) over
+// the image fingerprints (by value) or the store handles (by handle) — both
+// through route_key_of and on the dispatch try_submit actually makes, with
+// coalescing on or off.
+TEST(ShardRouter, ShardAssignmentIsUnchangedForByValueAndByHandleRequests) {
+  const auto mix64 = [](std::uint64_t x) {  // splitmix64 finalizer
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  const auto pair_key = [&](std::uint64_t fa, std::uint64_t fb) {
+    return mix64(fa ^ mix64(fb));
+  };
+
+  for (const bool coalesce : {true, false}) {
+    std::shared_ptr<ImageStore> store;
+    std::shared_ptr<ResultCache> cache;
+    RouterConfig cfg = store_router(store, cache);
+    cfg.shards = 4;
+    cfg.coalesce = coalesce;
+    FlightRecorder flight(1 << 12);
+    set_flight_recorder(&flight);
+    Collector collector;
+    ShardRouter router(cfg, collector.callback());
+
+    std::map<std::uint64_t, std::size_t> expected_shard;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      const Workload w = make_workload(700 + i);
+      ServiceRequest by_value = make_request(w, 2 * i);
+      const std::uint64_t value_key =
+          pair_key(image_fingerprint(w.a), image_fingerprint(w.b));
+      EXPECT_EQ(ShardRouter::route_key_of(by_value), value_key);
+      expected_shard[2 * i] = router.shard_of(value_key);
+
+      ServiceRequest by_handle;
+      by_handle.id = 2 * i + 1;
+      by_handle.ref_handle = store->register_image(w.a).handle;
+      by_handle.scan_handle = store->register_image(w.b).handle;
+      const std::uint64_t handle_key =
+          pair_key(by_handle.ref_handle, by_handle.scan_handle);
+      EXPECT_EQ(ShardRouter::route_key_of(by_handle), handle_key);
+      expected_shard[2 * i + 1] = router.shard_of(handle_key);
+
+      ASSERT_FALSE(router.try_submit(std::move(by_value)).has_value());
+      ASSERT_FALSE(router.try_submit(std::move(by_handle)).has_value());
+    }
+    router.drain();
+    set_flight_recorder(nullptr);
+
+    for (const auto& [id, shard] : expected_shard) {
+      int dispatches = 0;
+      for (const FlightEvent& e : flight.timeline(id)) {
+        if (e.kind != FlightEventKind::kDispatch) continue;
+        ++dispatches;
+        EXPECT_EQ(e.ctx.shard, static_cast<int>(shard))
+            << "request " << id << " coalesce=" << coalesce;
+      }
+      EXPECT_EQ(dispatches, 1) << "request " << id;
+    }
+  }
+}
+
 // The tentpole's acceptance bar: the second identical by-handle diff is
 // served from the result cache — bit-identical payload, no second engine
 // invocation (asserted via the backend's engine-invocation counter).

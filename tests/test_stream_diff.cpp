@@ -57,8 +57,9 @@ TEST(StreamDiff, SummaryAggregates) {
   RowGenParams p;
   p.width = 600;
   len_t expected_pixels = 0;
-  StreamDiffer differ(ImageDiffOptions{},
-                      [](pos_t, const RleRow&) {});
+  ImageDiffOptions sys;
+  sys.engine = DiffEngine::kSystolic;  // machine counters need the machine
+  StreamDiffer differ(sys, [](pos_t, const RleRow&) {});
   for (int i = 0; i < 10; ++i) {
     ErrorGenParams ep;
     ep.error_fraction = 0.02;
@@ -374,6 +375,8 @@ TEST(StreamDiff, AdversarialRunListsNeverThrowAndAreAccountedExactly) {
   EXPECT_EQ(sum.poisoned_rows, expected_poisoned);
   EXPECT_EQ(sum.fallback_rows, 0u);
   EXPECT_EQ(error_rows.size(), expected_poisoned);
+  // 4 + (kMax - 3) healthy pixels: the running total saturates, never wraps.
+  EXPECT_EQ(sum.difference_pixels, kMax);
 
   // on_row fired exactly once per push, in order, empty iff poisoned.
   ASSERT_EQ(captured.size(), cases.size());
