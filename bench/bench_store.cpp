@@ -3,8 +3,8 @@
 //
 // The pre-store serving path pays full ingestion on every request: both
 // operands arrive as serialized RLE bytes and must be parsed (read_rle,
-// with per-row validation) and fingerprinted (the coalescer key hashes both
-// images) before the diff engine sees a single run.  The store amortizes
+// with per-row validation) and fingerprinted (the result-table key hashes
+// both images) before the diff engine sees a single run.  The store amortizes
 // all of that to registration time — a hot reference image is parsed zero
 // times per request.  This bench pins that claim and the store/cache
 // accounting identities as named, machine-checkable booleans:
@@ -22,8 +22,8 @@
 //      all three paths must produce bit-identical diffs per pair.
 //   2. Result-cache hit ratio — a 1x1 ShardRouter with store + cache serves
 //      K distinct by-handle pairs, each submitted R times sequentially
-//      (response awaited between submissions, so the coalescer never sees
-//      two in flight).  The backend engine runs exactly K times; the other
+//      (response awaited between submissions, so no repeat ever joins one
+//      still in flight).  The backend engine runs exactly K times; the other
 //      K*(R-1) responses come from the cache, bit-identical per pair, and
 //      lookups == hits + misses.
 //   3. Churn — a deliberately tiny store capacity forces eviction across a
@@ -32,7 +32,7 @@
 //      slab arena's live bytes track the store's resident bytes exactly
 //      (zero leak), and a pinned entry survives a capacity storm that
 //      evicts everything around it.  The result cache gets the same
-//      treatment: budgeted inserts evict from the LRU tail and the
+//      treatment: budgeted completions evict from the LRU tail and the
 //      lookup identity holds.
 //
 // Flags: --json FILE writes a sysrle.bench.v1 report; --smoke shrinks the
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   // One reference, a small pool of scans, both sides pre-registered.  The
   // baseline replays the by-value ingestion path per request: deserialize
   // both operands from their SRLB bytes (read_rle validates every row),
-  // fingerprint both (the coalescer key does), then diff.  Diff payloads
+  // fingerprint both (the result-table key does), then diff.  Diff payloads
   // are kept per pair and fingerprinted after the clocks stop, so the
   // verification cost never tilts any timed loop.
   Rng rng(kSeed);
@@ -170,20 +170,17 @@ int main(int argc, char** argv) {
     const std::size_t p = static_cast<std::size_t>(i % kScanPool);
     const PinnedImage a = store.acquire(ref_handle);
     const PinnedImage b = store.acquire(scan_handles[p]);
-    ResultKey key;
-    key.fp_a = a.handle();
-    key.fp_b = b.handle();
-    key.engine = options.engine;
-    key.canonicalize = options.canonicalize_output;
+    const ResultKey key = ResultKey::of(a.handle(), b.handle(), options);
+    const std::uint64_t call_id = static_cast<std::uint64_t>(i) + 1;
     std::shared_ptr<const CachedDiff> hit =
-        hot_cache.lookup(key, a.image(), b.image());
+        hot_cache
+            .admit(key, {a.image(), b.image(), a.share(), b.share()}, call_id,
+                   /*cacheable=*/true)
+            .result;
     if (!hit) {
-      ImageDiffResult r = image_diff(a.image(), b.image(), options);
-      CachedDiff result;
-      result.diff = std::move(r.diff);
-      result.rows_processed = static_cast<std::uint64_t>(kRows);
-      hot_cache.insert(key, a.share(), b.share(), std::move(result));
-      hit = hot_cache.lookup(key, a.image(), b.image());
+      const ImageDiffResult r = image_diff(a.image(), b.image(), options);
+      hit = hot_cache.complete(key, call_id, r.diff,
+                               static_cast<std::uint64_t>(kRows), 0);
     }
     if (i < kScanPool) stack_diffs[p] = hit->diff;
   }
@@ -344,9 +341,10 @@ int main(int argc, char** argv) {
       key.fp_b = static_cast<std::uint64_t>(i) + 2;
       auto a = std::make_shared<const RleImage>(0, 0);
       auto b = std::make_shared<const RleImage>(0, 0);
-      churn_cache.insert(key, a, b,
-                         CachedDiff{diff, 16, 0});
-      (void)churn_cache.lookup(key, *a, *b);
+      const std::uint64_t call_id = static_cast<std::uint64_t>(i) + 1;
+      (void)churn_cache.admit(key, {*a, *b, a, b}, call_id, true);
+      (void)churn_cache.complete(key, call_id, diff, 16, 0);
+      (void)churn_cache.admit(key, {*a, *b, a, b}, call_id, true);
     }
     const CacheStats churn_cache_stats = churn_cache.stats();
     const bool cache_churn_evicts = churn_cache_stats.evictions > 0;

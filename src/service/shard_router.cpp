@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "rle/serialize.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -35,25 +36,24 @@ double us_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-/// The coalesce key of a request's operands.  By-handle operands use their
-/// handles — the handle IS the content fingerprint — so no image bytes are
-/// hashed; by-value operands are hashed here, once per submit, because the
-/// route key derives from the same fingerprint pair.
-CoalesceKey operand_key(const ServiceRequest& request) {
-  if (!request.by_handle())
-    return coalesce_key(request.reference, request.scan, request.options);
-  CoalesceKey key;
-  key.fp_a = request.ref_handle;
-  key.fp_b = request.scan_handle;
-  key.engine = request.options.engine;
-  key.canonicalize = request.options.canonicalize_output;
-  return key;
+/// The result-table key of a request's operands.  By-handle operands use
+/// their handles — the handle IS the canonical fingerprint — so no image
+/// bytes are hashed; by-value operands are hashed here with the same
+/// canonical_fingerprint, once per submit, because the route key derives
+/// from the same pair.  By-value and by-handle requests for one pair
+/// therefore share one key (and one shard).
+ResultKey operand_key(const ServiceRequest& request) {
+  if (request.by_handle())
+    return ResultKey::of(request.ref_handle, request.scan_handle,
+                         request.options);
+  return ResultKey::of(canonical_fingerprint(request.reference),
+                       canonical_fingerprint(request.scan), request.options);
 }
 
 /// The route key: an explicit override, else the operand fingerprint pair,
 /// so re-submissions of the same pair land on the same shard.
 std::uint64_t route_key_from(const ServiceRequest& request,
-                             const CoalesceKey& operands) {
+                             const ResultKey& operands) {
   if (request.route_key != 0) return request.route_key;
   return mix64(operands.fp_a ^ mix64(operands.fp_b));
 }
@@ -71,6 +71,7 @@ ShardRouter::ShardRouter(RouterConfig config, Completion on_complete)
     : config_(config),
       on_complete_(std::move(on_complete)),
       epoch_(std::chrono::steady_clock::now()),
+      results_(config_.cache ? config_.cache : std::make_shared<ResultCache>()),
       hedge_budget_(config.hedge.budget,
                     "router.hedge_budget_exhausted_total") {
   SYSRLE_REQUIRE(config_.shards >= 1, "ShardRouter: need at least one shard");
@@ -138,171 +139,166 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
   std::vector<Delivery> deliveries;
   std::optional<RejectReason> result;
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    ++stats_.offered;
-    count_metric("router.requests_offered");
-    const RequestContext cctx = client_ctx(request.id);
-
-    // Resolve by-handle operands before any routing decision: the pinned
-    // images ride inside the request for its whole lifetime (the pin blocks
-    // store eviction until the last dispatch copy dies).
-    bool unknown_handle = false;
-    if (request.by_handle()) {
-      if (config_.store) {
-        if (request.ref_handle != 0)
-          request.pinned_ref = config_.store->acquire(request.ref_handle);
-        if (request.scan_handle != 0)
-          request.pinned_scan = config_.store->acquire(request.scan_handle);
-      }
-      unknown_handle = !request.pinned_ref || !request.pinned_scan;
-    }
-
-    if (draining_) {
-      ++stats_.shed_shutdown;
-      result = RejectReason::kShutdown;
-      flight_record(FlightEventKind::kShed, cctx, to_string(*result));
-      flight_retain(cctx.request_id, "shed");
-    } else if (request.deadline.expired()) {
-      ++stats_.shed_deadline_at_submit;
-      result = RejectReason::kDeadlineExpired;
-      flight_record(FlightEventKind::kShed, cctx, to_string(*result));
-      flight_retain(cctx.request_id, "shed");
-    } else if (unknown_handle) {
-      // Typed shed: the operand was never registered (or already evicted).
-      // The caller re-registers and re-submits; nothing is silently dropped.
-      ++stats_.shed_unknown_handle;
-      result = RejectReason::kUnknownHandle;
-      count_metric("router.unknown_handle_sheds");
-      flight_record(FlightEventKind::kShed, cctx, to_string(*result));
-      flight_retain(cctx.request_id, "shed");
-    } else {
-      SYSRLE_REQUIRE(
-          request.ref_image().width() == request.scan_image().width() &&
-              request.ref_image().height() == request.scan_image().height(),
-          "ShardRouter: by-handle image dimensions differ");
-      // Coalescing: requests carrying per-request behaviour hooks (fault
-      // injection, engine overrides) never share a computation.
-      const bool coalescible = config_.coalesce && !request.fault &&
-                               !request.engine_override;
-      CoalesceKey ckey;
-      if (coalescible || request.route_key == 0) ckey = operand_key(request);
-      const std::uint64_t key = route_key_from(request, ckey);
-      const std::size_t home = shard_of(key);
-
-      // Result cache: only by-handle requests are eligible — their key is
-      // the verified store fingerprint pair, so a hit is answerable without
-      // re-hashing anything.  Hooked requests (fault injection, engine
-      // override) change behaviour per request and bypass the cache.
-      const bool cacheable = config_.cache != nullptr && request.by_handle() &&
-                             !request.fault && !request.engine_override;
-      ResultKey rkey;
-      bool served_from_cache = false;
-      if (cacheable) {
-        rkey.fp_a = request.ref_handle;
-        rkey.fp_b = request.scan_handle;
-        rkey.engine = request.options.engine;
-        rkey.canonicalize = request.options.canonicalize_output;
-        if (const std::shared_ptr<const CachedDiff> hit = config_.cache->lookup(
-                rkey, request.ref_image(), request.scan_image())) {
-          // Bit-identical replay of the original completion; no engine, no
-          // queue, no dispatch.  Delivered outside the lock like every
-          // other response.
-          ++stats_.admitted;
-          ++stats_.completed;
-          ++stats_.cache_hits;
-          count_metric("router.cache_hits");
-          flight_record(FlightEventKind::kAdmit, cctx, "cache");
-          flight_record(FlightEventKind::kCacheHit, cctx, "", rkey.fp_a);
-          ServiceResponse resp;
-          resp.id = request.id;
-          resp.priority = request.priority;
-          resp.status = ServiceResponse::Status::kCompleted;
-          resp.from_cache = true;
-          if (request.keep_diff) resp.diff = hit->diff;
-          resp.rows_processed = hit->rows_processed;
-          resp.fallback_rows = hit->fallback_rows;
-          flight_record(FlightEventKind::kRespond, cctx,
-                        to_string(resp.status));
-          deliveries.push_back({std::move(resp)});
-          served_from_cache = true;
-        } else {
-          ++stats_.cache_misses;
-          count_metric("router.cache_misses");
-          flight_record(FlightEventKind::kCacheMiss, cctx, "", rkey.fp_a);
-        }
-      }
-
-      if (served_from_cache) {
-        // result stays nullopt: the response above is the one delivery.
-      } else {
-      bool registered = false;
-      if (coalescible) {
-        // The equality check in admit() still defeats collisions.
-        const Coalescer::AdmitResult admit = coalescer_.admit(
-            ckey, request.ref_image(), request.scan_image(), next_call_id_);
-        // A collision runs uncoalesced AND unregistered — it must never
-        // finish() a key another computation owns.
-        registered = admit.primary && !admit.collision;
-        if (!admit.primary) {
-          auto owner = calls_.find(admit.owner);
-          SYSRLE_REQUIRE(owner != calls_.end(),
-                         "ShardRouter: coalescer owner is not a live call");
-          flight_record(FlightEventKind::kAdmit, cctx, "coalesced");
-          flight_record(FlightEventKind::kCoalesceJoined, cctx, "",
-                        owner->second->request.id);
-          owner->second->waiters.push_back(
-              {std::move(request), std::chrono::steady_clock::now()});
-          ++stats_.coalesced;
-          ++stats_.admitted;
-          count_metric("router.coalesced");
-          return std::nullopt;
-        }
-      }
-
-      auto call = std::make_shared<Call>();
-      call->call_id = next_call_id_++;  // the id admit() registered above
-      call->request = std::move(request);
-      call->accepted = std::chrono::steady_clock::now();
-      call->key = key;
-      call->home_shard = home;
-      call->ckey = ckey;
-      call->coalesce_registered = registered;
-      call->cacheable = cacheable;
-      call->rkey = rkey;
-
-      result = dispatch_locked(call, /*is_hedge=*/false,
-                               /*exclude_replica=*/SIZE_MAX, deliveries);
-      if (result) {
-        if (call->coalesce_registered) coalescer_.finish(call->ckey);
-        if (*result == RejectReason::kShardDown) {
-          ++stats_.shed_shard_down;
-          count_metric("router.shard_down_sheds");
-        } else {
-          ++stats_.shed_shutdown;
-        }
-        flight_record(FlightEventKind::kShed, cctx, to_string(*result));
-        flight_retain(cctx.request_id, "shed");
-      } else {
-        ++stats_.admitted;
-        flight_record(FlightEventKind::kAdmit, cctx, "primary");
-        calls_.emplace(call->call_id, call);
-        if (config_.hedge.enabled &&
-            call->request.priority == Priority::kInteractive) {
-          call->hedge_scheduled = true;
-          hedge_heap_.push_back(
-              {call->accepted + std::chrono::microseconds(
-                                    current_hedge_delay_us()),
-               call->call_id});
-          std::push_heap(hedge_heap_.begin(), hedge_heap_.end(),
-                         HedgeEarlier{});
-          hedge_cv_.notify_one();
-        }
-      }
-      }  // !served_from_cache
-    }
+    std::lock_guard<std::mutex> lk(mu_);
+    result = submit_locked(std::move(request), deliveries);
   }
   deliver(deliveries);
   return result;
+}
+
+std::optional<RejectReason> ShardRouter::submit_locked(
+    ServiceRequest request, std::vector<Delivery>& out) {
+  ++stats_.offered;
+  count_metric("router.requests_offered");
+  const RequestContext cctx = client_ctx(request.id);
+
+  // Resolve by-handle operands before any routing decision: the pinned
+  // images ride inside the request for its whole lifetime (the pin blocks
+  // store eviction until the last dispatch copy dies).
+  bool unknown_handle = false;
+  if (request.by_handle()) {
+    if (config_.store) {
+      if (request.ref_handle != 0)
+        request.pinned_ref = config_.store->acquire(request.ref_handle);
+      if (request.scan_handle != 0)
+        request.pinned_scan = config_.store->acquire(request.scan_handle);
+    }
+    unknown_handle = !request.pinned_ref || !request.pinned_scan;
+  }
+
+  std::optional<RejectReason> shed;
+  if (draining_) {
+    ++stats_.shed_shutdown;
+    shed = RejectReason::kShutdown;
+  } else if (request.deadline.expired()) {
+    ++stats_.shed_deadline_at_submit;
+    shed = RejectReason::kDeadlineExpired;
+  } else if (unknown_handle) {
+    // Typed shed: the operand was never registered (or already evicted).
+    // The caller re-registers and re-submits; nothing is silently dropped.
+    ++stats_.shed_unknown_handle;
+    shed = RejectReason::kUnknownHandle;
+    count_metric("router.unknown_handle_sheds");
+  }
+  if (shed) {
+    flight_record(FlightEventKind::kShed, cctx, to_string(*shed));
+    flight_retain(cctx.request_id, "shed");
+    return shed;
+  }
+
+  SYSRLE_REQUIRE(
+      request.ref_image().width() == request.scan_image().width() &&
+          request.ref_image().height() == request.scan_image().height(),
+      "ShardRouter: by-handle image dimensions differ");
+  // Requests carrying per-request behaviour hooks (fault injection, engine
+  // overrides) never share a computation or a result.
+  const bool hooked = request.fault || request.engine_override;
+  ResultKey result_key;
+  if (!hooked || request.route_key == 0) result_key = operand_key(request);
+  const std::uint64_t key = route_key_from(request, result_key);
+
+  bool registered = false;
+  if (!hooked) {
+    // Only by-handle results stay resident: their key is the verified store
+    // fingerprint pair, so a hit is answerable without re-hashing anything.
+    const bool cacheable = config_.cache != nullptr && request.by_handle();
+    const ResultCache::Admission admission = results_->admit(
+        result_key,
+        {request.ref_image(), request.scan_image(), request.pinned_ref.share(),
+         request.pinned_scan.share()},
+        next_call_id_, cacheable);
+    using Kind = ResultCache::Admission::Kind;
+    if (cacheable && admission.kind != Kind::kHit) {
+      ++stats_.cache_misses;
+      count_metric("router.cache_misses");
+      flight_record(FlightEventKind::kCacheMiss, cctx, "", result_key.fp_a);
+    }
+    switch (admission.kind) {
+      case Kind::kHit: {
+        // Bit-identical replay of the original completion; no engine, no
+        // queue, no dispatch.  Delivered outside the lock like every other
+        // response.
+        ++stats_.admitted;
+        ++stats_.completed;
+        ++stats_.cache_hits;
+        count_metric("router.cache_hits");
+        flight_record(FlightEventKind::kAdmit, cctx, "cache");
+        flight_record(FlightEventKind::kCacheHit, cctx, "", result_key.fp_a);
+        ServiceResponse resp;
+        resp.id = request.id;
+        resp.priority = request.priority;
+        resp.status = ServiceResponse::Status::kCompleted;
+        resp.from_cache = true;
+        if (request.keep_diff) resp.diff = admission.result->diff;
+        resp.rows_processed = admission.result->rows_processed;
+        resp.fallback_rows = admission.result->fallback_rows;
+        flight_record(FlightEventKind::kRespond, cctx, to_string(resp.status));
+        out.push_back({std::move(resp)});
+        return std::nullopt;
+      }
+      case Kind::kJoined: {
+        auto owner = calls_.find(admission.owner);
+        SYSRLE_REQUIRE(owner != calls_.end(),
+                       "ShardRouter: result-table owner is not a live call");
+        flight_record(FlightEventKind::kAdmit, cctx, "coalesced");
+        flight_record(FlightEventKind::kCoalesceJoined, cctx, "",
+                      owner->second->request.id);
+        owner->second->waiters.push_back(
+            {std::move(request), std::chrono::steady_clock::now()});
+        ++stats_.coalesced;
+        ++stats_.admitted;
+        count_metric("router.coalesced");
+        return std::nullopt;
+      }
+      case Kind::kOwner:
+        registered = true;
+        break;
+      case Kind::kCollision:
+        // Runs unregistered: it must never complete a key another
+        // computation owns.
+        ++stats_.coalesce_collisions;
+        break;
+      case Kind::kBypass:
+        break;
+    }
+  }
+
+  auto call = std::make_shared<Call>();
+  call->call_id = next_call_id_++;  // the id admit() registered above
+  call->request = std::move(request);
+  call->accepted = std::chrono::steady_clock::now();
+  call->key = key;
+  call->home_shard = shard_of(key);
+  call->registered = registered;
+  call->result_key = result_key;
+
+  shed = dispatch_locked(call, /*is_hedge=*/false,
+                         /*exclude_replica=*/SIZE_MAX, out);
+  if (shed) {
+    if (call->registered) results_->release(call->result_key, call->call_id);
+    if (*shed == RejectReason::kShardDown) {
+      ++stats_.shed_shard_down;
+      count_metric("router.shard_down_sheds");
+    } else {
+      ++stats_.shed_shutdown;
+    }
+    flight_record(FlightEventKind::kShed, cctx, to_string(*shed));
+    flight_retain(cctx.request_id, "shed");
+    return shed;
+  }
+  ++stats_.admitted;
+  flight_record(FlightEventKind::kAdmit, cctx, "primary");
+  calls_.emplace(call->call_id, call);
+  if (config_.hedge.enabled &&
+      call->request.priority == Priority::kInteractive) {
+    call->hedge_scheduled = true;
+    hedge_heap_.push_back(
+        {call->accepted + std::chrono::microseconds(current_hedge_delay_us()),
+         call->call_id});
+    std::push_heap(hedge_heap_.begin(), hedge_heap_.end(), HedgeEarlier{});
+    hedge_cv_.notify_one();
+  }
+  return std::nullopt;
 }
 
 std::optional<RejectReason> ShardRouter::dispatch_locked(
@@ -367,6 +363,9 @@ bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
   const std::uint64_t dispatch_id = next_dispatch_id_++;
   backend.id = dispatch_id;
   backend.cancel = d.cancel;
+  // A registered call's diff may serve waiters that asked for it, or stay
+  // resident; each delivery drops it when its own request did not.
+  backend.keep_diff = call->request.keep_diff || call->registered;
 
   // Observability identity: client request id (stable across failover,
   // hedging, promotion), this dispatch's ordinal, and where it landed.
@@ -455,8 +454,8 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
       }
       if (call->pending_dispatches == 0) calls_.erase(call->call_id);
     } else if (response.status == ServiceResponse::Status::kCompleted) {
-      finish_call_locked(call, response, dispatch.is_hedge, dispatch.ctx,
-                         deliveries);
+      finish_call_locked(call, std::move(response), dispatch.is_hedge,
+                         dispatch.ctx, deliveries);
     } else if (call->pending_dispatches > 0) {
       // A failure, but a hedge twin is still running — it may yet rescue
       // the request.  Keep the more informative outcome for the case where
@@ -470,24 +469,15 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
           call->provisional->status == ServiceResponse::Status::kFailed &&
           final_response.status != ServiceResponse::Status::kFailed)
         final_response = std::move(*call->provisional);
-      finish_call_locked(call, final_response, dispatch.is_hedge,
+      finish_call_locked(call, std::move(final_response), dispatch.is_hedge,
                          dispatch.ctx, deliveries);
     }
   }
   deliver(deliveries);
 }
 
-ServiceResponse ShardRouter::client_response_locked(
-    const Call& call, const ServiceResponse& winner) const {
-  ServiceResponse r = winner;
-  r.id = call.request.id;
-  r.priority = call.request.priority;
-  r.total_us = us_between(call.accepted, std::chrono::steady_clock::now());
-  return r;
-}
-
 void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
-                                     const ServiceResponse& winner,
+                                     ServiceResponse winner,
                                      bool winner_is_hedge,
                                      const RequestContext& winner_ctx,
                                      std::vector<Delivery>& out) {
@@ -511,23 +501,16 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
     flight_retain(winner_ctx.request_id, "hedge_won");
   }
 
-  // Feed the result cache: a cache-eligible completion with a payload (the
-  // diff was kept) becomes the stored answer for this fingerprint pair.
-  // The operand references are non-pinning shares of the store entries, so
-  // caching never blocks store eviction.
-  if (call->cacheable && config_.cache &&
-      winner.status == ServiceResponse::Status::kCompleted &&
-      call->request.keep_diff) {
-    config_.cache->insert(
-        call->rkey, call->request.pinned_ref.share(),
-        call->request.pinned_scan.share(),
-        CachedDiff{winner.diff, winner.rows_processed, winner.fallback_rows});
-    ++stats_.cache_stores;
-    count_metric("router.cache_stores");
-  }
+  // The payload goes only to deliveries whose own request kept its diff.
+  const RleImage payload = std::exchange(winner.diff, RleImage{0, 0});
 
   // The client's one response.
-  const ServiceResponse client = client_response_locked(*call, winner);
+  ServiceResponse client = winner;
+  client.id = call->request.id;
+  client.priority = call->request.priority;
+  client.total_us =
+      us_between(call->accepted, std::chrono::steady_clock::now());
+  if (call->request.keep_diff) client.diff = payload;
   switch (client.status) {
     case ServiceResponse::Status::kCompleted:
       ++stats_.completed;
@@ -545,7 +528,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   flight_record(FlightEventKind::kRespond, client_ctx(client.id),
                 to_string(client.status),
                 static_cast<std::uint64_t>(client.total_us));
-  out.push_back({client});
+  out.push_back({std::move(client)});
 
   // Waiters.  A completed or failed outcome propagates typed to every
   // waiter (bit-identical response copy for completions).  A rejected
@@ -560,6 +543,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   const auto now = std::chrono::steady_clock::now();
 
   std::size_t w = 0;
+  std::uint64_t promoted_to = 0;  // the promoted waiter's call id, if any
   if (propagate) {
     for (; w < waiters.size(); ++w) {
       Waiter& waiter = waiters[w];
@@ -574,7 +558,8 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                       client_ctx(waiter.request.id), "waiter");
         flight_retain(waiter.request.id, "deadline_expired");
       } else {
-        wr = winner;  // same diff bytes as the primary's response
+        wr = winner;
+        if (waiter.request.keep_diff) wr.diff = payload;  // the primary's bytes
         switch (wr.status) {
           case ServiceResponse::Status::kCompleted:
             ++stats_.completed;
@@ -596,9 +581,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                     static_cast<std::uint64_t>(wr.total_us));
       out.push_back({std::move(wr)});
     }
-    if (call->coalesce_registered) coalescer_.finish(call->ckey);
   } else {
-    bool promoted = false;
     for (; w < waiters.size(); ++w) {
       Waiter& waiter = waiters[w];
       if (waiter.request.deadline.expired()) {
@@ -626,8 +609,8 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       next->accepted = waiter.arrived;
       next->key = call->key;
       next->home_shard = call->home_shard;
-      next->ckey = call->ckey;
-      next->coalesce_registered = call->coalesce_registered;
+      next->registered = call->registered;
+      next->result_key = call->result_key;
       const std::optional<RejectReason> reason =
           dispatch_locked(next, /*is_hedge=*/false, SIZE_MAX, out);
       if (reason) {
@@ -650,8 +633,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       }
       next->waiters.assign(std::make_move_iterator(waiters.begin() + w + 1),
                            std::make_move_iterator(waiters.end()));
-      if (next->coalesce_registered)
-        coalescer_.reassign(next->ckey, next->call_id);
+      promoted_to = next->call_id;
       calls_.emplace(next->call_id, next);
       ++stats_.coalesce_promotions;
       count_metric("router.coalesce_promotions");
@@ -668,11 +650,27 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                        HedgeEarlier{});
         hedge_cv_.notify_one();
       }
-      promoted = true;
       break;
     }
-    if (!promoted && call->coalesce_registered)
-      coalescer_.finish(call->ckey);
+  }
+
+  // Settle the result-table entry.  A completion stays resident when it was
+  // admitted cache-eligible (its operand references are non-pinning shares
+  // of the store entries, so caching never blocks store eviction).  A
+  // promotion re-owns the pending entry in place, so later duplicates join
+  // the new primary and its completion settles the entry as admitted.
+  if (call->registered) {
+    if (winner.status == ServiceResponse::Status::kCompleted) {
+      if (results_->complete(call->result_key, call->call_id, payload,
+                             winner.rows_processed, winner.fallback_rows)) {
+        ++stats_.cache_stores;
+        count_metric("router.cache_stores");
+      }
+    } else if (promoted_to != 0) {
+      results_->reassign(call->result_key, call->call_id, promoted_to);
+    } else {
+      results_->release(call->result_key, call->call_id);
+    }
   }
 
   if (call->pending_dispatches == 0) calls_.erase(call->call_id);
@@ -790,9 +788,7 @@ void ShardRouter::drain() {
 
 RouterStats ShardRouter::stats() const {
   std::lock_guard<std::mutex> lk(mu_);
-  RouterStats s = stats_;
-  s.coalesce_collisions = coalescer_.collisions();
-  return s;
+  return stats_;
 }
 
 ServiceStats ShardRouter::backend_stats() const {

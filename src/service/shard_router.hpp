@@ -21,12 +21,15 @@
 //                of successful work, so hedging can never double offered
 //                load under overload — suppressed hedges are counted, not
 //                fired;
-//   coalescing   identical in-flight diffs (same images, same engine)
-//                share one computation; waiters get a bit-identical copy of
-//                the primary's response, a typed copy of its failure, or —
-//                when the primary's own deadline expired but a waiter's
-//                still holds — promotion: the waiter re-dispatches as the
-//                new primary (Coalescer);
+//   dedup        identical diffs (same operands, same engine) share one
+//                computation through one single-flight table (ResultCache):
+//                an in-flight duplicate joins as a waiter and gets a
+//                bit-identical copy of the primary's response, a typed copy
+//                of its failure, or — when the primary's own deadline
+//                expired but a waiter's still holds — promotion: the waiter
+//                re-dispatches as the new primary.  With a cache
+//                configured, a by-handle completion stays resident and a
+//                later duplicate is answered from it;
 //   degraded     when every replica of a shard is quarantined, batch
 //                traffic sheds with typed kShardDown and interactive
 //                traffic fails over cross-shard to the next shard on the
@@ -54,7 +57,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "service/coalescer.hpp"
 #include "service/replica_set.hpp"
 #include "service/retry_budget.hpp"
 #include "service/service.hpp"
@@ -100,16 +102,17 @@ struct RouterConfig {
                                 .open_duration = 50000,
                                 .probe_successes_to_close = 1};
   HedgePolicy hedge;
-  bool coalesce = true;
 
   /// Persistent image store for by-handle requests (ServiceRequest::
   /// ref_handle/scan_handle).  Null: by-handle requests shed with
   /// kUnknownHandle.  Shared so the caller can register images and read
   /// store stats alongside the router.
   std::shared_ptr<ImageStore> store;
-  /// Content-addressed result cache over completed by-handle diffs.  Null:
-  /// every request runs an engine.  Only by-handle requests are cached —
-  /// their operand identity is the store fingerprint, already verified.
+  /// The single-flight result table, keeping completed by-handle diffs
+  /// resident — their operand identity is the store fingerprint, already
+  /// verified.  Null: the router keeps a private table that only dedups
+  /// in-flight work, and every request that does not join one runs an
+  /// engine.
   std::shared_ptr<ResultCache> cache;
 
   /// Seeds the ring and rendezvous salts (and, xored per replica, the
@@ -144,7 +147,7 @@ struct RouterStats {
 
   std::uint64_t coalesced = 0;  ///< requests attached as waiters
   std::uint64_t coalesce_promotions = 0;
-  std::uint64_t coalesce_collisions = 0;
+  std::uint64_t coalesce_collisions = 0;  ///< in-flight key, other operands
   std::uint64_t waiter_deadline_sheds = 0;
 
   std::uint64_t cache_hits = 0;    ///< responses served from the result cache
@@ -174,8 +177,9 @@ class ShardRouter {
   ShardRouter(const ShardRouter&) = delete;
   ShardRouter& operator=(const ShardRouter&) = delete;
 
-  /// Admits, coalesces, or sheds.  std::nullopt: exactly one response will
-  /// be delivered later.  A returned reason is final — no response follows.
+  /// Admits, joins an identical in-flight diff, answers from the cache, or
+  /// sheds.  std::nullopt: exactly one response will be delivered later.
+  /// A returned reason is final — no response follows.
   std::optional<RejectReason> try_submit(ServiceRequest request);
 
   /// Stops admitting, finishes all in-flight work on every replica,
@@ -219,13 +223,12 @@ class ShardRouter {
     std::uint64_t key = 0;
     std::size_t home_shard = 0;
 
-    CoalesceKey ckey;
-    bool coalesce_registered = false;
+    /// Owner of the pending result-table entry under `result_key` (false:
+    /// the call runs unregistered — a hooked request, or admit() returned
+    /// kCollision/kBypass).
+    bool registered = false;
+    ResultKey result_key;
     std::vector<Waiter> waiters;
-
-    /// Cache-eligible by-handle call: its completion is inserted under rkey.
-    bool cacheable = false;
-    ResultKey rkey;
 
     /// Where the primary (non-hedge) dispatch landed; the hedge excludes
     /// this replica when picking its second target.
@@ -274,6 +277,10 @@ class ShardRouter {
 
   std::uint64_t now_us() const;
 
+  /// try_submit's body, under the lock.
+  std::optional<RejectReason> submit_locked(ServiceRequest request,
+                                            std::vector<Delivery>& out);
+
   /// Dispatches `call`'s request to shard `shard` (failing over across its
   /// replicas, then — for interactive — across shards).  Returns the shed
   /// reason when no backend admitted it.  Lock held.
@@ -290,17 +297,14 @@ class ShardRouter {
                            ServiceResponse response);
 
   /// Finishes `call` with the winning response; fans out to waiters,
-  /// promotes on deadline expiry.  Lock held; deliveries collected.
-  /// `winner_ctx` is the winning dispatch's stamped context (flight
-  /// recorder: hedge_won is attributed to the replica that won).
+  /// promotes on deadline expiry, completes or releases its result-table
+  /// entry.  Lock held; deliveries collected.  `winner_ctx` is the winning
+  /// dispatch's stamped context (flight recorder: hedge_won is attributed
+  /// to the replica that won).
   void finish_call_locked(const std::shared_ptr<Call>& call,
-                          const ServiceResponse& winner, bool winner_is_hedge,
+                          ServiceResponse winner, bool winner_is_hedge,
                           const RequestContext& winner_ctx,
                           std::vector<Delivery>& out);
-
-  /// Builds the client-visible response for `call` from `winner`.
-  ServiceResponse client_response_locked(const Call& call,
-                                         const ServiceResponse& winner) const;
 
   void hedge_loop();
   void fire_hedge_locked(const std::shared_ptr<Call>& call,
@@ -316,8 +320,10 @@ class ShardRouter {
   std::vector<std::unique_ptr<ReplicaSet>> sets_;
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;  ///< sorted
 
+  /// config_.cache, or a private table when none is configured.
+  std::shared_ptr<ResultCache> results_;
+
   mutable std::mutex mu_;
-  Coalescer coalescer_;
   RetryBudget hedge_budget_;
   RunningStat interactive_latency_us_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Call>> calls_;

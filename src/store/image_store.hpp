@@ -12,9 +12,10 @@
 //
 // Safety contracts:
 //   collision  a register whose fingerprint is already taken by *different*
-//              bytes is refused (RegisterResult::collision) — the Coalescer
-//              idiom: a 64-bit collision degrades to "this image cannot be
-//              stored", never to two images silently sharing a handle;
+//              bytes is refused (RegisterResult::collision) — the result
+//              table's idiom: a 64-bit collision degrades to "this image
+//              cannot be stored", never to two images silently sharing a
+//              handle;
 //   pinning    acquire() returns a PinnedImage holding a refcount; a pinned
 //              entry is never evicted, so an image cannot vanish mid-diff.
 //              Pins released after eviction-time store destruction remain

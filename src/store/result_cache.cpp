@@ -36,71 +36,109 @@ void ResultCache::evict_for_locked(std::size_t incoming) {
   }
 }
 
-std::shared_ptr<const CachedDiff> ResultCache::lookup(const ResultKey& key,
-                                                      const RleImage& a,
-                                                      const RleImage& b) {
-  const std::lock_guard<std::mutex> lock(mu_);
+void ResultCache::count_locked(bool hit, bool collision) {
   ++stats_.lookups;
-  if (telemetry_enabled()) global_metrics().add("cache.lookups");
-  auto found = entries_.find(key);
-  if (found != entries_.end()) {
-    Entry& entry = found->second;
-    // Collision defense: the key only *names* the operands; verify them.
-    // Store entries are stable objects, so pointer equality (the common
-    // case for by-handle requests) short-circuits the full compare.
-    const bool same_a = entry.a.get() == &a || *entry.a == a;
-    const bool same_b = entry.b.get() == &b || *entry.b == b;
-    if (same_a && same_b) {
-      lru_.splice(lru_.begin(), lru_, entry.lru);
-      ++stats_.hits;
-      if (telemetry_enabled()) global_metrics().add("cache.hits");
-      return entry.result;
-    }
-    ++stats_.collisions;
-    if (telemetry_enabled()) global_metrics().add("cache.collisions");
-  }
-  ++stats_.misses;
-  if (telemetry_enabled()) global_metrics().add("cache.misses");
-  return nullptr;
+  ++(hit ? stats_.hits : stats_.misses);
+  if (collision) ++stats_.collisions;
+  if (!telemetry_enabled()) return;
+  MetricsRegistry& m = global_metrics();
+  m.add("cache.lookups");
+  m.add(hit ? "cache.hits" : "cache.misses");
+  if (collision) m.add("cache.collisions");
 }
 
-void ResultCache::insert(const ResultKey& key,
-                         std::shared_ptr<const RleImage> a,
-                         std::shared_ptr<const RleImage> b,
-                         CachedDiff result) {
+ResultCache::Map::iterator ResultCache::pending_locked(const ResultKey& key,
+                                                       std::uint64_t owner) {
+  auto found = entries_.find(key);
+  SYSRLE_REQUIRE(found != entries_.end() && !found->second.result &&
+                     found->second.owner == owner,
+                 "ResultCache: key is not pending under this owner");
+  return found;
+}
+
+ResultCache::Admission ResultCache::admit(const ResultKey& key,
+                                          const ResultOperands& operands,
+                                          std::uint64_t call_id,
+                                          bool cacheable) {
+  using Kind = Admission::Kind;
   const std::lock_guard<std::mutex> lock(mu_);
   auto found = entries_.find(key);
-  if (found != entries_.end()) {
-    // Already cached (two primaries can race to completion under key
-    // collision or promotion); keep the incumbent, refresh recency.
-    lru_.splice(lru_.begin(), lru_, found->second.lru);
-    return;
+  if (found == entries_.end()) {
+    Entry entry;
+    entry.a = operands.shared_a
+                  ? operands.shared_a
+                  : std::make_shared<const RleImage>(operands.a);
+    entry.b = operands.shared_b
+                  ? operands.shared_b
+                  : std::make_shared<const RleImage>(operands.b);
+    entry.owner = call_id;
+    entry.cacheable = cacheable;
+    entries_.emplace(key, std::move(entry));
+    if (cacheable) count_locked(/*hit=*/false, /*collision=*/false);
+    return {Kind::kOwner, call_id, nullptr};
   }
-  const std::size_t bytes = cost_of(result.diff);
-  evict_for_locked(bytes);
-  Entry entry;
-  entry.a = std::move(a);
-  entry.b = std::move(b);
-  entry.result = std::make_shared<const CachedDiff>(std::move(result));
-  entry.bytes = bytes;
+
+  Entry& entry = found->second;
+  const bool resident = entry.result != nullptr;
+  if (resident && !cacheable) return {Kind::kBypass, 0, nullptr};
+  // Collision defense: the key only *names* the operands; verify them.
+  // Store entries are stable objects, so pointer equality (the common case
+  // for by-handle requests) short-circuits the full compare.
+  const bool same = (entry.a.get() == &operands.a || *entry.a == operands.a) &&
+                    (entry.b.get() == &operands.b || *entry.b == operands.b);
+  if (cacheable) count_locked(resident && same, resident && !same);
+  if (!same) return {resident ? Kind::kBypass : Kind::kCollision, 0, nullptr};
+  if (!resident) return {Kind::kJoined, entry.owner, nullptr};
+  lru_.splice(lru_.begin(), lru_, entry.lru);
+  return {Kind::kHit, 0, entry.result};
+}
+
+void ResultCache::reassign(const ResultKey& key, std::uint64_t owner,
+                           std::uint64_t new_owner) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  pending_locked(key, owner)->second.owner = new_owner;
+}
+
+void ResultCache::release(const ResultKey& key, std::uint64_t owner) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  entries_.erase(pending_locked(key, owner));
+}
+
+std::shared_ptr<const CachedDiff> ResultCache::complete(
+    const ResultKey& key, std::uint64_t owner, const RleImage& diff,
+    std::uint64_t rows_processed, std::uint64_t fallback_rows) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto found = pending_locked(key, owner);
+  if (!found->second.cacheable) {
+    entries_.erase(found);
+    return nullptr;
+  }
+  // Eviction only erases resident entries, never this pending one, so the
+  // iterator stays valid.
+  Entry& entry = found->second;
+  entry.bytes = cost_of(diff);
+  evict_for_locked(entry.bytes);
+  entry.result = std::make_shared<const CachedDiff>(
+      CachedDiff{diff, rows_processed, fallback_rows});
   lru_.push_front(key);
   entry.lru = lru_.begin();
-  resident_bytes_ += bytes;
-  entries_.emplace(key, std::move(entry));
+  resident_bytes_ += entry.bytes;
   ++stats_.insertions;
   if (telemetry_enabled()) {
     MetricsRegistry& m = global_metrics();
     m.add("cache.insertions");
-    m.set_gauge("cache.resident", static_cast<double>(entries_.size()));
+    m.set_gauge("cache.resident", static_cast<double>(lru_.size()));
     m.set_gauge("cache.resident_bytes", static_cast<double>(resident_bytes_));
   }
+  return entry.result;
 }
 
 CacheStats ResultCache::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
   CacheStats s = stats_;
-  s.resident = entries_.size();
+  s.resident = lru_.size();
   s.resident_bytes = resident_bytes_;
+  s.pending = entries_.size() - lru_.size();
   return s;
 }
 

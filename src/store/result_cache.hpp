@@ -1,30 +1,42 @@
 #pragma once
-// ResultCache: content-addressed cache of completed diff results.
+// ResultCache: the single-flight memo table of diff results.
 //
-// Once both operands of a diff live in the ImageStore, the result of
-// diffing them is itself content-addressed: the key
-// (fingerprint-a, fingerprint-b, engine, canonicalization) names exactly
-// one output image, because every engine is bit-identical for a given
-// input pair and option set.  The cache closes the loop the Coalescer
-// opened: coalescing dedups *concurrent* identical diffs, the cache dedups
-// *sequential* ones — the second identical by-handle request is answered
-// from memory without invoking an engine at all.
+// The key (fingerprint-a, fingerprint-b, engine, canonicalization) names
+// exactly one output image, because every engine is bit-identical for a
+// given input pair and option set.  This table is the one place that
+// decides "this diff is already being computed, or already computed":
 //
-// Collision defense (the Coalescer idiom): every hit is verified against
-// the stored operands before it is served.  Entries keep shared_ptr
-// references to the store's parsed images (via PinnedImage::share(), which
-// keeps them alive past eviction without pinning them), so verification is
-// usually a pointer-equality check and at worst a full image compare; a
-// 64-bit key collision degrades to a miss, never to a wrong answer.
+//   pending   admit() of a key with no entry registers the caller's call id
+//             as the owner of a pending entry, which dispatches the work.
+//             A duplicate arriving meanwhile joins the owner (the router
+//             fans the owner's response out to its waiters).  When the
+//             owner's deadline expires, reassign() re-owns the entry in
+//             place for the promoted waiter; a failure or shed release()s it;
+//   resident  complete() turns a pending entry into an LRU-resident result
+//             when it was admitted cache-eligible (by-handle operands with a
+//             cache configured — the router's call); any other completion
+//             erases it.  A later duplicate is a hit, answered with no
+//             engine at all.
 //
-// Byte-budgeted LRU: entries are charged their diff's run storage plus the
-// operand-reference overhead, and insertion evicts from the LRU tail.  The
-// identity lookups == hits + misses always holds (collisions are counted
-// inside misses); serve.v4 accounting and bench_store assert it.
+// Collision defense: every match is verified against the entry's operands
+// before it is joined or served.  Entries keep shared operand references:
+// the store's non-pinning shares for by-handle operands
+// (PinnedImage::share(), which keeps an image alive past eviction without
+// blocking it — verification is then usually a pointer compare), or one deep
+// copy of by-value operands per registration.  A 64-bit key collision (same
+// key, different operands) runs unregistered; it never joins or receives
+// another pair's diff.
 //
-// Thread-safe: one mutex over the map + LRU list.  The router calls
-// lookup() under its own lock on the submit path and insert() on the
-// completion path; lock ordering is always router → cache, never reversed.
+// Byte-budgeted LRU over resident entries: each is charged its diff's run
+// storage plus the operand-reference overhead, and completion evicts from
+// the LRU tail.  Pending entries hold no result and are not charged.  Only
+// cache-eligible admissions are counted, and the identity
+// lookups == hits + misses always holds (joins, registrations and
+// collisions are misses); serve.v4 accounting and bench_store assert it.
+//
+// Thread-safe: one mutex over the map + LRU list.  The router calls admit()
+// under its own lock on the submit path and complete()/release()/reassign()
+// on the completion path; lock ordering is always router → table.
 //
 // Metrics: cache.lookups, cache.hits, cache.misses, cache.collisions,
 // cache.insertions, cache.evictions, cache.resident / .resident_bytes.
@@ -35,20 +47,28 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "core/image_diff.hpp"
 #include "rle/rle_image.hpp"
 
 namespace sysrle {
 
-/// Identity of a by-handle diff result.  Deliberately its own type (not
-/// CoalesceKey) so the store layer does not depend on the service layer;
-/// the fields and hashing match the coalescer's key exactly.
+/// Identity of one diff computation: same key + equal operands = same
+/// output (the engines are bit-identical across thread counts, so `threads`
+/// is deliberately not part of the key).
 struct ResultKey {
   std::uint64_t fp_a = 0;
   std::uint64_t fp_b = 0;
   DiffEngine engine = ImageDiffOptions{}.engine;
   bool canonicalize = ImageDiffOptions{}.canonicalize_output;
+
+  /// The key of a diff of operands fingerprinted `fp_a`, `fp_b` (their
+  /// canonical_fingerprint, which is also their store handle).
+  static ResultKey of(std::uint64_t fp_a, std::uint64_t fp_b,
+                      const ImageDiffOptions& options) {
+    return {fp_a, fp_b, options.engine, options.canonicalize_output};
+  }
 
   friend bool operator==(const ResultKey&, const ResultKey&) = default;
 };
@@ -63,6 +83,22 @@ struct ResultKeyHash {
   }
 };
 
+/// One diff's operands as the table sees them.  `a`/`b` verify a key
+/// match; a registration keeps `shared_a`/`shared_b` when given (store
+/// shares: no copy) and otherwise deep-copies `a`/`b`.
+struct ResultOperands {
+  ResultOperands(const RleImage& ref, const RleImage& scan,
+                 std::shared_ptr<const RleImage> ref_share = nullptr,
+                 std::shared_ptr<const RleImage> scan_share = nullptr)
+      : a(ref), b(scan), shared_a(std::move(ref_share)),
+        shared_b(std::move(scan_share)) {}
+
+  const RleImage& a;
+  const RleImage& b;
+  std::shared_ptr<const RleImage> shared_a;
+  std::shared_ptr<const RleImage> shared_b;
+};
+
 /// One cached completion: the diff image plus the row counters the service
 /// reported, so a cache hit reproduces the original response payload.
 struct CachedDiff {
@@ -72,19 +108,21 @@ struct CachedDiff {
 };
 
 struct CacheConfig {
-  /// Byte budget over cached diffs (cost_of below); insert evicts past it.
+  /// Byte budget over cached diffs (cost_of below); completion evicts past
+  /// it.
   std::size_t capacity_bytes = std::size_t{16} << 20;
 };
 
 struct CacheStats {
-  std::uint64_t lookups = 0;
+  std::uint64_t lookups = 0;     ///< cache-eligible admissions
   std::uint64_t hits = 0;
-  std::uint64_t misses = 0;      ///< includes collisions
-  std::uint64_t collisions = 0;  ///< key hit, operand verification failed
+  std::uint64_t misses = 0;      ///< includes joins and collisions
+  std::uint64_t collisions = 0;  ///< resident key hit, operands differ
   std::uint64_t insertions = 0;
   std::uint64_t evictions = 0;
   std::size_t resident = 0;
   std::size_t resident_bytes = 0;
+  std::size_t pending = 0;  ///< admitted, not yet completed or released
 
   /// Every lookup resolved to exactly one of hit or miss.
   bool accounted() const { return lookups == hits + misses; }
@@ -92,23 +130,49 @@ struct CacheStats {
 
 class ResultCache {
  public:
+  /// What admit() decided for one request.
+  struct Admission {
+    enum class Kind {
+      kOwner,      ///< no entry: the caller owns a new pending entry
+      kJoined,     ///< pending, same operands: wait on `owner`
+      kHit,        ///< resident, same operands: `result` answers it
+      kCollision,  ///< pending, different operands: run unregistered
+      kBypass,     ///< resident but not servable to this caller (not
+                   ///< cache-eligible, or operands differ): run unregistered
+    };
+    Kind kind = Kind::kOwner;
+    std::uint64_t owner = 0;
+    std::shared_ptr<const CachedDiff> result;
+  };
+
   explicit ResultCache(CacheConfig config = {});
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns the cached result for `key`, or nullptr on miss.  `a`/`b` are
-  /// the resolved operands; a key hit whose stored operands differ from
-  /// them is a fingerprint collision — counted, reported as a miss.
-  std::shared_ptr<const CachedDiff> lookup(const ResultKey& key,
-                                           const RleImage& a,
-                                           const RleImage& b);
+  /// The one submit-path call.  `call_id` becomes the owner of a new
+  /// pending entry; `cacheable` admissions are counted (lookups, hits,
+  /// misses), may be served a resident result, and their completion
+  /// becomes resident.
+  Admission admit(const ResultKey& key, const ResultOperands& operands,
+                  std::uint64_t call_id, bool cacheable);
 
-  /// Inserts a completed result.  `a`/`b` are shared references to the
-  /// operands (PinnedImage::share()) kept for collision verification.
-  /// Re-inserting an existing key refreshes its recency only.
-  void insert(const ResultKey& key, std::shared_ptr<const RleImage> a,
-              std::shared_ptr<const RleImage> b, CachedDiff result);
+  /// Hands the pending entry `owner` holds to `new_owner` (waiter promotion
+  /// after the owner's deadline expired); later duplicates join it.
+  void reassign(const ResultKey& key, std::uint64_t owner,
+                std::uint64_t new_owner);
+
+  /// The owner's computation completed with `diff`.  Returns the resident
+  /// result when the entry was admitted cache-eligible; otherwise erases
+  /// the entry and returns nullptr.
+  std::shared_ptr<const CachedDiff> complete(const ResultKey& key,
+                                             std::uint64_t owner,
+                                             const RleImage& diff,
+                                             std::uint64_t rows_processed,
+                                             std::uint64_t fallback_rows);
+
+  /// The owner failed or was shed: the key becomes admittable again.
+  void release(const ResultKey& key, std::uint64_t owner);
 
   /// Byte charge of a cached diff (approximate heap footprint).
   static std::size_t cost_of(const RleImage& diff);
@@ -120,17 +184,22 @@ class ResultCache {
   struct Entry {
     std::shared_ptr<const RleImage> a;
     std::shared_ptr<const RleImage> b;
-    std::shared_ptr<const CachedDiff> result;
+    std::uint64_t owner = 0;  ///< pending: the registered call id
+    bool cacheable = false;   ///< pending: completion becomes resident
+    std::shared_ptr<const CachedDiff> result;  ///< null while pending
     std::size_t bytes = 0;
     std::list<ResultKey>::iterator lru;
   };
+  using Map = std::unordered_map<ResultKey, Entry, ResultKeyHash>;
 
+  Map::iterator pending_locked(const ResultKey& key, std::uint64_t owner);
+  void count_locked(bool hit, bool collision);
   void evict_for_locked(std::size_t incoming);
 
   CacheConfig config_;
   mutable std::mutex mu_;
-  std::unordered_map<ResultKey, Entry, ResultKeyHash> entries_;
-  std::list<ResultKey> lru_;  ///< front = most recently used
+  Map entries_;               ///< pending and resident entries
+  std::list<ResultKey> lru_;  ///< resident only; front = most recently used
   std::size_t resident_bytes_ = 0;
   CacheStats stats_;
 };

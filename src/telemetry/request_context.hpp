@@ -26,7 +26,7 @@ struct RequestContext {
   bool active = false;
 
   /// The *client-visible* request id (ServiceRequest::id as the caller set
-  /// it) — stable across failover, hedging, and coalescer promotion, which
+  /// it) — stable across failover, hedging, and waiter promotion, which
   /// is what makes one request's scattered work re-joinable.
   std::uint64_t request_id = 0;
 

@@ -269,6 +269,22 @@ TEST(Serialize, CanonicalFingerprintMatchesBytes) {
             fingerprint_bytes(bytes.data(), bytes.size()));
 }
 
+// The one content hash keys both store handles and by-value diff operands:
+// stable across equal images, sensitive to content, and to dimensions even
+// with zero runs.
+TEST(Serialize, CanonicalFingerprintIsStableAndContentSensitive) {
+  const auto make = [](std::uint64_t seed) {
+    Rng rng(seed);
+    RowGenParams p;
+    p.width = 256;
+    return generate_image(rng, 8, p);
+  };
+  EXPECT_EQ(canonical_fingerprint(make(1)), canonical_fingerprint(make(1)));
+  EXPECT_NE(canonical_fingerprint(make(1)), canonical_fingerprint(make(2)));
+  EXPECT_NE(canonical_fingerprint(RleImage(4, 4)),
+            canonical_fingerprint(RleImage(4, 5)));
+}
+
 // Canonical bytes are valid SRLB: reading them back yields the same pixels
 // (canonicalized), so the store can keep them as its collision-defense
 // identity and still rehydrate if it ever needs to.

@@ -1,7 +1,7 @@
 // Tests for ShardRouter: routing, failover across killed replicas, hedged
-// requests (fired / won / suppressed), in-flight coalescing edge cases
-// (waiter deadlines, promotion, bit-identical fan-out), degraded mode, and
-// the zero-silent-drops accounting identity.
+// requests (fired / won / suppressed), in-flight dedup edge cases (waiter
+// deadlines and keep_diff, promotion, bit-identical fan-out), the result
+// cache, degraded mode, and the zero-silent-drops accounting identity.
 
 #include "service/shard_router.hpp"
 
@@ -116,8 +116,8 @@ RouterConfig small_router(std::size_t shards, std::size_t replicas,
 
 /// A batch request whose engine blocks every row until `release` flips —
 /// pins one replica's worker so later submissions are deterministically
-/// in flight (engine overrides are never coalesced, so the plug cannot
-/// interfere with coalescing under test).
+/// in flight (engine overrides never share a computation, so the plug
+/// cannot interfere with the dedup under test).
 ServiceRequest make_plug(const Workload& w, std::uint64_t id,
                          std::atomic<bool>& release) {
   ServiceRequest plug = make_request(w, id);
@@ -371,7 +371,6 @@ TEST(ShardRouter, HedgeFiresToASecondReplicaAndOneResponseWins) {
   Collector collector;
   RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
   cfg.hedge.fixed_delay_us = 2000;
-  cfg.coalesce = false;
   ShardRouter router(cfg, collector.callback());
 
   const Workload w = make_workload(21, /*rows=*/4, /*width=*/128);
@@ -404,7 +403,6 @@ TEST(ShardRouter, HedgeSuppressedWhenBudgetIsExhausted) {
   cfg.hedge.fixed_delay_us = 1000;
   cfg.hedge.budget.initial_tokens = 0.0;
   cfg.hedge.budget.tokens_per_success = 0.0;
-  cfg.coalesce = false;
   ShardRouter router(cfg, collector.callback());
 
   const Workload w = make_workload(22, /*rows=*/2, /*width=*/128);
@@ -437,7 +435,6 @@ TEST(ShardRouter, HedgeWinLeavesARetainedFlightTimeline) {
   Collector collector;
   RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
   cfg.hedge.fixed_delay_us = 2000;
-  cfg.coalesce = false;
   {
     ShardRouter router(cfg, collector.callback());
     const Workload w = make_workload(23, /*rows=*/4, /*width=*/128);
@@ -577,12 +574,14 @@ TEST(ShardRouter, ByHandleRequestResolvesPinsAndCompletes) {
   EXPECT_TRUE(router.stats().accounted());
 }
 
-// The route key is derived from the coalesce key's fingerprint pair, so
-// each by-value operand is hashed once per submit.  Shard placement must be
-// exactly what the direct formula gives — mix64(fp_a ^ mix64(fp_b)) over
-// the image fingerprints (by value) or the store handles (by handle) — both
-// through route_key_of and on the dispatch try_submit actually makes, with
-// coalescing on or off.
+// The route key is derived from the result-table key's fingerprint pair, so
+// each by-value operand is hashed once per submit.  By-value operands hash
+// with canonical_fingerprint — the store handle's hash — so a by-value and
+// a by-handle request for the same pair share one key and one shard.  Shard
+// placement must be exactly what the direct formula gives,
+// mix64(fp_a ^ mix64(fp_b)), both through route_key_of and on the dispatch
+// try_submit actually makes (a request that joined its twin in flight makes
+// no dispatch of its own).
 TEST(ShardRouter, ShardAssignmentIsUnchangedForByValueAndByHandleRequests) {
   const auto mix64 = [](std::uint64_t x) {  // splitmix64 finalizer
     x += 0x9e3779b97f4a7c15ull;
@@ -594,52 +593,141 @@ TEST(ShardRouter, ShardAssignmentIsUnchangedForByValueAndByHandleRequests) {
     return mix64(fa ^ mix64(fb));
   };
 
-  for (const bool coalesce : {true, false}) {
-    std::shared_ptr<ImageStore> store;
-    std::shared_ptr<ResultCache> cache;
-    RouterConfig cfg = store_router(store, cache);
-    cfg.shards = 4;
-    cfg.coalesce = coalesce;
-    FlightRecorder flight(1 << 12);
-    set_flight_recorder(&flight);
-    Collector collector;
-    ShardRouter router(cfg, collector.callback());
+  std::shared_ptr<ImageStore> store;
+  std::shared_ptr<ResultCache> cache;
+  RouterConfig cfg = store_router(store, cache);
+  cfg.shards = 4;
+  FlightRecorder flight(1 << 12);
+  set_flight_recorder(&flight);
+  Collector collector;
+  ShardRouter router(cfg, collector.callback());
 
-    std::map<std::uint64_t, std::size_t> expected_shard;
-    for (std::uint64_t i = 0; i < 8; ++i) {
-      const Workload w = make_workload(700 + i);
-      ServiceRequest by_value = make_request(w, 2 * i);
-      const std::uint64_t value_key =
-          pair_key(image_fingerprint(w.a), image_fingerprint(w.b));
-      EXPECT_EQ(ShardRouter::route_key_of(by_value), value_key);
-      expected_shard[2 * i] = router.shard_of(value_key);
+  std::map<std::uint64_t, std::size_t> expected_shard;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const Workload w = make_workload(700 + i);
+    ServiceRequest by_value = make_request(w, 2 * i);
+    const std::uint64_t value_key =
+        pair_key(canonical_fingerprint(w.a), canonical_fingerprint(w.b));
+    EXPECT_EQ(ShardRouter::route_key_of(by_value), value_key);
+    expected_shard[2 * i] = router.shard_of(value_key);
 
-      ServiceRequest by_handle;
-      by_handle.id = 2 * i + 1;
-      by_handle.ref_handle = store->register_image(w.a).handle;
-      by_handle.scan_handle = store->register_image(w.b).handle;
-      const std::uint64_t handle_key =
-          pair_key(by_handle.ref_handle, by_handle.scan_handle);
-      EXPECT_EQ(ShardRouter::route_key_of(by_handle), handle_key);
-      expected_shard[2 * i + 1] = router.shard_of(handle_key);
+    ServiceRequest by_handle;
+    by_handle.id = 2 * i + 1;
+    by_handle.ref_handle = store->register_image(w.a).handle;
+    by_handle.scan_handle = store->register_image(w.b).handle;
+    const std::uint64_t handle_key =
+        pair_key(by_handle.ref_handle, by_handle.scan_handle);
+    EXPECT_EQ(ShardRouter::route_key_of(by_handle), handle_key);
+    EXPECT_EQ(handle_key, value_key);  // one key space
+    expected_shard[2 * i + 1] = router.shard_of(handle_key);
 
-      ASSERT_FALSE(router.try_submit(std::move(by_value)).has_value());
-      ASSERT_FALSE(router.try_submit(std::move(by_handle)).has_value());
-    }
-    router.drain();
-    set_flight_recorder(nullptr);
-
-    for (const auto& [id, shard] : expected_shard) {
-      int dispatches = 0;
-      for (const FlightEvent& e : flight.timeline(id)) {
-        if (e.kind != FlightEventKind::kDispatch) continue;
-        ++dispatches;
-        EXPECT_EQ(e.ctx.shard, static_cast<int>(shard))
-            << "request " << id << " coalesce=" << coalesce;
-      }
-      EXPECT_EQ(dispatches, 1) << "request " << id;
-    }
+    ASSERT_FALSE(router.try_submit(std::move(by_value)).has_value());
+    ASSERT_FALSE(router.try_submit(std::move(by_handle)).has_value());
   }
+  router.drain();
+  set_flight_recorder(nullptr);
+
+  for (const auto& [id, shard] : expected_shard) {
+    int dispatches = 0;
+    int joins = 0;
+    for (const FlightEvent& e : flight.timeline(id)) {
+      if (e.kind == FlightEventKind::kCoalesceJoined) ++joins;
+      if (e.kind != FlightEventKind::kDispatch) continue;
+      ++dispatches;
+      EXPECT_EQ(e.ctx.shard, static_cast<int>(shard)) << "request " << id;
+    }
+    EXPECT_EQ(dispatches + joins, 1) << "request " << id;
+  }
+  for (std::uint64_t id = 0; id < 16; ++id)
+    expect_correct_diff(collector.only(id), make_workload(700 + id / 2));
+}
+
+// keep_diff is not part of the dedup key: a waiter that asked for the diff
+// must get it even when the primary it joined did not, and a primary that
+// did not ask must not be handed one.
+TEST(ShardRouter, WaiterKeepsItsDiffWhenThePrimaryDropsIt) {
+  Collector collector;
+  ShardRouter router(small_router(1, 1), collector.callback());
+  const Workload plug_w = make_workload(16);
+  const Workload w = make_workload(17);
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ServiceRequest primary = make_request(w, 100);
+  primary.keep_diff = false;
+  ASSERT_FALSE(router.try_submit(std::move(primary)).has_value());
+  ServiceRequest waiter = make_request(w, 101);
+  waiter.keep_diff = true;
+  ASSERT_FALSE(router.try_submit(std::move(waiter)).has_value());
+  release.store(true);
+  router.drain();
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesced, 1u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(router.backend_stats().engine_invocations, 2u);  // plug + primary
+
+  const ServiceResponse p = collector.only(100);
+  ASSERT_EQ(p.status, ServiceResponse::Status::kCompleted);
+  EXPECT_EQ(p.diff, RleImage(0, 0));
+  const ServiceResponse r = collector.only(101);
+  ASSERT_EQ(r.status, ServiceResponse::Status::kCompleted);
+  expect_correct_diff(r, w);
+}
+
+// A promoted waiter inherits the pending entry in place, including its
+// cache eligibility: its completion is stored, and the next identical
+// by-handle request is a cache hit.
+TEST(ShardRouter, PromotedWaiterCompletionIsCached) {
+  auto store = std::make_shared<ImageStore>();
+  auto cache = std::make_shared<ResultCache>();
+  RouterConfig cfg = small_router(1, 1);
+  cfg.store = store;
+  cfg.cache = cache;
+  Collector collector;
+  ShardRouter router(cfg, collector.callback());
+  const Workload plug_w = make_workload(18);
+  const Workload w = make_workload(19);
+  const ImageHandle ha = store->register_image(w.a).handle;
+  const ImageHandle hb = store->register_image(w.b).handle;
+  auto by_handle = [&](std::uint64_t id) {
+    ServiceRequest req;
+    req.id = id;
+    req.ref_handle = ha;
+    req.scan_handle = hb;
+    return req;
+  };
+
+  std::atomic<bool> release{false};
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 1, release)).has_value());
+  ServiceRequest doomed = by_handle(100);
+  doomed.deadline = Deadline::after(std::chrono::milliseconds(1));
+  ASSERT_FALSE(router.try_submit(std::move(doomed)).has_value());
+  ASSERT_FALSE(router.try_submit(by_handle(101)).has_value());
+  // The primary's deadline lapses behind the plug; the waiter is promoted.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  release.store(true);
+  collector.wait_for(3);
+  ASSERT_FALSE(router.try_submit(by_handle(102)).has_value());
+  collector.wait_for(4);
+  router.drain();
+
+  EXPECT_EQ(collector.only(100).status, ServiceResponse::Status::kRejected);
+  const ServiceResponse promoted = collector.only(101);
+  ASSERT_EQ(promoted.status, ServiceResponse::Status::kCompleted);
+  EXPECT_FALSE(promoted.from_cache);
+  const ServiceResponse third = collector.only(102);
+  ASSERT_EQ(third.status, ServiceResponse::Status::kCompleted);
+  EXPECT_TRUE(third.from_cache);
+  EXPECT_EQ(third.diff, promoted.diff);
+  expect_correct_diff(third, w);
+
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.coalesce_promotions, 1u);
+  EXPECT_EQ(st.cache_stores, 1u);
+  EXPECT_EQ(st.cache_hits, 1u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_TRUE(cache->stats().accounted());
 }
 
 // The tentpole's acceptance bar: the second identical by-handle diff is
