@@ -17,16 +17,16 @@
 //   3. Breaker trip — with the checked engine, an injected permanent fault
 //      and no fallback, every request fails; the service breaker opens
 //      after `failure_threshold` consecutive failures and later arrivals
-//      shed as circuit_open without touching the backend.
+//      shed as circuit_open without touching the backend.  The phase
+//      waits for those failures to be delivered before submitting the
+//      rest, so the check holds however long one faulted request takes.
 //   4. Farm relief — a farm with one permanently flaky machine, with and
 //      without per-machine circuit breakers: the breaker caps the wasted
 //      dispatches at threshold + half-open probes and the makespan drops
 //      back toward the healthy-farm value.
 //   5. Hot shard — a 2x2 ShardRouter topology with 70% of route keys pinned
-//      to one shard at 2x load: hedges fire for slow interactive requests
-//      (hedges_fired > 0) AND the hedge budget caps them
-//      (hedges_suppressed > 0), so hedging never doubles offered load
-//      exactly when there is no headroom.
+//      to one shard at 2x load: the router's accounting identity holds
+//      while the hot shard queues, sheds and fails over.
 //   6. Kill a replica — same topology at 0.5x load; a hot-shard replica is
 //      killed mid-phase.  Zero silent drops (router accounting identity
 //      holds across the kill) and interactive p99 stays within 2x of the
@@ -34,9 +34,8 @@
 //      The phase runs under a FlightRecorder sized to hold every event, and
 //      the bench replays the ring afterwards: every offered request id must
 //      reconstruct to a timeline ending in a terminal event (respond or a
-//      router-level shed), every hedged / failed-over / coalesced request
-//      must have its respond on record, and a hedge win must leave a
-//      retained anomaly timeline.
+//      router-level shed), and every failed-over / coalesced request must
+//      have its respond on record.
 //   7. Flight-recorder overhead — the closed-loop calibration workload runs
 //      twice, recorder installed vs not; the instrumented per-request cost
 //      must stay within 25% of the disabled cost (the disabled fast path is
@@ -54,6 +53,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <iostream>
 #include <mutex>
@@ -81,7 +81,7 @@ using namespace sysrle;
 /// calibrated service time, and the open-loop generator's sleeps only reach
 /// 2x capacity while a request costs well above their granularity: true of
 /// the cycle-level simulator, not of the ~5x faster word-parallel serving
-/// default.  The phases test admission, deadlines and hedging, so the
+/// default.  The phases test admission, deadlines and failover, so the
 /// engine is only the load.
 constexpr DiffEngine kLoadEngine = DiffEngine::kSystolic;
 
@@ -264,8 +264,7 @@ struct RouterPhaseOutcome {
 RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
                                     double load, int n,
                                     double base_interarrival_us,
-                                    double hot_fraction, HedgePolicy hedge,
-                                    std::uint64_t seed,
+                                    double hot_fraction, std::uint64_t seed,
                                     std::uint64_t arrival_seed,
                                     int kill_at,
                                     FlightRecorder* flight = nullptr) {
@@ -276,7 +275,6 @@ RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
   cfg.replica_service.admission.interactive_capacity = 2;
   cfg.replica_service.admission.batch_capacity = 2;
   cfg.replica_service.seed = seed;
-  cfg.hedge = hedge;
   cfg.seed = seed;
 
   RouterPhaseOutcome out;
@@ -344,7 +342,7 @@ RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
 struct FlightAudit {
   std::uint64_t requests_seen = 0;    ///< distinct client request ids
   std::uint64_t missing_terminal = 0; ///< ids with no respond/router shed
-  std::uint64_t interesting = 0;      ///< hedged/failed-over/coalesced/shed
+  std::uint64_t interesting = 0;      ///< failed-over/coalesced/shed
   std::uint64_t interesting_without_respond = 0;
 };
 
@@ -352,7 +350,7 @@ FlightAudit audit_flight(const FlightRecorder& flight) {
   struct PerRequest {
     bool terminal = false;     ///< respond, or a router-level shed
     bool respond = false;
-    bool interesting = false;  ///< hedge/failover/coalesce/shed touched it
+    bool interesting = false;  ///< failover/coalesce/shed touched it
     bool shed_only = false;    ///< shed was the terminal outcome
   };
   std::unordered_map<std::uint64_t, PerRequest> by_request;
@@ -374,9 +372,6 @@ FlightAudit audit_flight(const FlightRecorder& flight) {
           pr.shed_only = true;
         }
         break;
-      case FlightEventKind::kHedgeFired:
-      case FlightEventKind::kHedgeWon:
-      case FlightEventKind::kHedgeLost:
       case FlightEventKind::kFailover:
       case FlightEventKind::kCoalesceJoined:
       case FlightEventKind::kCoalescePromoted:
@@ -401,6 +396,10 @@ FlightAudit audit_flight(const FlightRecorder& flight) {
 /// Breaker-trip phase: checked engine, permanent stuck-comparator fault,
 /// fallback disabled, zero retries — every processed request fails, so the
 /// service breaker must open and later arrivals must shed as circuit_open.
+/// The first `failure_threshold` submissions are the ones that open it; the
+/// rest are held back until their failures have been delivered (bounded
+/// wait), because one faulted request can take longer than any fixed
+/// pacing of the whole phase.
 PhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool, int n) {
   ServiceConfig cfg;
   cfg.workers = 1;
@@ -418,12 +417,27 @@ PhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool, int n) {
 
   PhaseOutcome out;
   std::mutex mu;
+  std::condition_variable failed_cv;
+  std::uint64_t failed = 0;
   DiffService service(cfg, [&](ServiceResponse r) {
     std::lock_guard<std::mutex> lk(mu);
     ++out.responses;
     out.rows_processed += r.rows_processed;
+    if (r.status == ServiceResponse::Status::kFailed) {
+      ++failed;
+      failed_cv.notify_all();
+    }
   });
+  const int threshold = cfg.breaker.failure_threshold;
   for (int i = 0; i < n; ++i) {
+    if (i == threshold) {
+      // The breaker records each failure before the response is delivered,
+      // so once `threshold` failures are in, it is open.
+      std::unique_lock<std::mutex> lk(mu);
+      failed_cv.wait_for(lk, std::chrono::seconds(30), [&] {
+        return failed >= static_cast<std::uint64_t>(threshold);
+      });
+    }
     ServiceRequest req;
     req.id = static_cast<std::uint64_t>(i);
     req.priority = Priority::kBatch;
@@ -605,66 +619,44 @@ int main(int argc, char** argv) {
       fb.faulty_dispatches < fw.faulty_dispatches;
 
   // --- 5. hot shard -------------------------------------------------------
-  // 70% of keys pinned to shard 0 at 2x load: the hot shard queues, slow
-  // interactive requests cross the short fixed hedge delay (~a quarter
-  // service time) and hedge to the sibling replica; the deliberately
-  // starved budget (1 token, nothing earned back) runs dry after the first
-  // hedge so suppression is observed in the same run.
-  HedgePolicy hot_hedge;
-  hot_hedge.fixed_delay_us =
-      std::max<std::uint64_t>(static_cast<std::uint64_t>(service_us / 4), 1);
-  hot_hedge.budget = {.initial_tokens = 1.0,
-                      .max_tokens = 1.0,
-                      .tokens_per_success = 0.0,
-                      .cost_per_retry = 1.0};
+  // 70% of keys pinned to shard 0 at 2x load: the hot shard queues and
+  // sheds, its replicas' breakers trip, and interactive work fails over
+  // cross-shard — with every request still accounted for.
   const RouterPhaseOutcome hot =
       run_router_phase(pool, 2.0, kRequests, interarrival_us,
-                       /*hot_fraction=*/0.7, hot_hedge, kSeed,
+                       /*hot_fraction=*/0.7, kSeed,
                        arrival_seed_for(kSeed, 4), /*kill_at=*/-1);
   std::cout << "--- 5. hot shard (2x2 router, 70% keys on shard 0, 2x load) "
                "---\n"
-            << "hedges fired: " << hot.stats.hedges_fired << "  won: "
-            << hot.stats.hedges_won << "  suppressed: "
-            << hot.stats.hedges_suppressed << "  unroutable: "
-            << hot.stats.hedges_unroutable << '\n'
             << "failovers: " << hot.stats.failovers << " (cross-shard "
             << hot.stats.cross_shard_failovers << ")  coalesced: "
             << hot.stats.coalesced << "  shed shard_down: "
             << hot.stats.shed_shard_down << '\n'
             << "accounted: " << (hot.accounted() ? "yes" : "NO") << "\n\n";
-  const bool hedges_fired_under_overload = hot.stats.hedges_fired > 0;
-  const bool hedge_budget_caps_hedges = hot.stats.hedges_suppressed > 0;
 
   // --- 6. kill a replica --------------------------------------------------
   // Same topology and the SAME arrival stream twice: once healthy, once with
   // hot-shard replica (0,0) killed an eighth of the way in.  Failover keeps
   // the killed run's interactive p99 within 2x of the healthy run's, and
   // the accounting identity shows the kill dropped nothing silently.
-  HedgePolicy kill_hedge;
-  kill_hedge.fixed_delay_us = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(service_us * 2.0), 1);
   const std::uint64_t kill_arrival_seed = arrival_seed_for(kSeed, 5);
   const RouterPhaseOutcome healthy =
       run_router_phase(pool, 0.5, kRequests, interarrival_us,
-                       /*hot_fraction=*/0.5, kill_hedge, kSeed,
-                       kill_arrival_seed, /*kill_at=*/-1);
+                       /*hot_fraction=*/0.5, kSeed, kill_arrival_seed,
+                       /*kill_at=*/-1);
   // The killed run flies with the recorder installed; the ring is sized far
   // beyond the phase's event volume so nothing wraps and the audit below
   // sees every request's complete timeline.
   FlightRecorder flight(1 << 14);
   const RouterPhaseOutcome killed =
       run_router_phase(pool, 0.5, kRequests, interarrival_us,
-                       /*hot_fraction=*/0.5, kill_hedge, kSeed,
-                       kill_arrival_seed, /*kill_at=*/kRequests / 8, &flight);
+                       /*hot_fraction=*/0.5, kSeed, kill_arrival_seed,
+                       /*kill_at=*/kRequests / 8, &flight);
   const double p99_healthy = healthy.interactive_us.p99();
   const double p99_killed = killed.interactive_us.p99();
   const FlightAudit audit = audit_flight(flight);
   const std::vector<FlightRecorder::RetainedTimeline> retained =
       flight.retained();
-  bool hedge_win_retained = killed.stats.hedges_won == 0;
-  for (const FlightRecorder::RetainedTimeline& t : retained)
-    if (t.anomaly == "hedge_won" && !t.events.empty())
-      hedge_win_retained = true;
   std::cout << "--- 6. kill a replica (replica 0.0 down from request "
             << kRequests / 8 << ") ---\n"
             << "healthy:      completed " << healthy.stats.completed
@@ -679,7 +671,7 @@ int main(int argc, char** argv) {
             << "flight: " << flight.recorded() << " events ("
             << flight.dropped() << " overwritten), " << audit.requests_seen
             << " request timelines (" << audit.interesting
-            << " hedged/failed-over/coalesced/shed), " << retained.size()
+            << " failed-over/coalesced/shed), " << retained.size()
             << " retained anomalies\n\n";
   const bool router_no_silent_drops =
       hot.accounted() && healthy.accounted() && killed.accounted();
@@ -689,14 +681,12 @@ int main(int argc, char** argv) {
       p99_healthy > 0.0 && p99_killed <= 2.0 * p99_healthy;
   // Reconstructability: the ring held everything (no wrap), every offered
   // request id shows up, every timeline reaches a terminal event, and every
-  // request a hedge/failover/coalesce/shed touched has its client respond
-  // (or router-level shed) on record.  A hedge win must also survive as a
-  // retained anomaly timeline.
+  // request a failover/coalesce/shed touched has its client respond (or
+  // router-level shed) on record.
   const bool flight_timelines_complete =
       flight.dropped() == 0 &&
       audit.requests_seen == killed.stats.offered &&
-      audit.missing_terminal == 0 && audit.interesting_without_respond == 0 &&
-      hedge_win_retained;
+      audit.missing_terminal == 0 && audit.interesting_without_respond == 0;
 
   // --- 7. flight-recorder overhead ----------------------------------------
   // The same closed-loop workload as the capacity calibration, with and
@@ -724,10 +714,8 @@ int main(int argc, char** argv) {
                       interactive_p99_bounded && deadline_sheds_typed &&
                       deadline_stops_work && breaker_opens_under_faults &&
                       farm_breaker_relief && router_no_silent_drops &&
-                      hedges_fired_under_overload &&
-                      hedge_budget_caps_hedges && replica_down_failover &&
-                      replica_down_p99_bounded && flight_timelines_complete &&
-                      flight_overhead_bounded;
+                      replica_down_failover && replica_down_p99_bounded &&
+                      flight_timelines_complete && flight_overhead_bounded;
   std::cout << "verdict: "
             << (all_ok ? "overload contained (all checks pass)"
                        : "OVERLOAD GAP (see failed checks)")
@@ -766,12 +754,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(fw.faulty_cycles));
     report.set_scalar("farm_faulty_cycles_with_breaker",
                       static_cast<double>(fb.faulty_cycles));
-    report.set_scalar("router_hedges_fired",
-                      static_cast<double>(hot.stats.hedges_fired));
-    report.set_scalar("router_hedges_won",
-                      static_cast<double>(hot.stats.hedges_won));
-    report.set_scalar("router_hedges_suppressed",
-                      static_cast<double>(hot.stats.hedges_suppressed));
     report.set_scalar("router_coalesced",
                       static_cast<double>(hot.stats.coalesced));
     report.set_scalar("router_failovers_replica_down",
@@ -797,9 +779,6 @@ int main(int argc, char** argv) {
     report.set_check("breaker_opens_under_faults", breaker_opens_under_faults);
     report.set_check("farm_breaker_relief", farm_breaker_relief);
     report.set_check("router_no_silent_drops", router_no_silent_drops);
-    report.set_check("hedges_fired_under_overload",
-                     hedges_fired_under_overload);
-    report.set_check("hedge_budget_caps_hedges", hedge_budget_caps_hedges);
     report.set_check("replica_down_failover", replica_down_failover);
     report.set_check("replica_down_p99_bounded", replica_down_p99_bounded);
     report.set_check("flight_timelines_complete", flight_timelines_complete);

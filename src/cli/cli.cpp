@@ -792,7 +792,7 @@ std::vector<ServeAction> parse_serve_actions(std::istream& in,
 }
 
 /// Parsed --kill-replica S.R@K: kill shard S's replica R once K requests
-/// have been submitted (a mid-run fault for exercising failover/hedging).
+/// have been submitted (a mid-run fault for exercising failover).
 struct KillSpec {
   std::size_t shard = 0;
   std::size_t replica = 0;
@@ -816,7 +816,7 @@ KillSpec parse_kill_replica(const std::string& text) {
 
 int cmd_serve(ArgParser& args, std::ostream& out) {
   args.parse({"--requests", "--workers", "--queue-cap", "--deadline-ms",
-              "--seed", "--engine", "--shards", "--replicas", "--hedge-ms",
+              "--seed", "--engine", "--shards", "--replicas",
               "--flight-recorder", "--flight-out", "--flight-trace",
               "--slo-p99-ms", "--kill-replica", "--store-cap-mb",
               "--cache-cap-mb", "--store-dir", "--snapshot-every"});
@@ -824,7 +824,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     usage_error(
         "serve --requests <file|-> [--workers N] [--queue-cap M] "
         "[--deadline-ms D] [--seed S] [--engine E] [--shards N] "
-        "[--replicas R] [--hedge-ms H] [--flight-recorder N] "
+        "[--replicas R] [--flight-recorder N] "
         "[--flight-out FILE] [--flight-trace FILE] [--slo-p99-ms D] "
         "[--kill-replica S.R@K] [--store] [--store-dir DIR] "
         "[--snapshot-every N] [--store-cap-mb N] "
@@ -836,7 +836,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   const std::int64_t seed = args.get_int("--seed", 42);
   const std::int64_t shards = args.get_int("--shards", 1);
   const std::int64_t replicas = args.get_int("--replicas", 1);
-  const std::int64_t hedge_ms = args.get_int("--hedge-ms", 0);
   const std::int64_t flight_cap = args.get_int("--flight-recorder", 0);
   const std::string flight_out = args.get("--flight-out", "");
   const std::string flight_trace = args.get("--flight-trace", "");
@@ -853,7 +852,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   if (default_deadline_ms < 0) usage_error("--deadline-ms must be >= 0");
   if (shards < 1) usage_error("--shards must be >= 1");
   if (replicas < 1) usage_error("--replicas must be >= 1");
-  if (hedge_ms < 0) usage_error("--hedge-ms must be >= 0 (0 = adaptive p99)");
   if (!use_store && args.has("--store-cap-mb"))
     usage_error("--store-cap-mb requires --store");
   if (!use_store && args.has("--cache-cap-mb"))
@@ -953,10 +951,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
       static_cast<std::size_t>(queue_cap);
   rcfg.replica_service.use_checked_engine = args.has("--checked");
   rcfg.replica_service.seed = static_cast<std::uint64_t>(seed);
-  // A second dispatch needs a second place to land; with a single replica
-  // every hedge would be unroutable noise.
-  rcfg.hedge.enabled = rcfg.shards * rcfg.replicas > 1;
-  rcfg.hedge.fixed_delay_us = static_cast<std::uint64_t>(hedge_ms) * 1000;
   rcfg.store = store;
   rcfg.cache = cache;
 
@@ -1145,7 +1139,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   if (args.has("--json")) {
     JsonWriter w(out);
     w.begin_object();
-    w.member("schema", "sysrle.serve.v5");
+    w.member("schema", "sysrle.serve.v6");
     w.key("params");
     w.begin_object();
     w.member("requests", n_requests);
@@ -1158,7 +1152,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.member("checked", args.has("--checked"));
     w.member("shards", shards);
     w.member("replicas", replicas);
-    w.member("hedge_ms", hedge_ms);
     w.member("slo_p99_ms", slo_p99_ms);
     w.member("flight_recorder", flight_cap);
     w.member("store", use_store);
@@ -1191,11 +1184,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.begin_object();
     w.member("failovers", rt.failovers);
     w.member("cross_shard_failovers", rt.cross_shard_failovers);
-    w.member("hedges_fired", rt.hedges_fired);
-    w.member("hedges_won", rt.hedges_won);
-    w.member("hedges_lost", rt.hedges_lost);
-    w.member("hedges_suppressed", rt.hedges_suppressed);
-    w.member("hedges_unroutable", rt.hedges_unroutable);
     w.member("coalesced", rt.coalesced);
     w.member("coalesce_promotions", rt.coalesce_promotions);
     w.member("coalesce_collisions", rt.coalesce_collisions);
@@ -1203,7 +1191,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.member("cache_hits", rt.cache_hits);
     w.member("cache_misses", rt.cache_misses);
     w.member("cache_stores", rt.cache_stores);
-    w.member("hedge_delay_us", router.current_hedge_delay_us());
     w.end_object();
     // Backend view, aggregated over every replica DiffService.
     w.key("backend");
@@ -1219,7 +1206,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.member("shutdown", st.shed_shutdown);
     w.member("deadline_at_submit", st.shed_deadline_at_submit);
     w.member("deadline_after_admit", st.shed_deadline_after_admit);
-    w.member("cancelled", st.cancelled);
     w.member("total", st.shed_total());
     w.end_object();
     w.member("deadline_misses", st.deadline_misses);
@@ -1411,7 +1397,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
       table.add_row(
           {"shed unknown_handle", FixedTable::num(rt.shed_unknown_handle)});
     table.add_row({"failovers", FixedTable::num(rt.failovers)});
-    table.add_row({"hedges fired", FixedTable::num(rt.hedges_fired)});
     table.add_row({"coalesced", FixedTable::num(rt.coalesced)});
     if (use_store) {
       table.add_row({"cache hits", FixedTable::num(rt.cache_hits)});
@@ -1592,14 +1577,14 @@ void print_help(std::ostream& out) {
          "      exit 1 on silent corruption or unrecovered rows.\n"
          "  serve --requests <file|-> [--workers N] [--queue-cap M]\n"
          "      [--deadline-ms D] [--seed S] [--engine E] [--shards N]\n"
-         "      [--replicas R] [--hedge-ms H] [--flight-recorder N]\n"
+         "      [--replicas R] [--flight-recorder N]\n"
          "      [--flight-out FILE] [--flight-trace FILE] [--slo-p99-ms D]\n"
          "      [--kill-replica S.R@K] [--store] [--store-dir DIR]\n"
          "      [--snapshot-every N] [--store-cap-mb N]\n"
          "      [--cache-cap-mb N] [--checked] [--json]\n"
          "      run a request file through the overload-safe sharded service\n"
          "      (bounded admission, deadlines, retry budget, breakers,\n"
-         "      hedging, coalescing); request lines: 'priority rows width\n"
+         "      failover, coalescing); request lines: 'priority rows width\n"
          "      error [deadline_ms]'; --workers 0 sizes the pool from the\n"
          "      hardware.  --flight-recorder N keeps the last N per-request\n"
          "      events in a lock-free ring; --flight-out dumps them as\n"

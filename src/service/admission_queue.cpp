@@ -27,8 +27,6 @@ const char* to_string(RejectReason reason) {
       return "circuit_open";
     case RejectReason::kShutdown:
       return "shutdown";
-    case RejectReason::kCancelled:
-      return "cancelled";
     case RejectReason::kShardDown:
       return "shard_down";
     case RejectReason::kUnknownHandle:

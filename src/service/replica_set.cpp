@@ -58,14 +58,11 @@ std::vector<std::size_t> ReplicaSet::preference(std::uint64_t key) const {
 }
 
 std::optional<std::size_t> ReplicaSet::pick(std::uint64_t key,
-                                            std::uint64_t now,
-                                            std::size_t exclude) {
+                                            std::uint64_t now) {
   const std::vector<std::size_t> order = preference(key);
   std::lock_guard<std::mutex> lk(mu_);
-  for (std::size_t r : order) {
-    if (r == exclude) continue;
+  for (std::size_t r : order)
     if (replicas_[r]->breaker.allow(now)) return r;
-  }
   return std::nullopt;
 }
 
@@ -171,7 +168,6 @@ ServiceStats ReplicaSet::aggregate_stats() const {
     total.shed_shutdown += s.shed_shutdown;
     total.shed_deadline_at_submit += s.shed_deadline_at_submit;
     total.shed_deadline_after_admit += s.shed_deadline_after_admit;
-    total.cancelled += s.cancelled;
     total.deadline_misses += s.deadline_misses;
     total.retries += s.retries;
     total.engine_invocations += s.engine_invocations;

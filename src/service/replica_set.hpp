@@ -68,12 +68,10 @@ class ReplicaSet {
   std::vector<std::size_t> preference(std::uint64_t key) const;
 
   /// First replica in `key`'s preference order whose breaker admits work at
-  /// `now`, skipping `exclude` (SIZE_MAX = exclude none; hedges exclude the
-  /// primary's replica).  Consumes a half-open probe slot when the chosen
-  /// breaker is probing — pair with record_*/release_probe.  nullopt: every
-  /// (non-excluded) replica is quarantined — the shard is down.
-  std::optional<std::size_t> pick(std::uint64_t key, std::uint64_t now,
-                                  std::size_t exclude = SIZE_MAX);
+  /// `now`.  Consumes a half-open probe slot when the chosen breaker is
+  /// probing — pair with record_*/release_probe.  nullopt: every replica is
+  /// quarantined — the shard is down.
+  std::optional<std::size_t> pick(std::uint64_t key, std::uint64_t now);
 
   /// The backend for submissions.  The returned pointer stays valid across
   /// kill/revive (callers hold the shared_ptr).

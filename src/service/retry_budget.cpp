@@ -8,11 +8,8 @@
 
 namespace sysrle {
 
-RetryBudget::RetryBudget(RetryBudgetConfig config,
-                         std::string exhausted_metric)
-    : config_(config),
-      exhausted_metric_(std::move(exhausted_metric)),
-      tokens_value_(config.initial_tokens) {
+RetryBudget::RetryBudget(RetryBudgetConfig config)
+    : config_(config), tokens_value_(config.initial_tokens) {
   SYSRLE_REQUIRE(config_.max_tokens >= 0.0 && config_.initial_tokens >= 0.0,
                  "RetryBudget: token counts must be >= 0");
   SYSRLE_REQUIRE(config_.cost_per_retry > 0.0,
@@ -24,7 +21,8 @@ bool RetryBudget::try_spend() {
   std::lock_guard<std::mutex> lk(mu_);
   if (tokens_value_ + 1e-9 < config_.cost_per_retry) {
     ++exhausted_;
-    if (telemetry_enabled()) global_metrics().add(exhausted_metric_);
+    if (telemetry_enabled())
+      global_metrics().add("service.retry_budget_exhausted_total");
     return false;
   }
   tokens_value_ -= config_.cost_per_retry;

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <mutex>
-#include <string>
 
 #include "workload/rng.hpp"
 
@@ -30,17 +29,10 @@ struct RetryBudgetConfig {
   double cost_per_retry = 1.0;
 };
 
-/// Thread-safe token bucket shared by every request of a service.  Also
-/// reused as the shard router's hedge budget — same economics, different
-/// spender (a fired hedge instead of a retry).
+/// Thread-safe token bucket shared by every request of a service.
 class RetryBudget {
  public:
-  /// `exhausted_metric` is the counter bumped on a denied try_spend;
-  /// the service uses the default, the router's hedge budget publishes
-  /// "router.hedge_budget_exhausted_total" instead.
-  explicit RetryBudget(
-      RetryBudgetConfig config = {},
-      std::string exhausted_metric = "service.retry_budget_exhausted_total");
+  explicit RetryBudget(RetryBudgetConfig config = {});
 
   /// Spends one retry's worth of tokens; false (and counts the exhaustion,
   /// publishing "service.retry_budget_exhausted_total") when the bucket
@@ -60,7 +52,6 @@ class RetryBudget {
 
  private:
   RetryBudgetConfig config_;
-  std::string exhausted_metric_;
   mutable std::mutex mu_;
   double tokens_value_;
   std::uint64_t exhausted_ = 0;

@@ -209,17 +209,10 @@ void DiffService::process(AdmissionQueue::Item item) {
     respond(std::move(response));
   };
 
-  if (req.deadline.expired() || req.cancelled()) {
-    // Expired or cancelled while queued: shed before the engine sees a
-    // single run.  Cancellation is checked second so a request that is both
-    // expired and cancelled reports the deadline (the stronger signal).
-    response.reject_reason = req.deadline.expired()
-                                 ? RejectReason::kDeadlineExpired
-                                 : RejectReason::kCancelled;
-    flight_record(response.reject_reason == RejectReason::kDeadlineExpired
-                      ? FlightEventKind::kDeadlineExpired
-                      : FlightEventKind::kCancelled,
-                  req.ctx, "in_queue");
+  if (req.deadline.expired()) {
+    // Expired while queued: shed before the engine sees a single run.
+    response.reject_reason = RejectReason::kDeadlineExpired;
+    flight_record(FlightEventKind::kDeadlineExpired, req.ctx, "in_queue");
     finish(ServiceResponse::Status::kRejected);
     return;
   }
@@ -242,8 +235,7 @@ void DiffService::process(AdmissionQueue::Item item) {
   StreamDiffer differ(req.options, [&](pos_t, const RleRow& d) {
     if (req.keep_diff) diff_rows.push_back(d);
   });
-  differ.set_deadline(
-      [&req] { return req.deadline.expired() || req.cancelled(); });
+  differ.set_deadline([&req] { return req.deadline.expired(); });
 
   if (req.engine_override) {
     // Test/bench hook: service-level retries around the injected engine; a
@@ -304,13 +296,9 @@ void DiffService::process(AdmissionQueue::Item item) {
     response.diff = RleImage(reference.width(), std::move(diff_rows));
 
   if (expired_mid_image) {
-    response.reject_reason = req.deadline.expired()
-                                 ? RejectReason::kDeadlineExpired
-                                 : RejectReason::kCancelled;
-    flight_record(response.reject_reason == RejectReason::kDeadlineExpired
-                      ? FlightEventKind::kDeadlineExpired
-                      : FlightEventKind::kCancelled,
-                  req.ctx, "mid_image", response.rows_processed);
+    response.reject_reason = RejectReason::kDeadlineExpired;
+    flight_record(FlightEventKind::kDeadlineExpired, req.ctx, "mid_image",
+                  response.rows_processed);
     finish(ServiceResponse::Status::kRejected);
   } else if (unrecovered > 0) {
     finish(ServiceResponse::Status::kFailed);
@@ -351,19 +339,14 @@ void DiffService::respond(ServiceResponse response) {
       break;
     }
     case ServiceResponse::Status::kRejected:
-      if (response.reject_reason == RejectReason::kCancelled) {
-        cancelled_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        shed_deadline_after_admit_.fetch_add(1, std::memory_order_relaxed);
-        deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-        if (telem) global_metrics().add("service.deadline_miss_total");
-        flight_retain(ctx.request_id, "deadline_expired");
-      }
+      shed_deadline_after_admit_.fetch_add(1, std::memory_order_relaxed);
+      deadline_misses_.fetch_add(1, std::memory_order_relaxed);
+      if (telem) global_metrics().add("service.deadline_miss_total");
+      flight_retain(ctx.request_id, "deadline_expired");
       {
-        // A deadline expiry (or a hedge cancellation) says nothing about
-        // backend health, but the request may hold a half-open probe slot
-        // from admission: release it so abandoned probes cannot wedge the
-        // breaker half-open.
+        // A deadline expiry says nothing about backend health, but the
+        // request may hold a half-open probe slot from admission: release
+        // it so abandoned probes cannot wedge the breaker half-open.
         std::lock_guard<std::mutex> lk(breaker_mu_);
         breaker_.release_probe();
       }
@@ -411,7 +394,6 @@ ServiceStats DiffService::stats() const {
       shed_deadline_at_submit_.load(std::memory_order_relaxed);
   s.shed_deadline_after_admit =
       shed_deadline_after_admit_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
   s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
   s.retries = retries_.load(std::memory_order_relaxed);
   s.engine_invocations = engine_invocations_.load(std::memory_order_relaxed);

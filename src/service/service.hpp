@@ -87,7 +87,8 @@ struct ServiceStats {
 
   // Post-admission sheds (delivered as kRejected responses).
   std::uint64_t shed_deadline_after_admit = 0;
-  std::uint64_t cancelled = 0;  ///< kRejected{cancelled} responses (hedging)
+  /// Always 0; kept for the benchmark schema.
+  std::uint64_t cancelled = 0;
 
   std::uint64_t deadline_misses = 0;  ///< all deadline-expired outcomes
   std::uint64_t retries = 0;          ///< budgeted retries actually taken
@@ -100,10 +101,10 @@ struct ServiceStats {
 
   std::uint64_t shed_total() const {
     return shed_queue_full + shed_circuit_open + shed_shutdown +
-           shed_deadline_at_submit + shed_deadline_after_admit + cancelled;
+           shed_deadline_at_submit + shed_deadline_after_admit;
   }
   std::uint64_t responses() const {
-    return completed + failed + shed_deadline_after_admit + cancelled;
+    return completed + failed + shed_deadline_after_admit;
   }
 };
 
@@ -156,7 +157,7 @@ class DiffService {
   std::atomic<std::uint64_t> offered_{0}, admitted_{0}, completed_{0},
       failed_{0}, shed_queue_full_{0}, shed_circuit_open_{0},
       shed_shutdown_{0}, shed_deadline_at_submit_{0},
-      shed_deadline_after_admit_{0}, cancelled_{0}, deadline_misses_{0},
+      shed_deadline_after_admit_{0}, deadline_misses_{0},
       retries_{0}, engine_invocations_{0}, fallback_rows_{0},
       unrecovered_rows_{0};
 

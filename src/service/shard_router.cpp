@@ -58,22 +58,14 @@ std::uint64_t route_key_from(const ServiceRequest& request,
   return mix64(operands.fp_a ^ mix64(operands.fp_b));
 }
 
-/// Pops the earliest entry of a min-heap on fire_at.
-struct HedgeEarlier {
-  bool operator()(const auto& a, const auto& b) const {
-    return a.fire_at > b.fire_at;  // std::*_heap are max-heaps; invert
-  }
-};
-
 }  // namespace
 
 ShardRouter::ShardRouter(RouterConfig config, Completion on_complete)
     : config_(config),
       on_complete_(std::move(on_complete)),
       epoch_(std::chrono::steady_clock::now()),
-      results_(config_.cache ? config_.cache : std::make_shared<ResultCache>()),
-      hedge_budget_(config.hedge.budget,
-                    "router.hedge_budget_exhausted_total") {
+      results_(config_.cache ? config_.cache
+                             : std::make_shared<ResultCache>()) {
   SYSRLE_REQUIRE(config_.shards >= 1, "ShardRouter: need at least one shard");
   SYSRLE_REQUIRE(config_.replicas >= 1,
                  "ShardRouter: need at least one replica per shard");
@@ -101,9 +93,6 @@ ShardRouter::ShardRouter(RouterConfig config, Completion on_complete)
       ring_.emplace_back(
           mix64(config_.seed ^ mix64(s * config_.virtual_nodes + v + 1)), s);
   std::sort(ring_.begin(), ring_.end());
-
-  if (config_.hedge.enabled)
-    hedge_thread_ = std::thread([this] { hedge_loop(); });
 }
 
 ShardRouter::~ShardRouter() { drain(); }
@@ -272,8 +261,7 @@ std::optional<RejectReason> ShardRouter::submit_locked(
   call->registered = registered;
   call->result_key = result_key;
 
-  shed = dispatch_locked(call, /*is_hedge=*/false,
-                         /*exclude_replica=*/SIZE_MAX, out);
+  shed = dispatch_locked(call);
   if (shed) {
     if (call->registered) results_->release(call->result_key, call->call_id);
     if (*shed == RejectReason::kShardDown) {
@@ -289,22 +277,11 @@ std::optional<RejectReason> ShardRouter::submit_locked(
   ++stats_.admitted;
   flight_record(FlightEventKind::kAdmit, cctx, "primary");
   calls_.emplace(call->call_id, call);
-  if (config_.hedge.enabled &&
-      call->request.priority == Priority::kInteractive) {
-    call->hedge_scheduled = true;
-    hedge_heap_.push_back(
-        {call->accepted + std::chrono::microseconds(current_hedge_delay_us()),
-         call->call_id});
-    std::push_heap(hedge_heap_.begin(), hedge_heap_.end(), HedgeEarlier{});
-    hedge_cv_.notify_one();
-  }
   return std::nullopt;
 }
 
 std::optional<RejectReason> ShardRouter::dispatch_locked(
-    const std::shared_ptr<Call>& call, bool is_hedge,
-    std::size_t exclude_replica, std::vector<Delivery>& out) {
-  (void)out;
+    const std::shared_ptr<Call>& call) {
   const bool interactive = call->request.priority == Priority::kInteractive;
   bool crossed_shard = false;
 
@@ -326,14 +303,13 @@ std::optional<RejectReason> ShardRouter::dispatch_locked(
         (static_cast<std::size_t>(config_.replica_breaker.failure_threshold) +
          2);
     while (attempts++ < max_attempts) {
-      const std::optional<std::size_t> r =
-          set.pick(call->key, now_us(), hop == 0 ? exclude_replica : SIZE_MAX);
+      const std::optional<std::size_t> r = set.pick(call->key, now_us());
       if (!r) break;
-      if (submit_to_replica_locked(call, shard, *r, is_hedge)) {
-        if (*r != order.front() && !is_hedge) {
+      if (submit_to_replica_locked(call, shard, *r)) {
+        if (*r != order.front()) {
           ++stats_.failovers;
           count_metric("router.failovers");
-          flight_record(FlightEventKind::kFailover, call->last_dispatch_ctx,
+          flight_record(FlightEventKind::kFailover, call->dispatch_ctx,
                         hop > 0 ? "cross_shard" : "in_shard");
         }
         if (crossed_shard || hop > 0) {
@@ -350,25 +326,15 @@ std::optional<RejectReason> ShardRouter::dispatch_locked(
 
 bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
                                            std::size_t shard,
-                                           std::size_t replica,
-                                           bool is_hedge) {
-  Dispatch d;
-  d.call = call;
-  d.shard = shard;
-  d.replica = replica;
-  d.is_hedge = is_hedge;
-  d.cancel = std::make_shared<std::atomic<bool>>(false);
-
-  ServiceRequest backend = call->request;  // deep copy: hedges need another
-  const std::uint64_t dispatch_id = next_dispatch_id_++;
-  backend.id = dispatch_id;
-  backend.cancel = d.cancel;
+                                           std::size_t replica) {
+  ServiceRequest backend = call->request;  // copy: a shed means failover
+  backend.id = call->call_id;
   // A registered call's diff may serve waiters that asked for it, or stay
   // resident; each delivery drops it when its own request did not.
   backend.keep_diff = call->request.keep_diff || call->registered;
 
-  // Observability identity: client request id (stable across failover,
-  // hedging, promotion), this dispatch's ordinal, and where it landed.
+  // Observability identity: client request id (stable across failover and
+  // promotion), this dispatch's ordinal, and where it landed.
   RequestContext ctx;
   ctx.active = true;
   ctx.request_id = call->request.id;
@@ -376,7 +342,6 @@ bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
   ctx.shard = static_cast<std::int32_t>(shard);
   ctx.replica = static_cast<std::int32_t>(replica);
   backend.ctx = ctx;
-  d.ctx = ctx;
 
   const std::shared_ptr<DiffService> service =
       sets_[shard]->replica(replica);
@@ -394,16 +359,8 @@ bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
     }
     return false;
   }
-  flight_record(FlightEventKind::kDispatch, ctx,
-                is_hedge ? "hedge" : "primary", dispatch_id);
-  ++call->pending_dispatches;
-  if (!is_hedge) {
-    call->primary_shard = shard;
-    call->primary_replica = replica;
-  }
-  call->last_dispatch_ctx = ctx;
-  call->dispatch_ids.push_back(dispatch_id);
-  dispatches_.emplace(dispatch_id, std::move(d));
+  flight_record(FlightEventKind::kDispatch, ctx, "primary", call->call_id);
+  call->dispatch_ctx = ctx;
   return true;
 }
 
@@ -412,17 +369,14 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
   std::vector<Delivery> deliveries;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    auto it = dispatches_.find(response.id);
-    SYSRLE_REQUIRE(it != dispatches_.end(),
-                   "ShardRouter: response for unknown dispatch");
-    const Dispatch dispatch = std::move(it->second);
-    dispatches_.erase(it);
-    const std::shared_ptr<Call>& call = dispatch.call;
-    --call->pending_dispatches;
+    auto it = calls_.find(response.id);
+    SYSRLE_REQUIRE(it != calls_.end(),
+                   "ShardRouter: response for unknown call");
+    const std::shared_ptr<Call> call = it->second;  // finishing erases it
 
     // Router-level breaker accounting for the replica that served it.  A
-    // deadline expiry or hedge cancellation says nothing about replica
-    // health; release the probe slot pick() may have taken.
+    // deadline expiry says nothing about replica health; release the probe
+    // slot pick() may have taken.
     switch (response.status) {
       case ServiceResponse::Status::kCompleted:
         sets_[shard]->record_success(replica, now_us());
@@ -432,9 +386,9 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
         const BreakerState after =
             sets_[shard]->record_failure(replica, now_us());
         if (before != BreakerState::kOpen && after == BreakerState::kOpen) {
-          flight_record(FlightEventKind::kBreakerTrip, dispatch.ctx,
+          flight_record(FlightEventKind::kBreakerTrip, call->dispatch_ctx,
                         "replica_failed");
-          flight_retain(dispatch.ctx.request_id, "breaker_trip");
+          flight_retain(call->dispatch_ctx.request_id, "breaker_trip");
         }
         break;
       }
@@ -442,70 +396,21 @@ void ShardRouter::on_replica_response(std::size_t shard, std::size_t replica,
         sets_[shard]->release_probe(replica);
         break;
     }
-
-    if (call->finished) {
-      // The losing half of a hedged pair (cancelled, or it finished after
-      // the winner): swallow — the client already has its one response.
-      if (dispatch.is_hedge) {
-        ++stats_.hedges_lost;
-        count_metric("router.hedges_lost");
-        flight_record(FlightEventKind::kHedgeLost, dispatch.ctx,
-                      to_string(response.status));
-      }
-      if (call->pending_dispatches == 0) calls_.erase(call->call_id);
-    } else if (response.status == ServiceResponse::Status::kCompleted) {
-      finish_call_locked(call, std::move(response), dispatch.is_hedge,
-                         dispatch.ctx, deliveries);
-    } else if (call->pending_dispatches > 0) {
-      // A failure, but a hedge twin is still running — it may yet rescue
-      // the request.  Keep the more informative outcome for the case where
-      // nothing succeeds: an engine failure beats a deadline rejection.
-      if (!call->provisional ||
-          response.status == ServiceResponse::Status::kFailed)
-        call->provisional = std::move(response);
-    } else {
-      ServiceResponse final_response = std::move(response);
-      if (call->provisional &&
-          call->provisional->status == ServiceResponse::Status::kFailed &&
-          final_response.status != ServiceResponse::Status::kFailed)
-        final_response = std::move(*call->provisional);
-      finish_call_locked(call, std::move(final_response), dispatch.is_hedge,
-                         dispatch.ctx, deliveries);
-    }
+    finish_call_locked(call, std::move(response), deliveries);
   }
   deliver(deliveries);
 }
 
 void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
-                                     ServiceResponse winner,
-                                     bool winner_is_hedge,
-                                     const RequestContext& winner_ctx,
+                                     ServiceResponse result,
                                      std::vector<Delivery>& out) {
-  call->finished = true;
-
-  // Cancel the losing dispatch (if a hedge twin is still in flight): the
-  // token trips the backend's deadline machinery at its next check.
-  for (const std::uint64_t id : call->dispatch_ids) {
-    auto it = dispatches_.find(id);
-    if (it != dispatches_.end())
-      it->second.cancel->store(true, std::memory_order_release);
-  }
-
-  if (winner_is_hedge &&
-      winner.status == ServiceResponse::Status::kCompleted) {
-    ++stats_.hedges_won;
-    count_metric("router.hedges_won");
-    // A hedge win is an anomaly worth keeping whole: the retained timeline
-    // shows the slow primary, the hedge decision, and the win.
-    flight_record(FlightEventKind::kHedgeWon, winner_ctx);
-    flight_retain(winner_ctx.request_id, "hedge_won");
-  }
+  calls_.erase(call->call_id);
 
   // The payload goes only to deliveries whose own request kept its diff.
-  const RleImage payload = std::exchange(winner.diff, RleImage{0, 0});
+  const RleImage payload = std::exchange(result.diff, RleImage{0, 0});
 
   // The client's one response.
-  ServiceResponse client = winner;
+  ServiceResponse client = result;
   client.id = call->request.id;
   client.priority = call->request.priority;
   client.total_us =
@@ -514,9 +419,6 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   switch (client.status) {
     case ServiceResponse::Status::kCompleted:
       ++stats_.completed;
-      hedge_budget_.record_success();
-      if (client.priority == Priority::kInteractive)
-        interactive_latency_us_.add(client.total_us);
       break;
     case ServiceResponse::Status::kFailed:
       ++stats_.failed;
@@ -539,7 +441,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   std::vector<Waiter> waiters = std::move(call->waiters);
   call->waiters.clear();
   const bool propagate =
-      winner.status != ServiceResponse::Status::kRejected;
+      result.status != ServiceResponse::Status::kRejected;
   const auto now = std::chrono::steady_clock::now();
 
   std::size_t w = 0;
@@ -558,7 +460,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
                       client_ctx(waiter.request.id), "waiter");
         flight_retain(waiter.request.id, "deadline_expired");
       } else {
-        wr = winner;
+        wr = result;
         if (waiter.request.keep_diff) wr.diff = payload;  // the primary's bytes
         switch (wr.status) {
           case ServiceResponse::Status::kCompleted:
@@ -611,8 +513,7 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       next->home_shard = call->home_shard;
       next->registered = call->registered;
       next->result_key = call->result_key;
-      const std::optional<RejectReason> reason =
-          dispatch_locked(next, /*is_hedge=*/false, SIZE_MAX, out);
+      const std::optional<RejectReason> reason = dispatch_locked(next);
       if (reason) {
         // Nowhere to run it: the waiter was admitted, so it gets a typed
         // response (shard_down / shutdown), never silence.
@@ -639,17 +540,6 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       count_metric("router.coalesce_promotions");
       flight_record(FlightEventKind::kCoalescePromoted,
                     client_ctx(next->request.id), "", call->request.id);
-      if (config_.hedge.enabled &&
-          next->request.priority == Priority::kInteractive) {
-        next->hedge_scheduled = true;
-        hedge_heap_.push_back(
-            {std::chrono::steady_clock::now() +
-                 std::chrono::microseconds(current_hedge_delay_us()),
-             next->call_id});
-        std::push_heap(hedge_heap_.begin(), hedge_heap_.end(),
-                       HedgeEarlier{});
-        hedge_cv_.notify_one();
-      }
       break;
     }
   }
@@ -660,9 +550,9 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   // promotion re-owns the pending entry in place, so later duplicates join
   // the new primary and its completion settles the entry as admitted.
   if (call->registered) {
-    if (winner.status == ServiceResponse::Status::kCompleted) {
+    if (result.status == ServiceResponse::Status::kCompleted) {
       if (results_->complete(call->result_key, call->call_id, payload,
-                             winner.rows_processed, winner.fallback_rows)) {
+                             result.rows_processed, result.fallback_rows)) {
         ++stats_.cache_stores;
         count_metric("router.cache_stores");
       }
@@ -670,96 +560,6 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       results_->reassign(call->result_key, call->call_id, promoted_to);
     } else {
       results_->release(call->result_key, call->call_id);
-    }
-  }
-
-  if (call->pending_dispatches == 0) calls_.erase(call->call_id);
-}
-
-std::uint64_t ShardRouter::current_hedge_delay_us() const {
-  const HedgePolicy& h = config_.hedge;
-  if (h.fixed_delay_us > 0) return h.fixed_delay_us;
-  if (interactive_latency_us_.count() <
-      static_cast<std::size_t>(h.min_samples))
-    return h.initial_delay_us;
-  const double p99 = interactive_latency_us_.p99();
-  return std::clamp(static_cast<std::uint64_t>(p99), h.min_delay_us,
-                    h.max_delay_us);
-}
-
-void ShardRouter::fire_hedge_locked(const std::shared_ptr<Call>& call,
-                                    std::vector<Delivery>& out) {
-  (void)out;
-  call->hedge_fired = true;
-  if (!hedge_budget_.try_spend()) {
-    ++stats_.hedges_suppressed;
-    count_metric("router.hedges_suppressed");
-    flight_record(FlightEventKind::kHedgeSuppressed,
-                  client_ctx(call->request.id), "budget");
-    return;
-  }
-
-  // Second copy to a different replica: same shard first (excluding the
-  // primary's replica), then — the request is interactive by construction —
-  // any other shard.
-  const std::size_t home = call->home_shard;
-  std::size_t attempts = 0;
-  for (std::size_t hop = 0; hop < sets_.size(); ++hop) {
-    const std::size_t shard = (home + hop) % sets_.size();
-    ReplicaSet& set = *sets_[shard];
-    const std::size_t exclude =
-        (hop == 0 && call->primary_shard == shard) ? call->primary_replica
-                                                   : SIZE_MAX;
-    const std::size_t max_attempts =
-        set.size() *
-        (static_cast<std::size_t>(config_.replica_breaker.failure_threshold) +
-         2);
-    while (attempts++ < max_attempts) {
-      const std::optional<std::size_t> r =
-          set.pick(call->key, now_us(), exclude);
-      if (!r) break;
-      if (submit_to_replica_locked(call, shard, *r, /*is_hedge=*/true)) {
-        ++stats_.hedges_fired;
-        count_metric("router.hedges_fired");
-        flight_record(FlightEventKind::kHedgeFired, call->last_dispatch_ctx,
-                      hop == 0 ? "in_shard" : "cross_shard");
-        return;
-      }
-    }
-  }
-  // No second replica could take it: give the token back — nothing fired.
-  hedge_budget_.refund();
-  ++stats_.hedges_unroutable;
-  count_metric("router.hedges_unroutable");
-  flight_record(FlightEventKind::kHedgeUnroutable,
-                client_ctx(call->request.id));
-}
-
-void ShardRouter::hedge_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (!draining_) {
-    if (hedge_heap_.empty()) {
-      hedge_cv_.wait(lk);
-      continue;
-    }
-    const auto fire_at = hedge_heap_.front().fire_at;
-    if (std::chrono::steady_clock::now() < fire_at) {
-      hedge_cv_.wait_until(lk, fire_at);
-      continue;
-    }
-    std::pop_heap(hedge_heap_.begin(), hedge_heap_.end(), HedgeEarlier{});
-    const HedgeEntry entry = hedge_heap_.back();
-    hedge_heap_.pop_back();
-    auto it = calls_.find(entry.call_id);
-    if (it == calls_.end()) continue;
-    const std::shared_ptr<Call> call = it->second;
-    if (call->finished || call->hedge_fired) continue;
-    std::vector<Delivery> deliveries;
-    fire_hedge_locked(call, deliveries);
-    if (!deliveries.empty()) {
-      lk.unlock();
-      deliver(deliveries);
-      lk.lock();
     }
   }
 }
@@ -772,14 +572,8 @@ void ShardRouter::deliver(std::vector<Delivery>& deliveries) {
 void ShardRouter::drain() {
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (draining_) {
-      // Idempotent: a second drain() (e.g. the destructor after an explicit
-      // drain) must not re-join the hedge thread.
-    }
     draining_ = true;
-    hedge_cv_.notify_all();
   }
-  if (hedge_thread_.joinable()) hedge_thread_.join();
   // Replica drains deliver every outstanding response; those responses
   // resolve every pending call (and its waiters) through
   // on_replica_response, which still runs during drain.
@@ -804,7 +598,6 @@ ServiceStats ShardRouter::backend_stats() const {
     total.shed_shutdown += s.shed_shutdown;
     total.shed_deadline_at_submit += s.shed_deadline_at_submit;
     total.shed_deadline_after_admit += s.shed_deadline_after_admit;
-    total.cancelled += s.cancelled;
     total.deadline_misses += s.deadline_misses;
     total.retries += s.retries;
     total.engine_invocations += s.engine_invocations;

@@ -4,23 +4,16 @@
 // DiffService protects one process from overload; the router makes *loss of
 // a backend* invisible, the way the paper's array keeps computing when work
 // is spread over many identical cells.  It consistent-hashes request route
-// keys (image handles) over N shards of R replicas each and layers four
+// keys (image handles) over N shards of R replicas each and layers three
 // mechanisms on top (docs/ROBUSTNESS.md, "Sharded serving and failover"):
 //
 //   failover     per-replica circuit breakers at the router (ReplicaSet)
 //                quarantine a replica that keeps shedding or failing; its
 //                keys route to the next replica in rendezvous order, and a
-//                half-open probe re-admits it when it recovers;
-//   hedging      an interactive request still pending after a p99-derived
-//                hedge delay is dispatched a second time to a different
-//                replica; the first response wins and the loser is
-//                cancelled through the deadline machinery (it stops at the
-//                next row boundary, responds Rejected{cancelled}, and the
-//                router swallows the duplicate).  A token-bucket hedge
-//                budget (reusing RetryBudget) bounds hedges to a fraction
-//                of successful work, so hedging can never double offered
-//                load under overload — suppressed hedges are counted, not
-//                fired;
+//                half-open probe re-admits it when it recovers.  Failover
+//                is synchronous inside the submission, so every admitted
+//                call has at most one backend dispatch in flight and the
+//                router runs no thread of its own;
 //   dedup        identical diffs (same operands, same engine) share one
 //                computation through one single-flight table (ResultCache):
 //                an in-flight duplicate joins as a waiter and gets a
@@ -42,52 +35,24 @@
 // die mid-flight.
 //
 // Metrics (docs/OBSERVABILITY.md): router.failovers,
-// router.cross_shard_failovers, router.hedges_fired, router.hedges_won,
-// router.hedges_suppressed, router.coalesced, router.coalesce_promotions,
+// router.cross_shard_failovers, router.coalesced, router.coalesce_promotions,
 // router.shard_down_sheds, plus per-replica
 // service.breaker_state.shard<S>.replica<R> gauges.
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "service/replica_set.hpp"
-#include "service/retry_budget.hpp"
 #include "service/service.hpp"
 #include "service/types.hpp"
 #include "store/image_store.hpp"
 #include "store/result_cache.hpp"
 
 namespace sysrle {
-
-/// When and how aggressively to hedge interactive requests.
-struct HedgePolicy {
-  bool enabled = true;
-
-  /// Fixed hedge delay; 0 = derive from the observed interactive p99
-  /// (clamped to [min_delay_us, max_delay_us]).
-  std::uint64_t fixed_delay_us = 0;
-  std::uint64_t min_delay_us = 500;
-  std::uint64_t max_delay_us = 200000;
-  /// Until this many interactive latencies are observed, the p99-derived
-  /// delay falls back to initial_delay_us.
-  std::size_t min_samples = 16;
-  std::uint64_t initial_delay_us = 10000;
-
-  /// Token bucket bounding hedges: each fired hedge spends one token,
-  /// completed requests earn tokens_per_success.  Exhausted bucket =
-  /// hedge suppressed (counted), request continues unhedged.
-  RetryBudgetConfig budget{.initial_tokens = 8.0,
-                           .max_tokens = 8.0,
-                           .tokens_per_success = 0.1,
-                           .cost_per_retry = 1.0};
-};
 
 struct RouterConfig {
   std::size_t shards = 2;
@@ -101,7 +66,6 @@ struct RouterConfig {
   BreakerPolicy replica_breaker{.failure_threshold = 3,
                                 .open_duration = 50000,
                                 .probe_successes_to_close = 1};
-  HedgePolicy hedge;
 
   /// Persistent image store for by-handle requests (ServiceRequest::
   /// ref_handle/scan_handle).  Null: by-handle requests shed with
@@ -139,11 +103,12 @@ struct RouterStats {
   std::uint64_t failovers = 0;  ///< dispatches not on the preferred replica
   std::uint64_t cross_shard_failovers = 0;
 
+  /// Always 0; kept for the benchmark schema.
   std::uint64_t hedges_fired = 0;
-  std::uint64_t hedges_won = 0;   ///< hedge finished first with a result
-  std::uint64_t hedges_lost = 0;  ///< hedge cancelled/beaten by the primary
-  std::uint64_t hedges_suppressed = 0;   ///< denied by the hedge budget
-  std::uint64_t hedges_unroutable = 0;   ///< no second healthy replica
+  /// Always 0; kept for the benchmark schema.
+  std::uint64_t hedges_won = 0;
+  /// Always 0; kept for the benchmark schema.
+  std::uint64_t hedges_suppressed = 0;
 
   std::uint64_t coalesced = 0;  ///< requests attached as waiters
   std::uint64_t coalesce_promotions = 0;
@@ -183,8 +148,7 @@ class ShardRouter {
   std::optional<RejectReason> try_submit(ServiceRequest request);
 
   /// Stops admitting, finishes all in-flight work on every replica,
-  /// delivers every pending response (including waiters), joins the hedge
-  /// timer.  Idempotent.
+  /// delivers every pending response (including waiters).  Idempotent.
   void drain();
 
   RouterStats stats() const;
@@ -197,9 +161,6 @@ class ShardRouter {
   std::size_t shard_of(std::uint64_t key) const;
   std::size_t shards() const { return sets_.size(); }
   std::size_t replicas() const { return config_.replicas; }
-
-  /// The hedge delay a request admitted now would get (µs).
-  std::uint64_t current_hedge_delay_us() const;
 
   BreakerState replica_breaker_state(std::size_t shard,
                                      std::size_t replica) const;
@@ -216,9 +177,12 @@ class ShardRouter {
     std::chrono::steady_clock::time_point arrived;
   };
 
+  /// One admitted client request and its single backend dispatch.  The
+  /// call id doubles as the backend request id, so a replica response finds
+  /// its call directly.
   struct Call {
     std::uint64_t call_id = 0;
-    ServiceRequest request;  ///< client's original (no cancel token)
+    ServiceRequest request;  ///< client's original
     std::chrono::steady_clock::time_point accepted;
     std::uint64_t key = 0;
     std::size_t home_shard = 0;
@@ -230,44 +194,12 @@ class ShardRouter {
     ResultKey result_key;
     std::vector<Waiter> waiters;
 
-    /// Where the primary (non-hedge) dispatch landed; the hedge excludes
-    /// this replica when picking its second target.
-    std::size_t primary_shard = 0;
-    std::size_t primary_replica = 0;
-    /// Every dispatch issued for this call (primary + hedge); used to
-    /// cancel the loser once a winner is chosen.
-    std::vector<std::uint64_t> dispatch_ids;
-
-    int pending_dispatches = 0;
-    bool finished = false;
-    bool hedge_fired = false;
-    bool hedge_scheduled = false;
-    /// Best failure response seen so far while another dispatch is still
-    /// pending (delivered only if nothing succeeds).
-    std::optional<ServiceResponse> provisional;
-
     /// Dispatch ordinal source: attempt 0 is the first backend submission,
-    /// 1+ are failover re-submissions and hedges (RequestContext::attempt).
+    /// 1+ are failover re-submissions (RequestContext::attempt).
     std::uint32_t dispatch_count = 0;
-    /// Context of the most recent successful backend submission (flight
-    /// recorder: failover / hedge_fired events name where work landed).
-    RequestContext last_dispatch_ctx;
-  };
-
-  struct Dispatch {
-    std::shared_ptr<Call> call;
-    std::size_t shard = 0;
-    std::size_t replica = 0;
-    bool is_hedge = false;
-    std::shared_ptr<std::atomic<bool>> cancel;
-    /// Identity stamped on the backend submission (client id + attempt +
-    /// shard/replica) — reused for hedge_won/hedge_lost flight events.
-    RequestContext ctx;
-  };
-
-  struct HedgeEntry {
-    std::chrono::steady_clock::time_point fire_at;
-    std::uint64_t call_id = 0;
+    /// Context stamped on the admitted backend submission (client id +
+    /// attempt + shard/replica): flight events name where the work landed.
+    RequestContext dispatch_ctx;
   };
 
   /// One client-visible delivery, built under the lock, invoked outside it.
@@ -281,34 +213,25 @@ class ShardRouter {
   std::optional<RejectReason> submit_locked(ServiceRequest request,
                                             std::vector<Delivery>& out);
 
-  /// Dispatches `call`'s request to shard `shard` (failing over across its
+  /// Dispatches `call`'s request to its home shard (failing over across its
   /// replicas, then — for interactive — across shards).  Returns the shed
   /// reason when no backend admitted it.  Lock held.
   std::optional<RejectReason> dispatch_locked(
-      const std::shared_ptr<Call>& call, bool is_hedge,
-      std::size_t exclude_replica, std::vector<Delivery>& out);
+      const std::shared_ptr<Call>& call);
 
   /// One replica-level submission attempt.  True = admitted.
   bool submit_to_replica_locked(const std::shared_ptr<Call>& call,
-                                std::size_t shard, std::size_t replica,
-                                bool is_hedge);
+                                std::size_t shard, std::size_t replica);
 
   void on_replica_response(std::size_t shard, std::size_t replica,
                            ServiceResponse response);
 
-  /// Finishes `call` with the winning response; fans out to waiters,
+  /// Finishes `call` with its backend response; fans out to waiters,
   /// promotes on deadline expiry, completes or releases its result-table
-  /// entry.  Lock held; deliveries collected.  `winner_ctx` is the winning
-  /// dispatch's stamped context (flight recorder: hedge_won is attributed
-  /// to the replica that won).
+  /// entry.  Lock held; deliveries collected.
   void finish_call_locked(const std::shared_ptr<Call>& call,
-                          ServiceResponse winner, bool winner_is_hedge,
-                          const RequestContext& winner_ctx,
-                          std::vector<Delivery>& out);
+                          ServiceResponse result, std::vector<Delivery>& out);
 
-  void hedge_loop();
-  void fire_hedge_locked(const std::shared_ptr<Call>& call,
-                         std::vector<Delivery>& out);
   void deliver(std::vector<Delivery>& deliveries);
 
   void count_metric(const char* name) const;
@@ -324,17 +247,10 @@ class ShardRouter {
   std::shared_ptr<ResultCache> results_;
 
   mutable std::mutex mu_;
-  RetryBudget hedge_budget_;
-  RunningStat interactive_latency_us_;
+  /// Calls with a backend dispatch in flight, by call id.
   std::unordered_map<std::uint64_t, std::shared_ptr<Call>> calls_;
-  std::unordered_map<std::uint64_t, Dispatch> dispatches_;
-  std::vector<HedgeEntry> hedge_heap_;  ///< min-heap on fire_at
   std::uint64_t next_call_id_ = 1;
-  std::uint64_t next_dispatch_id_ = 1;
   bool draining_ = false;
-
-  std::condition_variable hedge_cv_;
-  std::thread hedge_thread_;
 
   // Stats (under mu_).
   RouterStats stats_;

@@ -10,7 +10,6 @@
 // passes.  docs/ROBUSTNESS.md ("Serving under overload") has the full state
 // machines.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -44,7 +43,6 @@ enum class RejectReason {
   kDeadlineExpired,  ///< the deadline passed before/while the request ran
   kCircuitOpen,      ///< the service breaker is open (backend failing hard)
   kShutdown,         ///< the service is draining and admits nothing new
-  kCancelled,        ///< the caller cancelled (hedged-request loser)
   kShardDown,        ///< every replica of the routed shard is quarantined
   kUnknownHandle,    ///< a by-handle operand is not resident in the store
 };
@@ -95,17 +93,6 @@ struct ServiceRequest {
   std::uint64_t id = 0;
   Priority priority = Priority::kBatch;
   Deadline deadline;  ///< default: none
-
-  /// Cooperative cancellation, checked everywhere the deadline is checked
-  /// (dequeue and between rows).  The shard router sets the loser's token
-  /// when a hedged request's first response wins; the loser stops consuming
-  /// engine cycles at the next row boundary and responds
-  /// Rejected{cancelled}.  Null: not cancellable.
-  std::shared_ptr<std::atomic<bool>> cancel;
-
-  bool cancelled() const {
-    return cancel && cancel->load(std::memory_order_acquire);
-  }
 
   /// Routing handle for the shard router: requests with equal keys land on
   /// the same shard (and replica preference order).  0 = derive from the

@@ -240,7 +240,6 @@ void write_flight_chrome_trace(const FlightRecorder& recorder,
   w.end_object();
 
   for (const FlightEvent& e : recorder.snapshot()) {
-    const std::uint64_t tid = flight_tid(e.ctx);
     w.begin_object();
     w.member("name", to_string(e.kind));
     w.member("cat", "flight");
@@ -248,7 +247,7 @@ void write_flight_chrome_trace(const FlightRecorder& recorder,
     w.member("s", "t");
     w.member("ts", e.ts_us);
     w.member("pid", 1);
-    w.member("tid", tid);
+    w.member("tid", flight_tid(e.ctx));
     w.key("args");
     w.begin_object();
     w.member("seq", e.seq);
@@ -258,25 +257,6 @@ void write_flight_chrome_trace(const FlightRecorder& recorder,
     w.member("arg", e.arg);
     w.end_object();
     w.end_object();
-
-    // Flow arrows: a hedge_fired starts a flow under the request id; the
-    // hedge_won/hedge_lost resolution finishes it, so the viewer draws the
-    // hedge attempt connected to the primary it raced.
-    const bool flow_start = e.kind == FlightEventKind::kHedgeFired;
-    const bool flow_end = e.kind == FlightEventKind::kHedgeWon ||
-                          e.kind == FlightEventKind::kHedgeLost;
-    if (flow_start || flow_end) {
-      w.begin_object();
-      w.member("name", "hedge");
-      w.member("cat", "flight");
-      w.member("ph", flow_start ? "s" : "f");
-      if (flow_end) w.member("bp", "e");
-      w.member("id", e.ctx.request_id);
-      w.member("ts", e.ts_us);
-      w.member("pid", 1);
-      w.member("tid", tid);
-      w.end_object();
-    }
   }
   w.end_array();
 

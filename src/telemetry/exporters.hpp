@@ -6,7 +6,7 @@
 //     loadable directly by chrome://tracing and Perfetto, and
 //   * flight-recorder dumps ("sysrle.flight.v1"): a JSONL stream of ring
 //     events and retained anomaly timelines, plus a Chrome trace rendering
-//     with flow events linking hedge attempts to their primaries.
+//     with one lane per shard/replica.
 //
 // Schema versioning policy (docs/OBSERVABILITY.md): the "schema" string is
 // bumped whenever a field is removed or changes meaning; adding fields is
@@ -49,9 +49,8 @@ void write_flight_jsonl_file(const FlightRecorder& recorder,
                              const std::string& path);
 
 /// Writes the recorder as a Chrome trace: one instant event per flight
-/// event, tracked per shard/replica, with flow events ("ph":"s"/"f",
-/// id = request id) linking each hedge_fired to the hedge_won/hedge_lost
-/// resolution so the hedge's relationship to its primary is a drawn arrow.
+/// event, tracked per shard/replica, so a failover reads as the request
+/// moving from one replica's lane to another's.
 void write_flight_chrome_trace(const FlightRecorder& recorder,
                                std::ostream& out);
 void write_flight_chrome_trace_file(const FlightRecorder& recorder,

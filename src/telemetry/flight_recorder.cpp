@@ -17,16 +17,10 @@ const char* to_string(FlightEventKind kind) {
     case FlightEventKind::kDequeue: return "dequeue";
     case FlightEventKind::kDispatch: return "dispatch";
     case FlightEventKind::kFailover: return "failover";
-    case FlightEventKind::kHedgeFired: return "hedge_fired";
-    case FlightEventKind::kHedgeSuppressed: return "hedge_suppressed";
-    case FlightEventKind::kHedgeUnroutable: return "hedge_unroutable";
-    case FlightEventKind::kHedgeWon: return "hedge_won";
-    case FlightEventKind::kHedgeLost: return "hedge_lost";
     case FlightEventKind::kCoalesceJoined: return "coalesce_joined";
     case FlightEventKind::kCoalescePromoted: return "coalesce_promoted";
     case FlightEventKind::kBreakerTrip: return "breaker_trip";
     case FlightEventKind::kDeadlineExpired: return "deadline_expired";
-    case FlightEventKind::kCancelled: return "cancelled";
     case FlightEventKind::kRespond: return "respond";
     case FlightEventKind::kCacheHit: return "cache_hit";
     case FlightEventKind::kCacheMiss: return "cache_miss";
@@ -156,8 +150,8 @@ void FlightRecorder::retain(std::uint64_t request_id, const char* anomaly) {
   const std::lock_guard<std::mutex> lock(retained_mu_);
   for (RetainedTimeline& t : retained_) {
     if (t.request_id != request_id) continue;
-    // Re-retained (e.g. hedge win then a later deadline expiry): keep the
-    // longer view and the first anomaly label.
+    // Re-retained (e.g. a breaker trip then a later deadline expiry): keep
+    // the longer view and the first anomaly label.
     if (events.size() >= t.events.size()) t.events = std::move(events);
     return;
   }

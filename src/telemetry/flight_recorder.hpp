@@ -3,30 +3,30 @@
 // with anomaly-triggered timeline retention.
 //
 // Aggregate counters (`router.*`, `service.*`) say *how often* the serving
-// stack hedged, failed over, coalesced, or shed — they cannot say what
-// happened to request 1731.  The flight recorder can: every admission,
-// queue transition, dispatch, hedge, failover, breaker trip, and response
-// is recorded as one fixed-size event carrying the RequestContext, into a
+// stack failed over, coalesced, or shed — they cannot say what happened to
+// request 1731.  The flight recorder can: every admission, queue
+// transition, dispatch, failover, breaker trip, and response is recorded
+// as one fixed-size event carrying the RequestContext, into a
 // ring whose write path is a ticket fetch_add plus relaxed stores — no
 // mutex, no allocation — so it can sit on the serving path.  When the ring
 // wraps, the oldest events are overwritten (a flight recorder keeps the
 // *recent* past; the per-request `retain` mechanism below preserves the
 // interesting bits beyond that horizon).
 //
-// Anomalies — a deadline expiry, a typed shed, a breaker opening, a hedge
-// win — call `retain(request_id, anomaly)`: the request's completed
-// timeline is copied out of the ring into a bounded retained set
+// Anomalies — a deadline expiry, a typed shed, a breaker opening — call
+// `retain(request_id, anomaly)`: the request's completed timeline is
+// copied out of the ring into a bounded retained set
 // (mutex-guarded; retention is the cold path) and survives later ring
 // wraps.  Exporters (telemetry/exporters.hpp) dump the ring and the
 // retained timelines as JSONL (`sysrle.flight.v1`) and as a Chrome trace
-// with flow events linking hedge attempts to their primaries.
+// with one lane per replica.
 //
 // Enabling: install a recorder with set_flight_recorder(&fr).  Recording
 // sites call flight_record(...), whose disabled fast path is a single
 // relaxed atomic pointer load — the same contract as telemetry_enabled().
 //
 // Sizing: one slot is ~64 bytes; a request produces ~4 events (admit,
-// enqueue/dequeue, dispatch, respond) plus one per hedge/failover/coalesce
+// enqueue/dequeue, dispatch, respond) plus one per failover/coalesce
 // decision, so capacity N reconstructs roughly the last N/6 requests.
 
 #include <atomic>
@@ -51,16 +51,10 @@ enum class FlightEventKind : std::uint8_t {
   kDequeue,           ///< left the queue for a worker (arg = queue µs)
   kDispatch,          ///< submitted to shard/replica (ctx says which)
   kFailover,          ///< dispatch landed off the preferred replica
-  kHedgeFired,        ///< second dispatch issued after the hedge delay
-  kHedgeSuppressed,   ///< hedge denied by the token-bucket budget
-  kHedgeUnroutable,   ///< no second healthy replica (token refunded)
-  kHedgeWon,          ///< the hedge's response beat the primary
-  kHedgeLost,         ///< hedge cancelled or beaten by the primary
   kCoalesceJoined,    ///< attached as waiter (arg = primary's request id)
   kCoalescePromoted,  ///< waiter promoted to primary after owner expired
   kBreakerTrip,       ///< a circuit breaker transitioned to open
   kDeadlineExpired,   ///< deadline passed after admission (queue/mid-image)
-  kCancelled,         ///< cooperative cancellation (hedge loser)
   kRespond,           ///< client-visible response delivered (detail = status)
   kCacheHit,          ///< by-handle diff served from the result cache
   kCacheMiss,         ///< by-handle diff missed the result cache
@@ -70,7 +64,7 @@ enum class FlightEventKind : std::uint8_t {
   kRecoveryDrop,      ///< recovery dropped an entry (detail = reason)
 };
 
-/// Human-readable (and JSONL) kind name, e.g. "hedge_fired".
+/// Human-readable (and JSONL) kind name, e.g. "breaker_trip".
 const char* to_string(FlightEventKind kind);
 
 /// One recorded event.  `seq` is the global record order (the ring ticket),

@@ -26,12 +26,12 @@ struct RequestContext {
   bool active = false;
 
   /// The *client-visible* request id (ServiceRequest::id as the caller set
-  /// it) — stable across failover, hedging, and waiter promotion, which
-  /// is what makes one request's scattered work re-joinable.
+  /// it) — stable across failover and waiter promotion, which is what
+  /// makes one request's scattered work re-joinable.
   std::uint64_t request_id = 0;
 
-  /// Dispatch ordinal within the request: 0 for the primary dispatch, 1+
-  /// for hedges and failover re-dispatches.
+  /// Dispatch ordinal within the request: 0 for the first backend
+  /// submission, 1+ for failover re-submissions.
   std::uint32_t attempt = 0;
 
   /// Where this dispatch landed; -1 = not routed (standalone DiffService).

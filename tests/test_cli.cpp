@@ -555,7 +555,7 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   const CliRun r = cli({"serve", "--requests", reqs, "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_DOUBLE_EQ(root.at("params").at("requests").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 1.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 1.0);
@@ -565,7 +565,11 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   EXPECT_DOUBLE_EQ(root.at("failed").number, 0.0);
   EXPECT_DOUBLE_EQ(root.at("shed").at("total").number, 0.0);
   EXPECT_DOUBLE_EQ(root.at("shed").at("shard_down").number, 0.0);
-  EXPECT_DOUBLE_EQ(root.at("backend").at("shed").at("cancelled").number, 0.0);
+  // v6 dropped the hedging fields and the cancel counter.
+  EXPECT_EQ(root.at("params").find("hedge_ms"), nullptr);
+  EXPECT_EQ(root.at("router").find("hedges_fired"), nullptr);
+  EXPECT_EQ(root.at("router").find("hedge_delay_us"), nullptr);
+  EXPECT_EQ(root.at("backend").at("shed").find("cancelled"), nullptr);
   EXPECT_DOUBLE_EQ(root.at("router").at("failovers").number, 0.0);
   EXPECT_TRUE(root.at("accounting_ok").boolean);
   ASSERT_EQ(root.at("breakers").array.size(), 1u);
@@ -611,19 +615,17 @@ TEST_F(CliFixture, ServeMultiShardTopologyRoutesAndStaysAccounted) {
     lines += (i % 2 ? "batch 4 200 0.02\n" : "interactive 4 200 0.02\n");
   const std::string reqs = write_requests_file("serve_shards.txt", lines);
   const CliRun r = cli({"serve", "--requests", reqs, "--shards", "2",
-                        "--replicas", "2", "--hedge-ms", "50", "--json"});
+                        "--replicas", "2", "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 2.0);
-  EXPECT_DOUBLE_EQ(root.at("params").at("hedge_ms").number, 50.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 8.0);
   EXPECT_DOUBLE_EQ(root.at("completed").number, 8.0);
   EXPECT_TRUE(root.at("accounting_ok").boolean);
   EXPECT_EQ(root.at("breakers").array.size(), 4u);
   EXPECT_DOUBLE_EQ(root.at("healthy_replicas").number, 4.0);
-  EXPECT_DOUBLE_EQ(root.at("router").at("hedge_delay_us").number, 50000.0);
 }
 
 TEST_F(CliFixture, ServeRejectsBadTopologyFlags) {
@@ -634,9 +636,12 @@ TEST_F(CliFixture, ServeRejectsBadTopologyFlags) {
     EXPECT_EQ(r.exit_code, 2) << flag;
     EXPECT_NE(r.err.find(flag), std::string::npos) << flag;
   }
-  const CliRun r = cli({"serve", "--requests", reqs, "--hedge-ms", "-1"});
+  // --hedge-ms is not a serve flag: its value is a stray argument, and the
+  // usage line no longer offers it.
+  const CliRun r = cli({"serve", "--requests", reqs, "--hedge-ms", "50"});
   EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.err.find("--hedge-ms"), std::string::npos);
+  EXPECT_EQ(r.err.rfind("sysrle: ", 0), 0u) << r.err;
+  EXPECT_EQ(r.err.find("--hedge-ms"), std::string::npos) << r.err;
 }
 
 TEST_F(CliFixture, ServeEqualSeedsGiveIdenticalDeterministicFields) {
@@ -691,7 +696,7 @@ TEST_F(CliFixture, ServeFlightRecorderExportsJsonlAndKillShowsInReport) {
   EXPECT_EQ(r.exit_code, 0) << r.err;
 
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_EQ(root.at("params").at("kill_replica").string, "0.1@3");
   EXPECT_DOUBLE_EQ(root.at("params").at("flight_recorder").number, 1024.0);
   const JsonValue& flight = root.at("flight");
@@ -796,7 +801,7 @@ TEST_F(CliFixture, ServeStoreSessionServesRepeatDiffFromCache) {
       cli({"serve", "--requests", reqs, "--store", "--json"});
   ASSERT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
   EXPECT_TRUE(root.at("params").at("store").boolean);
   EXPECT_DOUBLE_EQ(root.at("params").at("registers").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 2.0);
@@ -853,7 +858,7 @@ TEST_F(CliFixture, ServeStoreDirPersistsAcrossSessions) {
       cli({"serve", "--requests", reqs1, "--store-dir", dir, "--json"});
   ASSERT_EQ(first.exit_code, 0) << first.err;
   const JsonValue root1 = parse_json(first.out);
-  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v5");
+  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v6");
   EXPECT_EQ(root1.at("params").at("store_dir").string, dir);
   const JsonValue& dur1 = root1.at("durability");
   EXPECT_DOUBLE_EQ(dur1.at("journal").at("appends").number, 2.0);

@@ -1,7 +1,7 @@
 // Tests for the flight recorder: lock-free ring semantics (ordering, wrap,
 // torn-read rejection), per-request timelines, anomaly retention bounds,
-// the JSONL / Chrome-trace exporters (including a golden hedge-win dump
-// pinned byte-for-byte), and a concurrent writer/snapshot hammer that CI
+// the JSONL / Chrome-trace exporters (including golden dumps of a failover
+// story pinned byte-for-byte), and a concurrent writer/snapshot hammer that CI
 // runs under TSan.
 
 #include "telemetry/flight_recorder.hpp"
@@ -112,7 +112,7 @@ TEST(FlightRecorder, TimelineFiltersOneRequestOutOfTheRing) {
 
 TEST(FlightRecorder, KindNamesAreSnakeCase) {
   EXPECT_STREQ(to_string(FlightEventKind::kAdmit), "admit");
-  EXPECT_STREQ(to_string(FlightEventKind::kHedgeFired), "hedge_fired");
+  EXPECT_STREQ(to_string(FlightEventKind::kBreakerTrip), "breaker_trip");
   EXPECT_STREQ(to_string(FlightEventKind::kCoalescePromoted),
                "coalesce_promoted");
   EXPECT_STREQ(to_string(FlightEventKind::kDeadlineExpired),
@@ -187,73 +187,106 @@ TEST_F(FlightRecorderTest, GlobalHookIsNullByDefaultAndRecordsWhenInstalled) {
 
 // ---------------------------------------------------------------- exporters
 
-/// The deterministic hedge-win story used by the golden dump: primary
-/// dispatch, hedge fired, hedge wins, primary loses, client responds.
-void record_hedge_win(FlightRecorder& fr) {
-  fr.record_at(10, FlightEventKind::kAdmit, ctx_of(3), "primary");
-  fr.record_at(20, FlightEventKind::kDispatch, ctx_of(3, 0, 0, 0), "primary",
-               1);
-  fr.record_at(30, FlightEventKind::kHedgeFired, ctx_of(3, 0, 0, 0),
+/// The deterministic failover story used by the golden dumps, in the order
+/// the router records it: the preferred replica (killed) sheds attempt 0
+/// (retained as "shed"), that shed trips its breaker (re-retained, longer
+/// view, first label kept), attempt 1 lands on the sibling replica as a
+/// failover, the router admits, and the client gets its response.
+void record_failover(FlightRecorder& fr) {
+  fr.record_at(10, FlightEventKind::kShed, ctx_of(3, 0, 0, 0), "shutdown");
+  fr.retain(3, "shed");
+  fr.record_at(11, FlightEventKind::kBreakerTrip, ctx_of(3, 0, 0, 0),
+               "shutdown");
+  fr.retain(3, "breaker_trip");
+  fr.record_at(12, FlightEventKind::kDispatch, ctx_of(3, 1, 0, 1), "primary",
+               3);
+  fr.record_at(13, FlightEventKind::kFailover, ctx_of(3, 1, 0, 1),
                "in_shard");
-  fr.record_at(31, FlightEventKind::kDispatch, ctx_of(3, 1, 0, 1), "hedge",
-               2);
-  fr.record_at(40, FlightEventKind::kHedgeWon, ctx_of(3, 1, 0, 1));
-  fr.record_at(41, FlightEventKind::kRespond, ctx_of(3), "completed", 31);
-  fr.retain(3, "hedge_won");
+  fr.record_at(14, FlightEventKind::kAdmit, ctx_of(3), "primary");
+  fr.record_at(45, FlightEventKind::kRespond, ctx_of(3), "completed", 31);
 }
 
-TEST(FlightRecorder, GoldenHedgeWinJsonl) {
+TEST(FlightRecorder, GoldenFailoverJsonl) {
   FlightRecorder fr(64, 4);
-  record_hedge_win(fr);
+  record_failover(fr);
   std::ostringstream os;
   write_flight_jsonl(fr, os);
 
+  // The retained timeline is the view at the breaker trip: retention
+  // copies what the ring holds for the request at that moment.
   const std::string expected =
       "{\"type\":\"header\",\"schema\":\"sysrle.flight.v1\",\"capacity\":64,"
       "\"recorded\":6,\"dropped\":0,\"retained\":1,\"retain_dropped\":0}\n"
-      "{\"type\":\"event\",\"seq\":0,\"ts_us\":10,\"kind\":\"admit\","
+      "{\"type\":\"event\",\"seq\":0,\"ts_us\":10,\"kind\":\"shed\","
+      "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
+      "\"replica\":0,\"detail\":\"shutdown\",\"arg\":0}\n"
+      "{\"type\":\"event\",\"seq\":1,\"ts_us\":11,\"kind\":\"breaker_trip\","
+      "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
+      "\"replica\":0,\"detail\":\"shutdown\",\"arg\":0}\n"
+      "{\"type\":\"event\",\"seq\":2,\"ts_us\":12,\"kind\":\"dispatch\","
+      "\"active\":true,\"request_id\":3,\"attempt\":1,\"shard\":0,"
+      "\"replica\":1,\"detail\":\"primary\",\"arg\":3}\n"
+      "{\"type\":\"event\",\"seq\":3,\"ts_us\":13,\"kind\":\"failover\","
+      "\"active\":true,\"request_id\":3,\"attempt\":1,\"shard\":0,"
+      "\"replica\":1,\"detail\":\"in_shard\",\"arg\":0}\n"
+      "{\"type\":\"event\",\"seq\":4,\"ts_us\":14,\"kind\":\"admit\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":-1,"
       "\"replica\":-1,\"detail\":\"primary\",\"arg\":0}\n"
-      "{\"type\":\"event\",\"seq\":1,\"ts_us\":20,\"kind\":\"dispatch\","
-      "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
-      "\"replica\":0,\"detail\":\"primary\",\"arg\":1}\n"
-      "{\"type\":\"event\",\"seq\":2,\"ts_us\":30,\"kind\":\"hedge_fired\","
-      "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
-      "\"replica\":0,\"detail\":\"in_shard\",\"arg\":0}\n"
-      "{\"type\":\"event\",\"seq\":3,\"ts_us\":31,\"kind\":\"dispatch\","
-      "\"active\":true,\"request_id\":3,\"attempt\":1,\"shard\":0,"
-      "\"replica\":1,\"detail\":\"hedge\",\"arg\":2}\n"
-      "{\"type\":\"event\",\"seq\":4,\"ts_us\":40,\"kind\":\"hedge_won\","
-      "\"active\":true,\"request_id\":3,\"attempt\":1,\"shard\":0,"
-      "\"replica\":1,\"detail\":\"\",\"arg\":0}\n"
-      "{\"type\":\"event\",\"seq\":5,\"ts_us\":41,\"kind\":\"respond\","
+      "{\"type\":\"event\",\"seq\":5,\"ts_us\":45,\"kind\":\"respond\","
       "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":-1,"
       "\"replica\":-1,\"detail\":\"completed\",\"arg\":31}\n"
-      "{\"type\":\"retained\",\"request_id\":3,\"anomaly\":\"hedge_won\","
-      "\"events\":[{\"seq\":0,\"ts_us\":10,\"kind\":\"admit\","
-      "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":-1,"
-      "\"replica\":-1,\"detail\":\"primary\",\"arg\":0},"
-      "{\"seq\":1,\"ts_us\":20,\"kind\":\"dispatch\",\"active\":true,"
+      "{\"type\":\"retained\",\"request_id\":3,\"anomaly\":\"shed\","
+      "\"events\":[{\"seq\":0,\"ts_us\":10,\"kind\":\"shed\","
+      "\"active\":true,\"request_id\":3,\"attempt\":0,\"shard\":0,"
+      "\"replica\":0,\"detail\":\"shutdown\",\"arg\":0},"
+      "{\"seq\":1,\"ts_us\":11,\"kind\":\"breaker_trip\",\"active\":true,"
       "\"request_id\":3,\"attempt\":0,\"shard\":0,\"replica\":0,"
-      "\"detail\":\"primary\",\"arg\":1},"
-      "{\"seq\":2,\"ts_us\":30,\"kind\":\"hedge_fired\",\"active\":true,"
-      "\"request_id\":3,\"attempt\":0,\"shard\":0,\"replica\":0,"
-      "\"detail\":\"in_shard\",\"arg\":0},"
-      "{\"seq\":3,\"ts_us\":31,\"kind\":\"dispatch\",\"active\":true,"
-      "\"request_id\":3,\"attempt\":1,\"shard\":0,\"replica\":1,"
-      "\"detail\":\"hedge\",\"arg\":2},"
-      "{\"seq\":4,\"ts_us\":40,\"kind\":\"hedge_won\",\"active\":true,"
-      "\"request_id\":3,\"attempt\":1,\"shard\":0,\"replica\":1,"
-      "\"detail\":\"\",\"arg\":0},"
-      "{\"seq\":5,\"ts_us\":41,\"kind\":\"respond\",\"active\":true,"
-      "\"request_id\":3,\"attempt\":0,\"shard\":-1,\"replica\":-1,"
-      "\"detail\":\"completed\",\"arg\":31}]}\n";
+      "\"detail\":\"shutdown\",\"arg\":0}]}\n";
   EXPECT_EQ(os.str(), expected);
+}
+
+TEST(FlightRecorder, GoldenFailoverChromeTrace) {
+  FlightRecorder fr(64);
+  record_failover(fr);
+  std::ostringstream os;
+  write_flight_chrome_trace(fr, os);
+
+  const JsonValue root = parse_json(os.str());
+  EXPECT_EQ(root.at("otherData").at("schema").string, "sysrle.flight.v1");
+  EXPECT_DOUBLE_EQ(root.at("otherData").at("recorded").number, 6.0);
+
+  // One instant per event on its lane — tid 1 is shard 0 replica 0, tid 2
+  // shard 0 replica 1, tid 0 the unrouted client — so the failover reads as
+  // the request moving from the killed replica's lane to its sibling's.
+  // Only the process-name metadata event rides along; there are no flows.
+  std::vector<std::string> lines;
+  for (const JsonValue& e : root.at("traceEvents").array) {
+    if (e.at("ph").string == "M") continue;
+    EXPECT_EQ(e.at("ph").string, "i");
+    EXPECT_EQ(e.at("cat").string, "flight");
+    const JsonValue& args = e.at("args");
+    EXPECT_DOUBLE_EQ(args.at("request_id").number, 3.0);
+    std::ostringstream line;
+    line << e.at("name").string << " tid=" << e.at("tid").number
+         << " ts=" << e.at("ts").number << " seq=" << args.at("seq").number
+         << " attempt=" << args.at("attempt").number << " detail="
+         << args.at("detail").string << " arg=" << args.at("arg").number;
+    lines.push_back(line.str());
+  }
+  const std::vector<std::string> expected = {
+      "shed tid=1 ts=10 seq=0 attempt=0 detail=shutdown arg=0",
+      "breaker_trip tid=1 ts=11 seq=1 attempt=0 detail=shutdown arg=0",
+      "dispatch tid=2 ts=12 seq=2 attempt=1 detail=primary arg=3",
+      "failover tid=2 ts=13 seq=3 attempt=1 detail=in_shard arg=0",
+      "admit tid=0 ts=14 seq=4 attempt=0 detail=primary arg=0",
+      "respond tid=0 ts=45 seq=5 attempt=0 detail=completed arg=31",
+  };
+  EXPECT_EQ(lines, expected);
 }
 
 TEST(FlightRecorder, JsonlLinesParseIndividually) {
   FlightRecorder fr(64);
-  record_hedge_win(fr);
+  record_failover(fr);
   std::ostringstream os;
   write_flight_jsonl(fr, os);
 
@@ -272,39 +305,6 @@ TEST(FlightRecorder, JsonlLinesParseIndividually) {
   }
   EXPECT_EQ(events, 6u);
   EXPECT_EQ(retained, 1u);
-}
-
-TEST(FlightRecorder, ChromeTraceLinksHedgeWithFlowEvents) {
-  FlightRecorder fr(64);
-  record_hedge_win(fr);
-  std::ostringstream os;
-  write_flight_chrome_trace(fr, os);
-  const JsonValue root = parse_json(os.str());
-
-  const JsonValue& events = root.at("traceEvents");
-  std::size_t instants = 0;
-  bool flow_start = false, flow_end = false;
-  for (const JsonValue& e : events.array) {
-    const std::string ph = e.at("ph").string;
-    if (ph == "i") {
-      ++instants;
-      EXPECT_EQ(e.at("cat").string, "flight");
-      EXPECT_DOUBLE_EQ(e.at("args").at("request_id").number, 3.0);
-    } else if (ph == "s") {
-      flow_start = true;
-      EXPECT_DOUBLE_EQ(e.at("id").number, 3.0);
-      // The hedge fired from the primary's lane (shard 0, replica 0).
-      EXPECT_DOUBLE_EQ(e.at("tid").number, 1.0);
-    } else if (ph == "f") {
-      flow_end = true;
-      EXPECT_EQ(e.at("bp").string, "e");
-      // ... and resolved on the hedge's lane (shard 0, replica 1).
-      EXPECT_DOUBLE_EQ(e.at("tid").number, 2.0);
-    }
-  }
-  EXPECT_EQ(instants, 6u);
-  EXPECT_TRUE(flow_start);
-  EXPECT_TRUE(flow_end);
 }
 
 TEST(FlightRecorder, EmptyRecorderExportsHeaderOnly) {

@@ -47,21 +47,15 @@ TEST(ReplicaSet, PreferenceSpreadsKeysAcrossReplicas) {
   EXPECT_EQ(firsts.size(), 3u);
 }
 
-TEST(ReplicaSet, PickSkipsExcludedAndQuarantinedReplicas) {
+TEST(ReplicaSet, PickSkipsQuarantinedReplicas) {
   ReplicaSet set(2, small_config(2), null_completions());
   const std::uint64_t key = 7;
   const std::vector<std::size_t> order = set.preference(key);
 
-  // Exclusion: the hedge must land on the other replica.
-  auto picked = set.pick(key, 0, order.front());
-  ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(*picked, order[1]);
-  set.release_probe(*picked);  // pair the pick (no work was sent)
-
   // Trip the preferred replica's breaker; pick now avoids it.
   for (int i = 0; i < 3; ++i) set.record_failure(order.front(), 0);
   EXPECT_EQ(set.breaker_state(order.front()), BreakerState::kOpen);
-  picked = set.pick(key, 1, SIZE_MAX);
+  const auto picked = set.pick(key, 1);
   ASSERT_TRUE(picked.has_value());
   EXPECT_EQ(*picked, order[1]);
   set.release_probe(*picked);

@@ -1,7 +1,7 @@
-// Tests for ShardRouter: routing, failover across killed replicas, hedged
-// requests (fired / won / suppressed), in-flight dedup edge cases (waiter
-// deadlines and keep_diff, promotion, bit-identical fan-out), the result
-// cache, degraded mode, and the zero-silent-drops accounting identity.
+// Tests for ShardRouter: routing, failover across killed replicas (and its
+// retained flight timeline), in-flight dedup edge cases (waiter deadlines
+// and keep_diff, promotion, bit-identical fan-out), the result cache,
+// degraded mode, and the zero-silent-drops accounting identity.
 
 #include "service/shard_router.hpp"
 
@@ -65,8 +65,8 @@ void expect_correct_diff(const ServiceResponse& r, const Workload& w) {
 class Collector {
  public:
   /// Blocks (bounded) until `n` responses have been delivered — used before
-  /// drain() in tests whose asynchronous machinery (hedge timer, waiter
-  /// promotion) must run against a live router, not a draining one.
+  /// drain() in tests whose asynchronous machinery (waiter promotion) must
+  /// run against a live router, not a draining one.
   void wait_for(std::size_t n) const {
     for (int i = 0; i < 5000; ++i) {
       {
@@ -104,13 +104,11 @@ class Collector {
   std::multimap<std::uint64_t, ServiceResponse> by_id_;
 };
 
-RouterConfig small_router(std::size_t shards, std::size_t replicas,
-                          bool hedge_enabled = false) {
+RouterConfig small_router(std::size_t shards, std::size_t replicas) {
   RouterConfig cfg;
   cfg.shards = shards;
   cfg.replicas = replicas;
   cfg.replica_service.workers = 1;
-  cfg.hedge.enabled = hedge_enabled;
   return cfg;
 }
 
@@ -367,121 +365,59 @@ TEST(ShardRouter, DegradedModeShedsBatchTypedAndFailsOverInteractive) {
   expect_correct_diff(r, w);
 }
 
-TEST(ShardRouter, HedgeFiresToASecondReplicaAndOneResponseWins) {
-  Collector collector;
-  RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
-  cfg.hedge.fixed_delay_us = 2000;
-  ShardRouter router(cfg, collector.callback());
-
-  const Workload w = make_workload(21, /*rows=*/4, /*width=*/128);
-  ServiceRequest req = make_request(w, 1, Priority::kInteractive);
-  // ~40 ms of engine time per dispatch: the 2 ms hedge delay always lapses
-  // while the primary is mid-image.
-  req.engine_override = [](const RleRow& a, const RleRow& b,
-                           SystolicCounters&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return xor_rows(a, b);
-  };
-  ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
-  // Draining joins the hedge timer; wait for the winner first so the 2 ms
-  // hedge delay elapses against a live router.
-  collector.wait_for(1);
-  router.drain();
-
-  const RouterStats st = router.stats();
-  EXPECT_EQ(st.hedges_fired, 1u);
-  EXPECT_EQ(st.hedges_won + st.hedges_lost, 1u);
-  EXPECT_EQ(st.completed, 1u);
-  EXPECT_TRUE(st.accounted());
-  EXPECT_EQ(collector.only(1).status, ServiceResponse::Status::kCompleted);
-  EXPECT_EQ(collector.responses().size(), 1u) << "loser must be swallowed";
-}
-
-TEST(ShardRouter, HedgeSuppressedWhenBudgetIsExhausted) {
-  Collector collector;
-  RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
-  cfg.hedge.fixed_delay_us = 1000;
-  cfg.hedge.budget.initial_tokens = 0.0;
-  cfg.hedge.budget.tokens_per_success = 0.0;
-  ShardRouter router(cfg, collector.callback());
-
-  const Workload w = make_workload(22, /*rows=*/2, /*width=*/128);
-  ServiceRequest req = make_request(w, 1, Priority::kInteractive);
-  req.engine_override = [](const RleRow& a, const RleRow& b,
-                           SystolicCounters&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return xor_rows(a, b);
-  };
-  ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
-  collector.wait_for(1);
-  router.drain();
-
-  const RouterStats st = router.stats();
-  EXPECT_EQ(st.hedges_fired, 0u);
-  EXPECT_EQ(st.hedges_suppressed, 1u);
-  EXPECT_EQ(st.completed, 1u);
-  EXPECT_TRUE(st.accounted());
-}
-
-TEST(ShardRouter, HedgeWinLeavesARetainedFlightTimeline) {
-  // End-to-end flight-recorder integration: force a deterministic hedge win
-  // (the primary's replica is pinned by an engine that never finishes until
-  // the hedge has won) and assert the recorder retained the full story —
-  // admit, both dispatches, hedge_fired, hedge_won, respond — keyed by the
-  // client's request id.
+TEST(ShardRouter, FailoverLeavesARetainedFlightTimeline) {
+  // End-to-end flight-recorder integration: a killed replica sheds every
+  // submission until the router's breaker quarantines it.  The request
+  // whose shed trips the breaker must reconstruct from the ring under its
+  // client id — the shed attempt, the failover dispatch that landed, and
+  // the client respond — and its timeline must be anomaly-retained.
   FlightRecorder flight(1 << 10);
   set_flight_recorder(&flight);
 
   Collector collector;
-  RouterConfig cfg = small_router(1, 2, /*hedge_enabled=*/true);
-  cfg.hedge.fixed_delay_us = 2000;
   {
-    ShardRouter router(cfg, collector.callback());
-    const Workload w = make_workload(23, /*rows=*/4, /*width=*/128);
-    ServiceRequest req = make_request(w, 77, Priority::kInteractive);
-    std::atomic<int> dispatches{0};
-    req.engine_override = [&dispatches](const RleRow& a, const RleRow& b,
-                                        SystolicCounters&) {
-      // First dispatch (the primary) stalls each row; the hedge runs clean
-      // and wins.
-      if (dispatches.fetch_add(1) == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      return xor_rows(a, b);
-    };
-    ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
-    collector.wait_for(1);
+    ShardRouter router(small_router(1, 2), collector.callback());
+    router.kill_replica(0, 0);
+    for (std::uint64_t i = 0; i < 8; ++i)
+      ASSERT_FALSE(router.try_submit(make_request(make_workload(200 + i), i))
+                       .has_value());
     router.drain();
 
     const RouterStats st = router.stats();
-    ASSERT_EQ(st.hedges_fired, 1u);
-    ASSERT_EQ(st.hedges_won, 1u);
+    ASSERT_GE(st.failovers, 3u);
+    EXPECT_EQ(st.completed, 8u);
     EXPECT_TRUE(st.accounted());
+    ASSERT_EQ(router.replica_breaker_state(0, 0), BreakerState::kOpen);
   }
   set_flight_recorder(nullptr);
 
-  // The ring reconstructs the request end to end under the client id.
-  const std::vector<FlightEvent> timeline = flight.timeline(77);
-  ASSERT_FALSE(timeline.empty());
+  // The breaker trip was retained under the id of the request that tripped
+  // it.  Its first anomaly — and so its label — is the killed replica's
+  // shed; the trip re-retains the longer view.
+  std::uint64_t tripped = UINT64_MAX;
+  for (const FlightRecorder::RetainedTimeline& t : flight.retained())
+    for (const FlightEvent& e : t.events)
+      if (e.kind == FlightEventKind::kBreakerTrip) tripped = t.request_id;
+  ASSERT_NE(tripped, UINT64_MAX) << "no retained breaker_trip timeline";
+
   int dispatches_seen = 0;
-  bool fired = false, won = false, responded = false;
-  std::uint32_t hedge_attempt = 0;
-  for (const FlightEvent& e : timeline) {
+  bool trip = false, failover = false, responded = false;
+  for (const FlightEvent& e : flight.timeline(tripped)) {
     switch (e.kind) {
+      case FlightEventKind::kBreakerTrip:
+        trip = true;
+        EXPECT_EQ(e.ctx.replica, 0) << "the killed replica tripped";
+        break;
       case FlightEventKind::kDispatch:
         ++dispatches_seen;
         break;
-      case FlightEventKind::kHedgeFired:
-        fired = true;
-        break;
-      case FlightEventKind::kHedgeWon:
-        won = true;
-        hedge_attempt = e.ctx.attempt;
-        EXPECT_GE(e.ctx.shard, 0);
-        EXPECT_GE(e.ctx.replica, 0);
+      case FlightEventKind::kFailover:
+        failover = true;
+        EXPECT_GE(e.ctx.attempt, 1u) << "the shed attempt was ordinal 0";
+        EXPECT_EQ(e.ctx.replica, 1);
         break;
       case FlightEventKind::kRespond:
-        // Backend-level responds (routed ctx) include the cancelled loser's
-        // rejection; the client-visible delivery is the unrouted one.
+        // The client-visible delivery is the unrouted respond.
         if (e.ctx.shard < 0) {
           responded = true;
           EXPECT_STREQ(e.detail, "completed");
@@ -491,25 +427,15 @@ TEST(ShardRouter, HedgeWinLeavesARetainedFlightTimeline) {
         break;
     }
   }
-  EXPECT_EQ(dispatches_seen, 2) << "primary + hedge";
-  EXPECT_TRUE(fired);
-  EXPECT_TRUE(won);
+  EXPECT_TRUE(trip);
+  EXPECT_TRUE(failover);
   EXPECT_TRUE(responded);
-  EXPECT_GE(hedge_attempt, 1u) << "the hedge is never dispatch ordinal 0";
-
-  // ... and the win was anomaly-retained, surviving any later ring wrap.
-  bool retained_win = false;
-  for (const FlightRecorder::RetainedTimeline& t : flight.retained())
-    if (t.request_id == 77 && t.anomaly == "hedge_won" && !t.events.empty())
-      retained_win = true;
-  EXPECT_TRUE(retained_win);
+  EXPECT_EQ(dispatches_seen, 1) << "one backend dispatch per call";
 }
 
 TEST(ShardRouter, MixedBurstWithEverythingEnabledStaysAccounted) {
   Collector collector;
-  RouterConfig cfg = small_router(2, 2, /*hedge_enabled=*/true);
-  cfg.hedge.fixed_delay_us = 500;
-  ShardRouter router(cfg, collector.callback());
+  ShardRouter router(small_router(2, 2), collector.callback());
 
   // A small pool of pairs (duplicates force coalescing), mixed priorities,
   // some tight deadlines, and a mid-burst replica kill.
@@ -536,9 +462,14 @@ TEST(ShardRouter, MixedBurstWithEverythingEnabledStaysAccounted) {
   EXPECT_EQ(collector.responses().size(), st.responses());
 
   // Backend-level accounting survives too: every backend admission got a
-  // backend response (completed, failed, or typed rejection).
+  // backend response (completed, failed, or typed rejection), and each
+  // dispatched call — an admission that neither joined another nor hit the
+  // cache, or a promoted waiter — is exactly one backend admission.
   const ServiceStats bs = router.backend_stats();
   EXPECT_EQ(bs.responses(), bs.admitted);
+  EXPECT_EQ(bs.cancelled, 0u);
+  EXPECT_EQ(bs.admitted, st.admitted - st.coalesced - st.cache_hits +
+                             st.coalesce_promotions);
 }
 
 // ------------------------------------------------------------- by handle
