@@ -251,6 +251,7 @@ void write_parallelism_members(JsonWriter& w, const ImageDiffResult& r) {
   w.begin_object();
   w.member("picked_systolic", r.adaptive_systolic_rows);
   w.member("picked_sequential", r.adaptive_sequential_rows);
+  w.member("modelled_iterations", r.adaptive_modelled_iterations);
   w.end_object();
 }
 
@@ -313,7 +314,8 @@ int cmd_diff(ArgParser& args, std::ostream& out) {
     if (options.engine == DiffEngine::kAdaptive)
       out << "adaptive mix: " << result.adaptive_systolic_rows
           << " systolic, " << result.adaptive_sequential_rows
-          << " sequential\n";
+          << " sequential, " << result.adaptive_modelled_iterations
+          << " modelled systolic iterations\n";
   }
   return 0;
 }
@@ -1619,7 +1621,8 @@ void print_help(std::ostream& out) {
          "                    knob (--simd wins).  Unsupported levels are a\n"
          "                    usage error, never a silent downgrade.\n\n"
          "engines: systolic | bus | sequential | sweep | pixel |\n"
-         "         adaptive (per-row systolic/sequential by run-count shape);\n"
+         "         adaptive (runs sequential; reports each row's theta route\n"
+         "         and the modelled systolic iterations);\n"
          "         systolic is the default for diff/inspect/perf, sequential\n"
          "         (the word-parallel host fast path) for serve\n"
          "threads: --threads N forces N row workers (N >= 1); omitted or 0\n"

@@ -33,7 +33,8 @@ namespace sysrle {
 /// dissimilarity shrinks by the same factor: θ = 0.5 / 3.2 ≈ 0.15.  The
 /// sweep also shows the *simulator* never beats the engine in host
 /// wall-clock (it pays O(k) cell setup per row) — θ is a hardware-model
-/// knob, and the sweep's wall-clock series documents that honestly.
+/// knob: DiffEngine::kAdaptive runs the host engine on every row and only
+/// reports the route θ picks and the modelled systolic iterations.
 inline constexpr double kDefaultSimilarityThreshold = 0.15;
 
 /// The O(1) tier: everything the model can say from the run counts alone.
@@ -79,7 +80,8 @@ struct DiffCostMeasurement {
 /// Builds the measurement for one row pair by running the sequential merge.
 DiffCostMeasurement measure_costs(const RleRow& a, const RleRow& b);
 
-/// Which engine the adaptive dispatcher picked for one row.
+/// Which engine the adaptive model routes one row to.  Reported, not
+/// executed: kAdaptive runs the host engine on every row.
 enum class AdaptiveRoute {
   kSystolic,    ///< similar rows: the machine finishes in ~|k1 - k2| cycles
   kSequential,  ///< dissimilar rows: the merge's k1 + k2 is the better deal
@@ -96,7 +98,8 @@ enum class AdaptiveRoute {
 /// (boundary inclusive), and to the merge otherwise.  Two empty rows are
 /// trivially similar.  The default threshold sends a row sequential once
 /// the run counts diverge past the measured engine-crossover ratio — see
-/// kDefaultSimilarityThreshold above.
+/// kDefaultSimilarityThreshold above.  kAdaptive reports this route and,
+/// for array rows, run_count_difference() as the modelled iterations.
 AdaptiveRoute choose_adaptive_route(
     std::uint64_t k1, std::uint64_t k2,
     double similarity_threshold = kDefaultSimilarityThreshold);

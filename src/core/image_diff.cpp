@@ -48,19 +48,7 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
                  const ImageDiffOptions& options,
                  SystolicDiffMachine& machine) {
   RowDiff out;
-  DiffEngine engine = options.engine;
-  if (engine == DiffEngine::kAdaptive) {
-    // Route on the cheap half of the cost model only (k1, k2, |k1 - k2|);
-    // the decision depends on nothing but the input rows, so the mix is
-    // identical at every thread count.
-    out.adaptive_route =
-        choose_adaptive_route(a.run_count(), b.run_count(),
-                              options.adaptive_similarity_threshold);
-    engine = *out.adaptive_route == AdaptiveRoute::kSystolic
-                 ? DiffEngine::kSystolic
-                 : DiffEngine::kSequentialMerge;
-  }
-  switch (engine) {
+  switch (options.engine) {
     case DiffEngine::kSystolic: {
       SystolicConfig cfg;
       cfg.check_invariants = options.check_invariants;
@@ -79,6 +67,19 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
       out.counters = r.counters;
       break;
     }
+    case DiffEngine::kAdaptive: {
+      // θ is a hardware-model knob: the route it picks and the Figure-5
+      // estimate of the array's iterations are reported, while the row runs
+      // on the host fast path, which the simulator never beats in
+      // wall-clock (BENCH_pr10.json).  Both depend on nothing but the run
+      // counts, so they are identical at every thread count.
+      const DiffCostEstimate model = estimate_costs(a, b);
+      out.adaptive_route = choose_adaptive_route(
+          model.k1, model.k2, options.adaptive_similarity_threshold);
+      if (*out.adaptive_route == AdaptiveRoute::kSystolic)
+        out.adaptive_modelled_iterations = model.run_count_difference();
+      [[fallthrough]];
+    }
     case DiffEngine::kSequentialMerge: {
       SequentialDiffResult r =
           sequential_row(a, b, options.canonicalize_output);
@@ -96,8 +97,6 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
       out.output = pixel_parallel_xor(a, b, extent).output;  // canonical
       break;
     }
-    case DiffEngine::kAdaptive:  // resolved to a fixed engine above
-      break;
   }
   return out;
 }
@@ -196,6 +195,7 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
       ++result.adaptive_systolic_rows;
     if (o.adaptive_route == AdaptiveRoute::kSequential)
       ++result.adaptive_sequential_rows;
+    result.adaptive_modelled_iterations += o.adaptive_modelled_iterations;
     result.diff.set_row(y, std::move(o.output));
   }
   result.threads_used = std::max<std::uint64_t>(stats.threads_used(), 1);

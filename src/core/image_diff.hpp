@@ -31,8 +31,10 @@ enum class DiffEngine {
   kSequentialMerge,  ///< the paper's sequential comparator
   kParitySweep,      ///< library fast path (rle/ops.hpp xor_rows)
   kPixelParallel,    ///< decompress + word-parallel XOR + recompress
-  kAdaptive,         ///< per-row systolic/sequential dispatch on the cheap
-                     ///< half of the §5 cost model (see core/cost_model.hpp)
+  kAdaptive,         ///< runs kSequentialMerge on every row and reports
+                     ///< the route θ picks on the cheap half of the §5
+                     ///< cost model plus the modelled systolic iterations
+                     ///< (a hardware model; see core/cost_model.hpp)
 };
 
 /// Human-readable engine name (for bench output).
@@ -64,10 +66,11 @@ struct ImageDiffOptions {
   /// Row-loop runtime (see ParallelBackend).
   ParallelBackend backend = ParallelBackend::kNative;
 
-  /// kAdaptive routing knob: a row goes systolic when
-  /// |k1 - k2| <= threshold * (k1 + k2), sequential otherwise.  The default
-  /// is the θ re-calibrated against the word-parallel sequential engine
-  /// (see cost_model.hpp).
+  /// kAdaptive routing knob: θ routes a row to the modelled array when
+  /// |k1 - k2| <= threshold * (k1 + k2), sequential otherwise.  It changes
+  /// only what is reported, never what runs.  The default is the θ
+  /// re-calibrated against the word-parallel sequential engine (see
+  /// cost_model.hpp).
   double adaptive_similarity_threshold = kDefaultSimilarityThreshold;
 };
 
@@ -79,9 +82,13 @@ struct ImageDiffResult {
   cycle_t max_row_iterations = 0;  ///< worst row (array latency if machines
                                    ///< process rows in parallel)
 
-  /// kAdaptive dispatch mix (both zero for fixed engines).
+  /// kAdaptive route mix: θ's per-row choice (both zero for fixed engines).
   std::uint64_t adaptive_systolic_rows = 0;
   std::uint64_t adaptive_sequential_rows = 0;
+  /// kAdaptive only: the Figure-5 estimate |k1 - k2| summed over the rows
+  /// θ routes to the array.  A model, not a count — no machine ran, so
+  /// `counters` and `max_row_iterations` stay zero.
+  std::uint64_t adaptive_modelled_iterations = 0;
 
   /// Effective parallelism of this call: participants that processed at
   /// least one row, and rows processed off the calling thread.  A silently
@@ -95,8 +102,11 @@ struct RowDiff {
   RleRow output;
   SystolicCounters counters;                ///< machine activity (systolic/bus)
   std::uint64_t sequential_iterations = 0;  ///< merge or word iterations
-  /// kAdaptive only: the engine the row was routed to.
+  /// kAdaptive only: the route θ picked (the row ran on kSequentialMerge).
   std::optional<AdaptiveRoute> adaptive_route;
+  /// kAdaptive only: modelled systolic iterations, |k1 - k2| when θ routes
+  /// the row to the array and 0 otherwise.  A model, not a count.
+  std::uint64_t adaptive_modelled_iterations = 0;
 };
 
 /// The single row-engine dispatch shared by image_diff, StreamDiffer and

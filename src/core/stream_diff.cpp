@@ -119,6 +119,11 @@ bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
   const SystolicCounters& row_counters = row.counters;
   ++summary_.rows;
   summary_.sequential_iterations += row.sequential_iterations;
+  if (row.adaptive_route == AdaptiveRoute::kSystolic)
+    ++summary_.adaptive_systolic_rows;
+  if (row.adaptive_route == AdaptiveRoute::kSequential)
+    ++summary_.adaptive_sequential_rows;
+  summary_.adaptive_modelled_iterations += row.adaptive_modelled_iterations;
   // Saturating: hostile near-len_t-max runs must not overflow the total.
   const len_t pixels = row.output.foreground_pixels();
   summary_.difference_pixels =

@@ -36,8 +36,13 @@ struct StreamSummary {
   /// into the shadow registers while the current row computes.
   cycle_t pipelined_cycles = 0;
   /// Merge-loop iterations by the sequential engine (the kSequentialMerge
-  /// engine, adaptive rows routed to the merge, and fallback recomputes).
+  /// and kAdaptive engines, and fallback recomputes).
   std::uint64_t sequential_iterations = 0;
+  /// kAdaptive route mix and modelled systolic iterations, as in
+  /// ImageDiffResult (all zero for fixed engines).
+  std::uint64_t adaptive_systolic_rows = 0;
+  std::uint64_t adaptive_sequential_rows = 0;
+  std::uint64_t adaptive_modelled_iterations = 0;
   /// Rows recomputed by the sequential fallback after the engine threw.
   std::uint64_t fallback_rows = 0;
   /// Invalid input rows degraded to an empty difference row.
@@ -130,8 +135,8 @@ class StreamDiffer {
   DeadlineCheck deadline_expired_;
   cycle_t load_cycles_per_run_;
   StreamSummary summary_;
-  /// Machine workspace recycled across rows for the systolic and adaptive
-  /// engines (the stream is serial, so one workspace suffices).
+  /// Machine workspace recycled across rows for the systolic engine (the
+  /// stream is serial, so one workspace suffices).
   SystolicDiffMachine machine_workspace_;
   /// Wall-clock time of the first pushed row; anchors the rows/sec gauge
   /// when telemetry is enabled.  Unused (never read) otherwise.

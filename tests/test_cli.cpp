@@ -14,6 +14,7 @@
 #include "baseline/simd_dispatch.hpp"
 #include "bitmap/convert.hpp"
 #include "bitmap/pbm_io.hpp"
+#include "core/image_diff.hpp"
 #include "rle/serialize.hpp"
 #include "test_util.hpp"
 #include "workload/generator.hpp"
@@ -159,6 +160,40 @@ TEST_F(CliFixture, DiffJsonReportsParallelismAndEngineMix) {
   EXPECT_DOUBLE_EQ(mix.at("picked_systolic").number +
                        mix.at("picked_sequential").number,
                    10.0);  // fixture images are 10 rows tall
+}
+
+TEST_F(CliFixture, DiffReportsAdaptiveModelledIterations) {
+  // kAdaptive runs the host engine: the JSON carries the modelled array
+  // iterations next to zero machine counters, and --stats prints them on
+  // the adaptive mix line.
+  ImageDiffOptions options;
+  options.engine = DiffEngine::kAdaptive;
+  const ImageDiffResult expected = image_diff(img_a_, img_b_, options);
+  ASSERT_GT(expected.adaptive_modelled_iterations, 0u);
+
+  const CliRun r = cli({"diff", path_a_, path_b_, "--json", "--engine",
+                        "adaptive", "--canonical"});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  const sysrle::testing::JsonValue root = sysrle::testing::parse_json(r.out);
+  const sysrle::testing::JsonValue& mix = root.at("adaptive");
+  EXPECT_DOUBLE_EQ(mix.at("modelled_iterations").number,
+                   static_cast<double>(expected.adaptive_modelled_iterations));
+  EXPECT_DOUBLE_EQ(mix.at("picked_systolic").number,
+                   static_cast<double>(expected.adaptive_systolic_rows));
+  EXPECT_DOUBLE_EQ(root.at("max_row_iterations").number, 0.0);
+  EXPECT_DOUBLE_EQ(root.at("counters").at("iterations").number, 0.0);
+
+  const CliRun stats = cli({"diff", path_a_, path_b_, "--stats", "--engine",
+                            "adaptive"});
+  ASSERT_EQ(stats.exit_code, 0) << stats.err;
+  const std::string line =
+      "adaptive mix: " + std::to_string(expected.adaptive_systolic_rows) +
+      " systolic, " + std::to_string(expected.adaptive_sequential_rows) +
+      " sequential, " +
+      std::to_string(expected.adaptive_modelled_iterations) +
+      " modelled systolic iterations";
+  EXPECT_NE(stats.out.find(line), std::string::npos) << stats.out;
+  EXPECT_EQ(stats.out.find("machine:"), std::string::npos) << stats.out;
 }
 
 TEST_F(CliFixture, DiffThreadedOutputMatchesSerial) {

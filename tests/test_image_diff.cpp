@@ -132,6 +132,8 @@ TEST(ImageDiff, ParallelMatchesSerialBitForBit) {
     EXPECT_EQ(rp.sequential_iterations, rs.sequential_iterations);
     EXPECT_EQ(rp.adaptive_systolic_rows, rs.adaptive_systolic_rows);
     EXPECT_EQ(rp.adaptive_sequential_rows, rs.adaptive_sequential_rows);
+    EXPECT_EQ(rp.adaptive_modelled_iterations,
+              rs.adaptive_modelled_iterations);
   }
 }
 
@@ -185,16 +187,72 @@ TEST(ImageDiff, ConcurrentCallsShareTheGlobalPool) {
 
 TEST(ImageDiff, AdaptiveRoutesSimilarRowsToSystolic) {
   // Identical images: every row pair has k1 == k2, the most similar shape
-  // possible — the adaptive engine must pick the systolic machine for every
-  // non-trivial row and never fall back to the merge.
+  // possible — θ must route every row to the array, whose modelled
+  // iterations |k1 - k2| are all zero.  The host still runs the word
+  // engine on every row, so output and sequential work are exactly
+  // kSequentialMerge's and no machine activity is counted.
   Rng rng(806);
   const RleImage a = random_image(rng, 300, 16, 0.3);
-  ImageDiffOptions opts;
-  opts.engine = DiffEngine::kAdaptive;
-  const ImageDiffResult r = image_diff(a, a, opts);
-  EXPECT_EQ(r.adaptive_sequential_rows, 0u);
-  EXPECT_EQ(r.adaptive_systolic_rows, static_cast<std::uint64_t>(a.height()));
-  EXPECT_EQ(r.sequential_iterations, 0u);
+  for (const bool canonical : {true, false}) {
+    ImageDiffOptions opts;
+    opts.engine = DiffEngine::kAdaptive;
+    opts.canonicalize_output = canonical;
+    const ImageDiffResult r = image_diff(a, a, opts);
+    EXPECT_EQ(r.adaptive_sequential_rows, 0u);
+    EXPECT_EQ(r.adaptive_systolic_rows,
+              static_cast<std::uint64_t>(a.height()));
+    EXPECT_EQ(r.adaptive_modelled_iterations, 0u);
+    EXPECT_EQ(r.counters.iterations, 0u);  // no machine ran
+    EXPECT_EQ(r.max_row_iterations, 0u);
+
+    opts.engine = DiffEngine::kSequentialMerge;
+    const ImageDiffResult seq = image_diff(a, a, opts);
+    EXPECT_EQ(r.diff, seq.diff) << "canonical=" << canonical;
+    EXPECT_EQ(r.sequential_iterations, seq.sequential_iterations)
+        << "canonical=" << canonical;
+    EXPECT_GT(r.sequential_iterations, 0u);
+  }
+}
+
+TEST(ImageDiff, AdaptiveModelledIterationsSumArrayRowsOnly) {
+  // Hand-built rows, θ = 0.15:
+  //   row 0: k1 = 7, k2 = 6 — |1| <= 1.95, array, models 1 iteration
+  //   row 1: k1 = 0, k2 = 6 — |6| >  0.9,  merge, models nothing
+  //   row 2: k1 = 8, k2 = 7 — |1| <= 2.25, array, models 1 iteration
+  //   row 3: k1 = 2, k2 = 4 — |2| >  0.9,  merge, models nothing
+  // so the image models 2 iterations, and the route mix is 2 / 2.
+  const auto spaced = [](int runs, pos_t start) {
+    RleRow row;
+    for (int i = 0; i < runs; ++i)
+      row.push_back(sysrle::Run{start + 10 * i, 3});
+    return row;
+  };
+  RleImage a(120, 4), b(120, 4);
+  a.set_row(0, spaced(7, 0));
+  b.set_row(0, spaced(6, 1));
+  b.set_row(1, spaced(6, 2));
+  a.set_row(2, spaced(8, 0));
+  b.set_row(2, spaced(7, 5));
+  a.set_row(3, spaced(2, 40));
+  b.set_row(3, spaced(4, 0));
+
+  for (const bool canonical : {true, false}) {
+    ImageDiffOptions opts;
+    opts.engine = DiffEngine::kAdaptive;
+    opts.canonicalize_output = canonical;
+    const ImageDiffResult r = image_diff(a, b, opts);
+    EXPECT_EQ(r.adaptive_systolic_rows, 2u);
+    EXPECT_EQ(r.adaptive_sequential_rows, 2u);
+    EXPECT_EQ(r.adaptive_modelled_iterations, 2u);
+    EXPECT_EQ(r.counters.iterations, 0u);
+    EXPECT_EQ(r.max_row_iterations, 0u);
+
+    opts.engine = DiffEngine::kSequentialMerge;
+    const ImageDiffResult seq = image_diff(a, b, opts);
+    EXPECT_EQ(r.diff, seq.diff) << "canonical=" << canonical;
+    EXPECT_EQ(r.sequential_iterations, seq.sequential_iterations);
+    EXPECT_EQ(seq.adaptive_modelled_iterations, 0u);  // fixed engine
+  }
 }
 
 TEST(ImageDiff, AdaptiveRoutesDissimilarRowsToSequential) {

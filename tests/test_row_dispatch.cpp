@@ -129,33 +129,63 @@ TEST(RowDispatch, EveryEngineAndCallerMatchesOracleInBothOutputModes) {
 }
 
 TEST(RowDispatch, AdaptiveRoutesAreReportedPerRow) {
+  // kAdaptive executes kSequentialMerge on every row; θ's route and the
+  // modelled array iterations ride along as a report.
   const std::vector<std::pair<RleRow, RleRow>> pairs = row_pairs();
-  ImageDiffOptions options;
-  options.engine = DiffEngine::kAdaptive;
   SystolicDiffMachine machine;
-  std::uint64_t systolic = 0, sequential = 0;
-  for (const auto& [ra, rb] : pairs) {
-    const RowDiff row = diff_row(ra, rb, options, machine);
-    ASSERT_TRUE(row.adaptive_route.has_value());
-    if (*row.adaptive_route == AdaptiveRoute::kSystolic) {
-      ++systolic;
-      EXPECT_EQ(row.sequential_iterations, 0u);
-    } else {
-      ++sequential;
-      EXPECT_EQ(row.counters.iterations, 0u);
+  for (const bool canonical : {true, false}) {
+    ImageDiffOptions options;
+    options.engine = DiffEngine::kAdaptive;
+    options.canonicalize_output = canonical;
+    ImageDiffOptions sequential = options;
+    sequential.engine = DiffEngine::kSequentialMerge;
+    std::uint64_t systolic_rows = 0, sequential_rows = 0, modelled = 0;
+    for (const auto& [ra, rb] : pairs) {
+      const RowDiff row = diff_row(ra, rb, options, machine);
+      const RowDiff host = diff_row(ra, rb, sequential, machine);
+      const auto where = [&] {
+        return ::testing::Message() << "canonical=" << canonical
+                                    << " a=" << ra << " b=" << rb;
+      };
+      EXPECT_EQ(row.output, host.output) << where();
+      EXPECT_EQ(row.sequential_iterations, host.sequential_iterations)
+          << where();
+      EXPECT_EQ(row.counters.iterations, 0u) << where();
+      ASSERT_TRUE(row.adaptive_route.has_value()) << where();
+      const AdaptiveRoute expected =
+          choose_adaptive_route(ra.run_count(), rb.run_count(),
+                                options.adaptive_similarity_threshold);
+      EXPECT_EQ(*row.adaptive_route, expected) << where();
+      if (expected == AdaptiveRoute::kSystolic) {
+        ++systolic_rows;
+        EXPECT_EQ(row.adaptive_modelled_iterations,
+                  estimate_costs(ra, rb).run_count_difference())
+            << where();
+        modelled += row.adaptive_modelled_iterations;
+      } else {
+        ++sequential_rows;
+        EXPECT_EQ(row.adaptive_modelled_iterations, 0u) << where();
+      }
     }
+    EXPECT_GT(systolic_rows, 0u);
+    EXPECT_GT(sequential_rows, 0u);
+    EXPECT_GT(modelled, 0u);
+
+    const ImageDiffResult image =
+        image_diff(image_of(pairs, true), image_of(pairs, false), options);
+    EXPECT_EQ(image.adaptive_systolic_rows, systolic_rows);
+    EXPECT_EQ(image.adaptive_sequential_rows, sequential_rows);
+    EXPECT_EQ(image.adaptive_modelled_iterations, modelled);
+    EXPECT_EQ(image.counters.iterations, 0u);
+    EXPECT_EQ(image.max_row_iterations, 0u);
   }
-  EXPECT_GT(systolic, 0u);
-  EXPECT_GT(sequential, 0u);
 
-  const ImageDiffResult image =
-      image_diff(image_of(pairs, true), image_of(pairs, false), options);
-  EXPECT_EQ(image.adaptive_systolic_rows, systolic);
-  EXPECT_EQ(image.adaptive_sequential_rows, sequential);
-
-  options.engine = DiffEngine::kSequentialMerge;
-  EXPECT_FALSE(diff_row(pairs[1].first, pairs[1].second, options, machine)
-                   .adaptive_route.has_value());
+  ImageDiffOptions fixed;
+  fixed.engine = DiffEngine::kSequentialMerge;
+  const RowDiff row = diff_row(pairs[1].first, pairs[1].second, fixed,
+                               machine);
+  EXPECT_FALSE(row.adaptive_route.has_value());
+  EXPECT_EQ(row.adaptive_modelled_iterations, 0u);
 }
 
 TEST(RowDispatch, LibraryDefaultIsTheWordParallelSequentialEngine) {

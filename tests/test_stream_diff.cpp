@@ -119,20 +119,78 @@ TEST(StreamDiff, EnginesAgreeRowByRow) {
 }
 
 TEST(StreamDiff, AdaptiveEngineRoutesPerRowAndAccountsBothWays) {
-  // One similar pair (machine) and one empty-vs-busy pair (merge): the
-  // stream must run both engines and account each in its own column.
+  // One similar pair (k1 = 7, k2 = 6: |1| <= 0.15 * 13, so θ routes it to
+  // the array) and one empty-vs-busy pair (routed to the merge).  Both rows
+  // run on the host word engine; the summary accounts the route mix and
+  // the modelled iterations, never a machine.
+  const RleRow similar_a{{0, 3}, {10, 3}, {20, 3}, {30, 3},
+                         {40, 3}, {50, 3}, {60, 3}};
+  const RleRow similar_b{{1, 3}, {11, 3}, {21, 3}, {31, 3}, {41, 3}, {51, 3}};
+  const RleRow busy{{0, 2}, {4, 2}, {8, 2}, {12, 2}, {16, 2}, {20, 2}};
+  const std::vector<std::pair<RleRow, RleRow>> pairs = {
+      {similar_a, similar_b}, {RleRow{}, busy}};
+
+  for (const bool canonical : {true, false}) {
+    std::vector<StreamSummary> summaries;
+    std::vector<std::vector<RleRow>> outputs;
+    for (const DiffEngine engine :
+         {DiffEngine::kAdaptive, DiffEngine::kSequentialMerge}) {
+      ImageDiffOptions opts;
+      opts.engine = engine;
+      opts.canonicalize_output = canonical;
+      std::vector<RleRow> rows;
+      StreamDiffer differ(opts, [&rows](pos_t, const RleRow& d) {
+        rows.push_back(d);
+      });
+      for (const auto& [ra, rb] : pairs) differ.push_row(ra, rb);
+      summaries.push_back(differ.finish());
+      outputs.push_back(std::move(rows));
+    }
+    const StreamSummary& s = summaries[0];
+    EXPECT_EQ(s.rows, 2u);
+    EXPECT_EQ(s.adaptive_systolic_rows, 1u);    // row 0 routed to the array
+    EXPECT_EQ(s.adaptive_sequential_rows, 1u);  // row 1 routed to the merge
+    EXPECT_EQ(s.adaptive_modelled_iterations, 1u);  // |7 - 6| on row 0
+    EXPECT_EQ(s.counters.iterations, 0u);           // no machine ran
+    EXPECT_EQ(s.max_row_iterations, 0u);
+    EXPECT_GT(s.sequential_iterations, 0u);
+    EXPECT_EQ(s.sequential_iterations, summaries[1].sequential_iterations)
+        << "canonical=" << canonical;
+    EXPECT_EQ(outputs[0], outputs[1]) << "canonical=" << canonical;
+    EXPECT_EQ(summaries[1].adaptive_systolic_rows, 0u);
+    EXPECT_EQ(summaries[1].adaptive_sequential_rows, 0u);
+  }
+}
+
+TEST(StreamDiff, AdaptiveRouteMixMatchesImageDiff) {
+  // StreamDiffer and image_diff share diff_row, so the route mix and the
+  // modelled iterations of a stream equal those of the whole-image call.
+  Rng rng(1213);
+  RowGenParams p;
+  p.width = 600;
+  const RleImage a = generate_image(rng, 48, p);
+  RleImage b(a.width(), a.height());
+  for (pos_t y = 0; y < a.height(); ++y) {
+    Rng row_rng = rng.split();
+    ErrorGenParams ep;
+    ep.error_fraction = y % 3 == 0 ? 0.3 : 0.03;
+    b.set_row(y, y % 5 == 0 ? RleRow{}
+                            : inject_errors(row_rng, a.row(y), a.width(), ep));
+  }
   ImageDiffOptions opts;
   opts.engine = DiffEngine::kAdaptive;
+  const ImageDiffResult image = image_diff(a, b, opts);
   StreamDiffer differ(opts, [](pos_t, const RleRow&) {});
-  const RleRow similar_a{{10, 3}, {16, 2}};
-  const RleRow similar_b{{10, 3}, {20, 2}};
-  differ.push_row(similar_a, similar_b);
-  const RleRow busy{{0, 2}, {4, 2}, {8, 2}, {12, 2}, {16, 2}, {20, 2}};
-  differ.push_row(RleRow{}, busy);
+  for (pos_t y = 0; y < a.height(); ++y) differ.push_row(a.row(y), b.row(y));
   const StreamSummary& s = differ.finish();
-  EXPECT_EQ(s.rows, 2u);
-  EXPECT_GT(s.counters.iterations, 0u);    // row 0 took the machine
-  EXPECT_GT(s.sequential_iterations, 0u);  // row 1 took the merge
+
+  EXPECT_GT(image.adaptive_systolic_rows, 0u);
+  EXPECT_GT(image.adaptive_sequential_rows, 0u);
+  EXPECT_GT(image.adaptive_modelled_iterations, 0u);
+  EXPECT_EQ(s.adaptive_systolic_rows, image.adaptive_systolic_rows);
+  EXPECT_EQ(s.adaptive_sequential_rows, image.adaptive_sequential_rows);
+  EXPECT_EQ(s.adaptive_modelled_iterations,
+            image.adaptive_modelled_iterations);
 }
 
 TEST(StreamDiff, NullCallbackRejected) {
