@@ -14,12 +14,14 @@
 //   2. Deadline storm — requests carrying deadlines shorter than the queue
 //      delay are shed as deadline_expired (at submit or after admission),
 //      and expired requests stop consuming engine cycles mid-image.
-//   3. Breaker trip — with the checked engine, an injected permanent fault
-//      and no fallback, every request fails; the service breaker opens
-//      after `failure_threshold` consecutive failures and later arrivals
-//      shed as circuit_open without touching the backend.  The phase
-//      waits for those failures to be delivered before submitting the
-//      rest, so the check holds however long one faulted request takes.
+//   3. Breaker trip — a 1-shard x 2-replica ShardRouter with the checked
+//      engine, an injected permanent fault and no fallback: every request
+//      fails, the router's per-replica breaker (the serving path's only
+//      breaker) quarantines each replica after `failure_threshold`
+//      consecutive failures, and later arrivals shed as shard_down without
+//      touching a backend.  Requests are offered one at a time, each after
+//      the previous one's response, so the check holds however long one
+//      faulted request takes.
 //   4. Farm relief — a farm with one permanently flaky machine, with and
 //      without per-machine circuit breakers: the breaker caps the wasted
 //      dispatches at threshold + half-open probes and the makespan drops
@@ -121,9 +123,9 @@ struct PhaseOutcome {
   /// offered == admitted + every typed submit-shed, and every admitted
   /// request produced exactly one response: nothing vanished.
   bool accounted() const {
-    const std::uint64_t submit_shed =
-        stats.shed_queue_full + stats.shed_circuit_open +
-        stats.shed_shutdown + stats.shed_deadline_at_submit;
+    const std::uint64_t submit_shed = stats.shed_queue_full +
+                                      stats.shed_shutdown +
+                                      stats.shed_deadline_at_submit;
     return stats.offered == stats.admitted + submit_shed &&
            responses == stats.admitted;
   }
@@ -241,6 +243,7 @@ PhaseOutcome run_phase(const std::vector<ImagePair>& pool, double load,
 struct RouterPhaseOutcome {
   RouterStats stats;
   ServiceStats backend;
+  std::size_t healthy_replicas = 0;  ///< after drain
   RunningStat interactive_us;
   RunningStat batch_us;
   std::uint64_t responses = 0;
@@ -332,6 +335,7 @@ RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
     router.drain();
     out.stats = router.stats();
     out.backend = router.backend_stats();
+    out.healthy_replicas = router.healthy_replicas();
   }
   if (flight) set_flight_recorder(nullptr);
   return out;
@@ -393,49 +397,55 @@ FlightAudit audit_flight(const FlightRecorder& flight) {
   return audit;
 }
 
-/// Breaker-trip phase: checked engine, permanent stuck-comparator fault,
-/// fallback disabled, zero retries — every processed request fails, so the
-/// service breaker must open and later arrivals must shed as circuit_open.
-/// The first `failure_threshold` submissions are the ones that open it; the
-/// rest are held back until their failures have been delivered (bounded
-/// wait), because one faulted request can take longer than any fixed
-/// pacing of the whole phase.
-PhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool, int n) {
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.use_checked_engine = true;
-  cfg.recovery.max_retries = 0;
-  cfg.recovery.fallback_to_sequential = false;
-  cfg.breaker.failure_threshold = 3;
-  // Longer than the phase: once open, the breaker stays open to the end.
-  cfg.breaker.open_duration = 60'000'000;
+/// Breaker-trip topology: one shard of kBreakerReplicas replicas, each
+/// quarantined after kBreakerThreshold consecutive failures.  With every
+/// failure recorded before the next dispatch, at most their product of
+/// requests can reach a replica.
+constexpr std::size_t kBreakerReplicas = 2;
+constexpr int kBreakerThreshold = 3;
+
+/// Breaker-trip phase: a 1x2 ShardRouter over checked-engine replicas,
+/// permanent stuck-comparator fault, fallback disabled, zero retries —
+/// every dispatched request fails, so the router's per-replica breaker must
+/// quarantine both replicas and later arrivals must shed as shard_down.
+/// Each request is offered only after the previous admitted one has been
+/// answered (bounded wait), because one faulted request can take longer
+/// than any fixed pacing of the whole phase.
+RouterPhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool,
+                                     int n) {
+  RouterConfig cfg;
+  cfg.shards = 1;
+  cfg.replicas = kBreakerReplicas;
+  cfg.replica_service.workers = 1;
+  cfg.replica_service.use_checked_engine = true;
+  cfg.replica_service.recovery.max_retries = 0;
+  cfg.replica_service.recovery.fallback_to_sequential = false;
+  cfg.replica_breaker.failure_threshold = kBreakerThreshold;
+  // Longer than the phase: once open, a breaker stays open to the end.
+  cfg.replica_breaker.open_duration = 60'000'000;
 
   FaultSpec fault;
   fault.kind = FaultKind::kNoSwap;
   fault.activation = FaultActivation::kPermanent;
   fault.cell = 0;
 
-  PhaseOutcome out;
+  RouterPhaseOutcome out;
   std::mutex mu;
-  std::condition_variable failed_cv;
-  std::uint64_t failed = 0;
-  DiffService service(cfg, [&](ServiceResponse r) {
+  std::condition_variable responded_cv;
+  ShardRouter router(cfg, [&](ServiceResponse) {
     std::lock_guard<std::mutex> lk(mu);
     ++out.responses;
-    out.rows_processed += r.rows_processed;
-    if (r.status == ServiceResponse::Status::kFailed) {
-      ++failed;
-      failed_cv.notify_all();
-    }
+    responded_cv.notify_all();
   });
-  const int threshold = cfg.breaker.failure_threshold;
+  std::uint64_t admitted = 0;
   for (int i = 0; i < n; ++i) {
-    if (i == threshold) {
-      // The breaker records each failure before the response is delivered,
-      // so once `threshold` failures are in, it is open.
+    {
+      // The router records each failure before the response is delivered,
+      // so once every admitted request has answered, the breakers are
+      // up to date.
       std::unique_lock<std::mutex> lk(mu);
-      failed_cv.wait_for(lk, std::chrono::seconds(30), [&] {
-        return failed >= static_cast<std::uint64_t>(threshold);
+      responded_cv.wait_for(lk, std::chrono::seconds(30), [&] {
+        return out.responses == admitted;
       });
     }
     ServiceRequest req;
@@ -446,13 +456,12 @@ PhaseOutcome run_breaker_phase(const std::vector<ImagePair>& pool, int n) {
     req.reference = p.a;
     req.scan = p.b;
     req.keep_diff = false;
-    service.try_submit(std::move(req));
-    // Give workers a moment so failures (not queue_full) dominate the early
-    // submissions and the breaker sees consecutive kFailed responses.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!router.try_submit(std::move(req))) ++admitted;
   }
-  service.drain();
-  out.stats = service.stats();
+  router.drain();
+  out.stats = router.stats();
+  out.backend = router.backend_stats();
+  out.healthy_replicas = router.healthy_replicas();
   return out;
 }
 
@@ -581,14 +590,25 @@ int main(int argc, char** argv) {
       storm.rows_processed < storm_row_budget;
 
   // --- 3. breaker trip ----------------------------------------------------
-  const PhaseOutcome breaker = run_breaker_phase(pool, smoke ? 16 : 32);
-  std::cout << "--- 3. breaker trip (permanent fault, no fallback) ---\n"
-            << "failed: " << breaker.stats.failed
-            << "  shed circuit_open: " << breaker.stats.shed_circuit_open
-            << '\n';
+  const RouterPhaseOutcome breaker = run_breaker_phase(pool, smoke ? 16 : 32);
+  const RouterStats& bst = breaker.stats;
+  const ServiceStats& bbe = breaker.backend;
+  std::cout << "--- 3. breaker trip (1x2 router, permanent fault, no "
+               "fallback) ---\n"
+            << "backend failed: " << bbe.failed << " of " << bbe.admitted
+            << " admitted  shed shard_down: " << bst.shed_shard_down
+            << " of " << bst.offered << " offered  healthy replicas: "
+            << breaker.healthy_replicas << "\n\n";
+  // Router accounting holds; the failures tripped the breakers; every later
+  // arrival shed typed shard_down; everything that reached a replica
+  // failed, and no more reached one than the quarantine thresholds allow.
   const bool breaker_opens_under_faults =
-      breaker.accounted() && breaker.stats.failed >= 3 &&
-      breaker.stats.shed_circuit_open > 0;
+      breaker.accounted() && bbe.failed >= kBreakerThreshold &&
+      bst.shed_shard_down > 0 &&
+      bst.shed_shard_down == bst.offered - bst.admitted &&
+      bbe.admitted == bbe.failed &&
+      bbe.admitted <= kBreakerReplicas * kBreakerThreshold &&
+      breaker.healthy_replicas == 0;
 
   // --- 4. farm relief -----------------------------------------------------
   const FarmComparison farm = run_farm_phase(smoke ? 32 : 96, kWidth);
@@ -748,8 +768,8 @@ int main(int argc, char** argv) {
     report.set_scalar("p99_at_overload_us", p99_2x);
     report.set_scalar("storm_deadline_sheds",
                       static_cast<double>(storm_deadline_sheds));
-    report.set_scalar("breaker_circuit_open_sheds",
-                      static_cast<double>(breaker.stats.shed_circuit_open));
+    report.set_scalar("breaker_shard_down_sheds",
+                      static_cast<double>(bst.shed_shard_down));
     report.set_scalar("farm_faulty_cycles_without_breaker",
                       static_cast<double>(fw.faulty_cycles));
     report.set_scalar("farm_faulty_cycles_with_breaker",

@@ -1141,7 +1141,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   if (args.has("--json")) {
     JsonWriter w(out);
     w.begin_object();
-    w.member("schema", "sysrle.serve.v6");
+    w.member("schema", "sysrle.serve.v7");
     w.key("params");
     w.begin_object();
     w.member("requests", n_requests);
@@ -1204,15 +1204,12 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.key("shed");
     w.begin_object();
     w.member("queue_full", st.shed_queue_full);
-    w.member("circuit_open", st.shed_circuit_open);
     w.member("shutdown", st.shed_shutdown);
     w.member("deadline_at_submit", st.shed_deadline_at_submit);
     w.member("deadline_after_admit", st.shed_deadline_after_admit);
     w.member("total", st.shed_total());
     w.end_object();
     w.member("deadline_misses", st.deadline_misses);
-    w.member("retries", st.retries);
-    w.member("retry_budget_exhausted", st.retry_budget_exhausted);
     w.member("fallback_rows", st.fallback_rows);
     w.member("engine_invocations", st.engine_invocations);
     w.end_object();
@@ -1405,7 +1402,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
       table.add_row({"cache misses", FixedTable::num(rt.cache_misses)});
     }
     table.add_row({"deadline misses", FixedTable::num(st.deadline_misses)});
-    table.add_row({"retries", FixedTable::num(st.retries)});
     out << table.str();
     if (store) {
       const StoreStats ss = store->stats();
@@ -1585,7 +1581,7 @@ void print_help(std::ostream& out) {
          "      [--snapshot-every N] [--store-cap-mb N]\n"
          "      [--cache-cap-mb N] [--checked] [--json]\n"
          "      run a request file through the overload-safe sharded service\n"
-         "      (bounded admission, deadlines, retry budget, breakers,\n"
+         "      (bounded admission, deadlines, per-replica breakers,\n"
          "      failover, coalescing); request lines: 'priority rows width\n"
          "      error [deadline_ms]'; --workers 0 sizes the pool from the\n"
          "      hardware.  --flight-recorder N keeps the last N per-request\n"

@@ -95,7 +95,7 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
                                   const RecoveryPolicy& policy,
                                   const FaultInjection& injection) {
   SYSRLE_REQUIRE(policy.max_retries >= 0,
-                 "checked_xor: negative retry budget");
+                 "checked_xor: negative max_retries");
   const InvariantContext ctx = make_invariant_context(a, b);
   const cycle_t watchdog =
       2 * static_cast<cycle_t>(a.run_count() + b.run_count()) +
@@ -115,13 +115,6 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
   CheckedRowResult result;
   const int attempts_allowed = 1 + policy.max_retries;
   for (int attempt = 0; attempt < attempts_allowed; ++attempt) {
-    if (attempt > 0 && policy.retry_gate != nullptr &&
-        !policy.retry_gate->allow_retry()) {
-      // The budget (or the request deadline) vetoed the retry: stop burning
-      // cycles on the array and let the fallback produce the row.
-      if (telemetry_enabled()) global_metrics().add("checked.retries_denied");
-      break;
-    }
     AttemptRecord rec;
     std::optional<RleRow> out =
         run_attempt(a, b, fault, injection.spec ? arbiter : nullptr, ctx,

@@ -24,28 +24,10 @@
 
 namespace sysrle {
 
-/// Caller-supplied veto over each retry of the checked engine.  The service
-/// layer implements this with a token-bucket budget (service/retry_budget)
-/// plus the request deadline, so a fleet under overload stops burning cycles
-/// on retries it cannot afford; when no gate is installed every retry within
-/// max_retries is allowed, as before.
-class RetryGate {
- public:
-  virtual ~RetryGate() = default;
-  /// Called before each retry (never before the first attempt).  Returning
-  /// false skips all remaining retries and proceeds straight to the
-  /// fallback.  May block (e.g. to apply backoff) before returning true.
-  virtual bool allow_retry() = 0;
-};
-
 /// Retry/fallback policy of the checked engine.
 struct RecoveryPolicy {
   /// Re-runs of the systolic machine after a detected fault or timeout.
   int max_retries = 2;
-
-  /// Optional retry veto (non-owning; must outlive the call).  Consulted in
-  /// addition to max_retries: a retry happens only when both allow it.
-  RetryGate* retry_gate = nullptr;
 
   /// When every systolic attempt fails, compute the row on the sequential
   /// merge engine instead of giving up.
@@ -115,7 +97,7 @@ struct FaultInjection {
 /// Runs the systolic XOR with checkers armed, watchdog set, and the
 /// RecoveryPolicy applied.  Never throws on a detected machine fault — that
 /// is the point — but still throws contract_error on caller errors
-/// (e.g. a negative retry budget).
+/// (e.g. a negative max_retries).
 CheckedRowResult checked_xor(const RleRow& a, const RleRow& b,
                              const RecoveryPolicy& policy = {},
                              const FaultInjection& injection = {});

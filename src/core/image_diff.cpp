@@ -15,10 +15,6 @@
 #include "rle/ops.hpp"
 #include "telemetry/telemetry.hpp"
 
-#ifdef SYSRLE_HAVE_OPENMP
-#include <omp.h>
-#endif
-
 namespace sysrle {
 
 const char* to_string(DiffEngine engine) {
@@ -121,9 +117,9 @@ RowDiff diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
   return diff_row(ra, rb, options, machine);
 }
 
-RowRunStats run_rows_native(const RleImage& a, const RleImage& b,
-                            const ImageDiffOptions& options,
-                            std::vector<RowDiff>& outcomes) {
+RowRunStats run_rows(const RleImage& a, const RleImage& b,
+                     const ImageDiffOptions& options,
+                     std::vector<RowDiff>& outcomes) {
   RowExecutor& executor = RowExecutor::global();
   const std::size_t n = outcomes.size();
   std::vector<SystolicDiffMachine> machines(
@@ -139,28 +135,6 @@ RowRunStats run_rows_native(const RleImage& a, const RleImage& b,
       options.threads, kRowChunk);
 }
 
-#ifdef SYSRLE_HAVE_OPENMP
-RowRunStats run_rows_openmp(const RleImage& a, const RleImage& b,
-                            const ImageDiffOptions& options,
-                            std::vector<RowDiff>& outcomes) {
-  const std::size_t slots = RowExecutor::resolve_threads(options.threads);
-  std::vector<SystolicDiffMachine> machines(slots);
-  RowRunStats stats;
-  stats.rows_per_slot.assign(slots, 0);
-  const pos_t height = static_cast<pos_t>(outcomes.size());
-#pragma omp parallel for schedule(dynamic, 16) \
-    num_threads(static_cast<int>(slots))
-  for (pos_t y = 0; y < height; ++y) {
-    const std::size_t slot = static_cast<std::size_t>(omp_get_thread_num());
-    outcomes[static_cast<std::size_t>(y)] =
-        diff_one_row(static_cast<std::size_t>(y), a.row(y), b.row(y),
-                     options, machines[slot]);
-    ++stats.rows_per_slot[slot];  // slots are per-thread: no race
-  }
-  return stats;
-}
-#endif
-
 }  // namespace
 
 ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
@@ -171,17 +145,7 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
   const pos_t height = a.height();
   std::vector<RowDiff> outcomes(static_cast<std::size_t>(height));
 
-  RowRunStats stats;
-#ifdef SYSRLE_HAVE_OPENMP
-  if (options.backend == ParallelBackend::kOpenMP)
-    stats = run_rows_openmp(a, b, options, outcomes);
-  else
-    stats = run_rows_native(a, b, options, outcomes);
-#else
-  // Without OpenMP in the build, kOpenMP degrades to the native executor —
-  // still parallel, never silently serial.
-  stats = run_rows_native(a, b, options, outcomes);
-#endif
+  const RowRunStats stats = run_rows(a, b, options, outcomes);
 
   ImageDiffResult result;
   result.diff = RleImage(a.width(), height);

@@ -5,11 +5,10 @@
 // for which the paper's per-row machine would be replicated or time-shared.
 //
 // Rows are independent (the whole premise of the paper's systolic array), so
-// the row loop always runs on the native RowExecutor pool — parallelism is
-// unconditional, not a configure-time accident of finding OpenMP.  OpenMP
-// remains available as an optional backend.  The result is bit-identical to
-// a serial run regardless of thread count: scheduling decides who computes a
-// row, never what, and aggregation is serial in row order.
+// the row loop always runs on the native RowExecutor pool.  The result is
+// bit-identical to a serial run regardless of thread count: scheduling
+// decides who computes a row, never what, and aggregation is serial in row
+// order.
 
 #include <cstdint>
 #include <optional>
@@ -40,13 +39,6 @@ enum class DiffEngine {
 /// Human-readable engine name (for bench output).
 const char* to_string(DiffEngine engine);
 
-/// Which runtime drives the parallel row loop.
-enum class ParallelBackend {
-  kNative,  ///< core/row_executor.hpp — always available
-  kOpenMP,  ///< the OpenMP runtime; falls back to kNative when the build
-            ///< has no OpenMP (SYSRLE_WITH_OPENMP=OFF or not found)
-};
-
 /// Options for image_diff.
 struct ImageDiffOptions {
   /// Canonical output runs the word-parallel engine (baseline/word_diff.hpp).
@@ -62,9 +54,6 @@ struct ImageDiffOptions {
   /// offers), 1 = serial in the calling thread, N = exactly N participants
   /// (growing the pool on demand, capped at RowExecutor::kMaxThreads).
   std::size_t threads = 0;
-
-  /// Row-loop runtime (see ParallelBackend).
-  ParallelBackend backend = ParallelBackend::kNative;
 
   /// kAdaptive routing knob: θ routes a row to the modelled array when
   /// |k1 - k2| <= threshold * (k1 + k2), sequential otherwise.  It changes
@@ -123,9 +112,9 @@ SequentialDiffResult sequential_row(const RleRow& a, const RleRow& b,
                                     bool canonicalize);
 
 /// Computes the per-row XOR of two equal-sized RLE images with the selected
-/// engine.  Rows are processed in parallel on the native executor (or the
-/// OpenMP backend when requested and compiled in); output and aggregated
-/// counters are bit-identical to a serial run for any thread count.
+/// engine.  Rows are processed in parallel on the native executor; output
+/// and aggregated counters are bit-identical to a serial run for any thread
+/// count.
 ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
                            const ImageDiffOptions& options = {});
 

@@ -3,8 +3,8 @@
 // dynamic scheduling, built for the image-level diff loop.
 //
 // The paper's systolic array gets its speed from row independence; the
-// software hot path must too — unconditionally, not only when the build
-// happened to find OpenMP.  RowExecutor is that guarantee: plain
+// software hot path must too, with no parallel runtime to depend on.
+// RowExecutor is that guarantee: plain
 // std::thread workers parked on a condition variable, woken per run() to
 // claim fixed-size chunks of the index space from a shared atomic cursor
 // (the software analogue of `#pragma omp for schedule(dynamic, chunk)`).

@@ -23,8 +23,6 @@ const char* to_string(RejectReason reason) {
       return "queue_full";
     case RejectReason::kDeadlineExpired:
       return "deadline_expired";
-    case RejectReason::kCircuitOpen:
-      return "circuit_open";
     case RejectReason::kShutdown:
       return "shutdown";
     case RejectReason::kShardDown:

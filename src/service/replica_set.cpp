@@ -34,7 +34,7 @@ ReplicaSet::ReplicaSet(std::size_t shard_index, const ReplicaSetConfig& config,
                             std::to_string(r));
     rep->salt = mix64(shard_index * 0x1000 + r + 0x5eed);
     ServiceConfig svc = config.service;
-    // Distinct per-replica seeds keep jitter/shed streams independent.
+    // Distinct per-replica seeds keep early-shed streams independent.
     svc.seed = svc.seed ^ mix64(rep->salt);
     rep->service = std::make_shared<DiffService>(svc, completion_for_(r));
     replicas_.push_back(std::move(rep));
@@ -132,8 +132,15 @@ void ReplicaSet::revive(std::size_t index) {
     Replica& rep = *replicas_.at(index);
     old = std::exchange(rep.service, std::move(replacement));
     rep.killed = false;
+    draining_.push_back(old);
   }
   old->drain();
+  // Fold the drained service's final counters into the set's totals, in
+  // the same step that stops summing it live: ServiceStats stay monotonic
+  // across any number of revives.
+  std::lock_guard<std::mutex> lk(mu_);
+  retired_ += old->stats();
+  draining_.erase(std::find(draining_.begin(), draining_.end(), old));
 }
 
 bool ReplicaSet::killed(std::size_t index) const {
@@ -152,29 +159,14 @@ void ReplicaSet::drain() {
 
 ServiceStats ReplicaSet::aggregate_stats() const {
   std::vector<std::shared_ptr<DiffService>> services;
+  ServiceStats total;
   {
     std::lock_guard<std::mutex> lk(mu_);
     for (const auto& rep : replicas_) services.push_back(rep->service);
+    services.insert(services.end(), draining_.begin(), draining_.end());
+    total = retired_;
   }
-  ServiceStats total;
-  for (const auto& svc : services) {
-    const ServiceStats s = svc->stats();
-    total.offered += s.offered;
-    total.admitted += s.admitted;
-    total.completed += s.completed;
-    total.failed += s.failed;
-    total.shed_queue_full += s.shed_queue_full;
-    total.shed_circuit_open += s.shed_circuit_open;
-    total.shed_shutdown += s.shed_shutdown;
-    total.shed_deadline_at_submit += s.shed_deadline_at_submit;
-    total.shed_deadline_after_admit += s.shed_deadline_after_admit;
-    total.deadline_misses += s.deadline_misses;
-    total.retries += s.retries;
-    total.engine_invocations += s.engine_invocations;
-    total.retry_budget_exhausted += s.retry_budget_exhausted;
-    total.fallback_rows += s.fallback_rows;
-    total.unrecovered_rows += s.unrecovered_rows;
-  }
+  for (const auto& svc : services) total += svc->stats();
   return total;
 }
 

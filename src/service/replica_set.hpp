@@ -4,15 +4,16 @@
 //
 // The paper's array tolerates a dead cell because work is spread over many
 // identical units; this is the same property one level up.  Each replica is
-// an independent DiffService (own queue, own workers, own service breaker);
-// the ReplicaSet adds what the router needs to survive a replica dying:
+// an independent DiffService (own queue, own workers); the ReplicaSet adds
+// what the router needs to survive a replica dying:
 //
 //   preference   rendezvous hashing (highest-random-weight) orders replicas
 //                per key, so one key always prefers the same replica while a
 //                dead replica's keys spread *evenly* over the survivors
 //                instead of piling onto one neighbour;
-//   quarantine   a router-level breaker per replica trips after consecutive
-//                sheds/failures, removing the replica from every key's
+//   quarantine   a router-level breaker per replica (the only breaker on
+//                the serving path) trips after consecutive sheds or kFailed
+//                responses, removing the replica from every key's
 //                preference order until a half-open probe succeeds
 //                (probe re-admission) — "keeps shedding" is a health signal
 //                here even though each shed was a correct local decision;
@@ -101,7 +102,9 @@ class ReplicaSet {
   /// Drains every replica (waits for all in-flight responses).
   void drain();
 
-  /// Sums replica-level ServiceStats across the set.
+  /// Sums replica-level ServiceStats across the set, including the final
+  /// counters of every service a revive() retired, so the totals never go
+  /// backwards.
   ServiceStats aggregate_stats() const;
 
  private:
@@ -120,6 +123,10 @@ class ReplicaSet {
   CompletionFactory completion_for_;
   mutable std::mutex mu_;  ///< guards breakers + service pointers
   std::vector<std::unique_ptr<Replica>> replicas_;
+  /// Services revive() replaced that are still draining, summed live, and
+  /// the final stats of those that finished (both under mu_).
+  std::vector<std::shared_ptr<DiffService>> draining_;
+  ServiceStats retired_;
 };
 
 }  // namespace sysrle

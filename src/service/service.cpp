@@ -16,6 +16,23 @@
 
 namespace sysrle {
 
+ServiceStats& ServiceStats::operator+=(const ServiceStats& o) {
+  offered += o.offered;
+  admitted += o.admitted;
+  completed += o.completed;
+  failed += o.failed;
+  shed_queue_full += o.shed_queue_full;
+  shed_shutdown += o.shed_shutdown;
+  shed_deadline_at_submit += o.shed_deadline_at_submit;
+  shed_deadline_after_admit += o.shed_deadline_after_admit;
+  cancelled += o.cancelled;
+  deadline_misses += o.deadline_misses;
+  engine_invocations += o.engine_invocations;
+  fallback_rows += o.fallback_rows;
+  unrecovered_rows += o.unrecovered_rows;
+  return *this;
+}
+
 namespace {
 
 /// Counts a shed decision into the typed-shed metric family.
@@ -30,64 +47,12 @@ double us_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-/// Per-row retry gate: a retry is allowed only while the request deadline
-/// holds AND the shared bucket has tokens; an allowed retry first sleeps
-/// its jittered exponential backoff.  Fresh per row, so the backoff ladder
-/// restarts for every row's independent retry sequence.
-class BudgetedRetryGate : public RetryGate {
- public:
-  BudgetedRetryGate(RetryBudget& budget, const Deadline& deadline,
-                    const BackoffPolicy& backoff, Rng& jitter_rng,
-                    std::atomic<std::uint64_t>& retries_taken)
-      : budget_(budget),
-        deadline_(deadline),
-        backoff_(backoff),
-        jitter_rng_(jitter_rng),
-        retries_taken_(retries_taken) {}
-
-  bool allow_retry() override {
-    if (deadline_.expired()) return false;
-    if (!budget_.try_spend()) return false;
-    // Always draw the delay so the jitter stream stays deterministic
-    // regardless of how the deadline interleaves.
-    const std::uint64_t delay = backoff_delay_us(backoff_, attempt_++,
-                                                 jitter_rng_);
-    if (const auto remaining = deadline_.remaining_us();
-        remaining && delay >= *remaining) {
-      // The required backoff outlasts the deadline: the retry cannot run,
-      // so return the token instead of blocking a worker sleeping toward
-      // an expiry.
-      budget_.refund();
-      return false;
-    }
-    if (delay > 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(delay));
-    if (deadline_.expired()) {
-      budget_.refund();
-      return false;
-    }
-    retries_taken_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
- private:
-  RetryBudget& budget_;
-  const Deadline& deadline_;
-  const BackoffPolicy& backoff_;
-  Rng& jitter_rng_;
-  std::atomic<std::uint64_t>& retries_taken_;
-  int attempt_ = 0;
-};
-
 }  // namespace
 
 DiffService::DiffService(ServiceConfig config, Completion on_complete)
     : config_(config),
       on_complete_(std::move(on_complete)),
-      queue_(config.admission, config.seed),
-      budget_(config.retry_budget),
-      epoch_(std::chrono::steady_clock::now()),
-      breaker_(config.breaker, "service") {
+      queue_(config.admission, config.seed) {
   // Worker sizing shares the row executor's resolution rule: 0 = auto
   // (hardware_concurrency, never 0), explicit counts honoured and capped.
   config_.workers = RowExecutor::resolve_threads(config_.workers);
@@ -97,11 +62,6 @@ DiffService::DiffService(ServiceConfig config, Completion on_complete)
 }
 
 DiffService::~DiffService() { drain(); }
-
-std::uint64_t DiffService::now_us() const {
-  return static_cast<std::uint64_t>(us_between(
-      epoch_, std::chrono::steady_clock::now()));
-}
 
 std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
   SYSRLE_REQUIRE(request.ref_image().width() == request.scan_image().width() &&
@@ -138,19 +98,7 @@ std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
       global_metrics().add("service.deadline_miss_total");
     return shed(RejectReason::kDeadlineExpired, shed_deadline_at_submit_);
   }
-  {
-    std::lock_guard<std::mutex> lk(breaker_mu_);
-    if (!breaker_.allow(now_us()))
-      return shed(RejectReason::kCircuitOpen, shed_circuit_open_);
-  }
   if (const auto reason = queue_.try_push(std::move(request))) {
-    {
-      // The breaker admitted this request (possibly taking a half-open
-      // probe slot) but the queue refused it, so no outcome will ever be
-      // recorded: give the slot back or the breaker wedges half-open.
-      std::lock_guard<std::mutex> lk(breaker_mu_);
-      breaker_.release_probe();
-    }
     if (*reason == RejectReason::kQueueFull)
       return shed(RejectReason::kQueueFull, shed_queue_full_);
     return shed(RejectReason::kShutdown, shed_shutdown_);
@@ -195,14 +143,8 @@ void DiffService::process(AdmissionQueue::Item item) {
   response.priority = req.priority;
   response.queue_us = us_between(item.enqueued, dequeued);
 
-  // Request-local retry count: the response carries this request's view,
-  // the service-wide retries_ aggregates it at finish.
-  std::atomic<std::uint64_t> request_retries{0};
-
   auto finish = [&](ServiceResponse::Status status) {
     response.status = status;
-    response.retries = request_retries.load(std::memory_order_relaxed);
-    retries_.fetch_add(response.retries, std::memory_order_relaxed);
     const auto done = std::chrono::steady_clock::now();
     response.service_us = us_between(dequeued, done);
     response.total_us = us_between(item.enqueued, done);
@@ -217,9 +159,6 @@ void DiffService::process(AdmissionQueue::Item item) {
     return;
   }
 
-  // Per-request deterministic jitter stream: seed ^ id, independent of
-  // worker/thread interleaving.
-  Rng jitter_rng(config_.seed ^ (0x5ee0bacull + req.id * 0x9e3779b97f4a7c15ull));
   std::uint64_t checked_fallbacks = 0;
   std::uint64_t unrecovered = 0;
 
@@ -238,40 +177,21 @@ void DiffService::process(AdmissionQueue::Item item) {
   differ.set_deadline([&req] { return req.deadline.expired(); });
 
   if (req.engine_override) {
-    // Test/bench hook: service-level retries around the injected engine; a
-    // final denial rethrows and StreamDiffer's sequential fallback serves
-    // the row.
-    differ.set_engine_override([&](const RleRow& a, const RleRow& b,
-                                   SystolicCounters& c) -> RleRow {
-      BudgetedRetryGate gate(budget_, req.deadline, config_.backoff,
-                             jitter_rng, request_retries);
-      while (true) {
-        try {
-          RleRow out = req.engine_override(a, b, c);
-          budget_.record_success();
-          return out;
-        } catch (const std::exception&) {
-          if (!gate.allow_retry()) throw;
-        }
-      }
-    });
+    // Test/bench hook, run bare: a throw goes to StreamDiffer's per-row
+    // sequential fallback.
+    differ.set_engine_override(req.engine_override);
   } else if (config_.use_checked_engine || req.fault.has_value()) {
     differ.set_engine_override([&](const RleRow& a, const RleRow& b,
                                    SystolicCounters& c) -> RleRow {
-      BudgetedRetryGate gate(budget_, req.deadline, config_.backoff,
-                             jitter_rng, request_retries);
-      RecoveryPolicy policy = config_.recovery;
-      policy.retry_gate = &gate;
       FaultInjection injection;
       if (req.fault.has_value()) injection.spec = &*req.fault;
-      CheckedRowResult r = checked_xor(a, b, policy, injection);
+      CheckedRowResult r = checked_xor(a, b, config_.recovery, injection);
       c.iterations = r.record.total_cycles;
       if (r.record.outcome == RecoveryOutcome::kFellBack) ++checked_fallbacks;
       if (!r.record.ok()) {
         ++unrecovered;
         return RleRow{};
       }
-      budget_.record_success();
       return std::move(r.output);
     });
   }
@@ -316,40 +236,16 @@ void DiffService::respond(ServiceResponse response) {
     case ServiceResponse::Status::kCompleted:
       completed_.fetch_add(1, std::memory_order_relaxed);
       if (telem) global_metrics().add("service.requests_completed");
-      {
-        std::lock_guard<std::mutex> lk(breaker_mu_);
-        breaker_.record_success(now_us());
-      }
       break;
-    case ServiceResponse::Status::kFailed: {
+    case ServiceResponse::Status::kFailed:
       failed_.fetch_add(1, std::memory_order_relaxed);
       if (telem) global_metrics().add("service.requests_failed");
-      bool tripped = false;
-      {
-        std::lock_guard<std::mutex> lk(breaker_mu_);
-        const BreakerState before = breaker_.state();
-        breaker_.record_failure(now_us());
-        tripped = before != BreakerState::kOpen &&
-                  breaker_.state() == BreakerState::kOpen;
-      }
-      if (tripped) {
-        flight_record(FlightEventKind::kBreakerTrip, ctx, "service");
-        flight_retain(ctx.request_id, "breaker_trip");
-      }
       break;
-    }
     case ServiceResponse::Status::kRejected:
       shed_deadline_after_admit_.fetch_add(1, std::memory_order_relaxed);
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
       if (telem) global_metrics().add("service.deadline_miss_total");
       flight_retain(ctx.request_id, "deadline_expired");
-      {
-        // A deadline expiry says nothing about backend health, but the
-        // request may hold a half-open probe slot from admission: release
-        // it so abandoned probes cannot wedge the breaker half-open.
-        std::lock_guard<std::mutex> lk(breaker_mu_);
-        breaker_.release_probe();
-      }
       if (telem) count_shed(response.reject_reason);
       break;
   }
@@ -388,24 +284,16 @@ ServiceStats DiffService::stats() const {
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_circuit_open = shed_circuit_open_.load(std::memory_order_relaxed);
   s.shed_shutdown = shed_shutdown_.load(std::memory_order_relaxed);
   s.shed_deadline_at_submit =
       shed_deadline_at_submit_.load(std::memory_order_relaxed);
   s.shed_deadline_after_admit =
       shed_deadline_after_admit_.load(std::memory_order_relaxed);
   s.deadline_misses = deadline_misses_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
   s.engine_invocations = engine_invocations_.load(std::memory_order_relaxed);
-  s.retry_budget_exhausted = budget_.exhausted();
   s.fallback_rows = fallback_rows_.load(std::memory_order_relaxed);
   s.unrecovered_rows = unrecovered_rows_.load(std::memory_order_relaxed);
   return s;
-}
-
-BreakerState DiffService::breaker_state() const {
-  std::lock_guard<std::mutex> lk(breaker_mu_);
-  return breaker_.state();
 }
 
 }  // namespace sysrle

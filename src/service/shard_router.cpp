@@ -348,7 +348,7 @@ bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
   const std::optional<RejectReason> reason =
       service->try_submit(std::move(backend));
   if (reason) {
-    // A shed — queue_full, shutdown (killed replica), circuit_open — is the
+    // A shed — queue_full or shutdown (killed replica) — is the
     // router-level health signal: it counts as a replica failure so a
     // replica that keeps shedding gets quarantined.
     const BreakerState before = sets_[shard]->breaker_state(replica);
@@ -587,24 +587,7 @@ RouterStats ShardRouter::stats() const {
 
 ServiceStats ShardRouter::backend_stats() const {
   ServiceStats total;
-  for (const auto& set : sets_) {
-    const ServiceStats s = set->aggregate_stats();
-    total.offered += s.offered;
-    total.admitted += s.admitted;
-    total.completed += s.completed;
-    total.failed += s.failed;
-    total.shed_queue_full += s.shed_queue_full;
-    total.shed_circuit_open += s.shed_circuit_open;
-    total.shed_shutdown += s.shed_shutdown;
-    total.shed_deadline_at_submit += s.shed_deadline_at_submit;
-    total.shed_deadline_after_admit += s.shed_deadline_after_admit;
-    total.deadline_misses += s.deadline_misses;
-    total.retries += s.retries;
-    total.engine_invocations += s.engine_invocations;
-    total.retry_budget_exhausted += s.retry_budget_exhausted;
-    total.fallback_rows += s.fallback_rows;
-    total.unrecovered_rows += s.unrecovered_rows;
-  }
+  for (const auto& set : sets_) total += set->aggregate_stats();
   return total;
 }
 

@@ -7,8 +7,9 @@
 // keys (image handles) over N shards of R replicas each and layers three
 // mechanisms on top (docs/ROBUSTNESS.md, "Sharded serving and failover"):
 //
-//   failover     per-replica circuit breakers at the router (ReplicaSet)
-//                quarantine a replica that keeps shedding or failing; its
+//   failover     per-replica circuit breakers at the router (ReplicaSet),
+//                the serving path's only breakers, quarantine a replica
+//                that keeps shedding or failing (kFailed responses); its
 //                keys route to the next replica in rendezvous order, and a
 //                half-open probe re-admits it when it recovers.  Failover
 //                is synchronous inside the submission, so every admitted
@@ -152,7 +153,8 @@ class ShardRouter {
   void drain();
 
   RouterStats stats() const;
-  /// Sum of backend DiffService stats across all live replicas.
+  /// Sum of backend DiffService stats across every replica, including the
+  /// services a revive_replica() retired (monotonic, like ServiceStats).
   ServiceStats backend_stats() const;
 
   /// The routing key try_submit would use for `request`.

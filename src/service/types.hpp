@@ -41,7 +41,6 @@ const char* to_string(Priority priority);
 enum class RejectReason {
   kQueueFull,        ///< the admission queue for the class was at capacity
   kDeadlineExpired,  ///< the deadline passed before/while the request ran
-  kCircuitOpen,      ///< the service breaker is open (backend failing hard)
   kShutdown,         ///< the service is draining and admits nothing new
   kShardDown,        ///< every replica of the routed shard is quarantined
   kUnknownHandle,    ///< a by-handle operand is not resident in the store
@@ -72,16 +71,6 @@ class Deadline {
   /// True when the deadline has passed (never true without a deadline).
   bool expired() const {
     return at_.has_value() && std::chrono::steady_clock::now() >= *at_;
-  }
-
-  /// Microseconds until expiry, clamped at 0; nullopt without a deadline.
-  /// Backoff sleeps clamp to this so a retry never blocks a worker past
-  /// the point where the request could still complete.
-  std::optional<std::uint64_t> remaining_us() const {
-    if (!at_.has_value()) return std::nullopt;
-    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-        *at_ - std::chrono::steady_clock::now());
-    return left.count() > 0 ? static_cast<std::uint64_t>(left.count()) : 0u;
   }
 
  private:
@@ -128,12 +117,13 @@ struct ServiceRequest {
   }
 
   /// Inject this fault into every checked-engine row (tests, bench,
-  /// campaign integration); requires the service's checked mode.
+  /// campaign integration).  Setting it runs this request through the
+  /// checked engine even when the service's checked mode is off.
   std::optional<FaultSpec> fault;
 
   /// Test hook: replaces the row engine exactly like
-  /// StreamDiffer::set_engine_override, with service-level retries applied
-  /// around it.
+  /// StreamDiffer::set_engine_override.  It runs bare: a throw sends the
+  /// row to StreamDiffer's sequential fallback.
   StreamDiffer::RowEngine engine_override;
 
   /// When false the per-row outputs are discarded (load benches that only
@@ -170,7 +160,6 @@ struct ServiceResponse {
   std::uint64_t rows_processed = 0;
   std::uint64_t fallback_rows = 0;     ///< rows served by sequential engine
   std::uint64_t unrecovered_rows = 0;  ///< rows nobody could compute
-  std::uint64_t retries = 0;           ///< budgeted engine retries taken
 
   double queue_us = 0.0;    ///< admission -> dequeue
   double service_us = 0.0;  ///< dequeue -> done

@@ -152,7 +152,6 @@ TEST(AdmissionQueue, ToStringsCoverTheVocabulary) {
   EXPECT_STREQ(to_string(Priority::kBatch), "batch");
   EXPECT_STREQ(to_string(RejectReason::kQueueFull), "queue_full");
   EXPECT_STREQ(to_string(RejectReason::kDeadlineExpired), "deadline_expired");
-  EXPECT_STREQ(to_string(RejectReason::kCircuitOpen), "circuit_open");
   EXPECT_STREQ(to_string(RejectReason::kShutdown), "shutdown");
   EXPECT_STREQ(to_string(ServiceResponse::Status::kCompleted), "completed");
   EXPECT_STREQ(to_string(ServiceResponse::Status::kRejected), "rejected");

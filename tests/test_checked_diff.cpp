@@ -123,7 +123,7 @@ TEST(CheckedDiff, ZeroRetriesGoesStraightToFallback) {
   EXPECT_EQ(r.output.canonical(), xor_rows(kImg1, kImg2).canonical());
 }
 
-TEST(CheckedDiff, NegativeRetryBudgetRejected) {
+TEST(CheckedDiff, NegativeMaxRetriesRejected) {
   RecoveryPolicy policy;
   policy.max_retries = -1;
   EXPECT_THROW(checked_xor(kImg1, kImg2, policy), contract_error);
@@ -157,84 +157,6 @@ TEST(CheckedDiff, NoFalsePositivesOnRandomRows) {
     ASSERT_EQ(r.record.outcome, RecoveryOutcome::kCleanFirstTry) << trial;
     ASSERT_EQ(r.output.canonical(), reference_xor(a, b, width)) << trial;
   }
-}
-
-// Scripted gate: answers allow_retry() from a fixed list, records calls.
-class ScriptedGate : public RetryGate {
- public:
-  explicit ScriptedGate(std::vector<bool> answers)
-      : answers_(std::move(answers)) {}
-  bool allow_retry() override {
-    const std::size_t i = calls_++;
-    return i < answers_.size() ? answers_[i] : false;
-  }
-  std::size_t calls() const { return calls_; }
-
- private:
-  std::vector<bool> answers_;
-  std::size_t calls_ = 0;
-};
-
-TEST(CheckedDiff, GateDenyingAllRetriesGoesStraightToFallback) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kNoSwap;
-  spec.cell = 0;  // always-detected on the Figure-1 pair
-  FaultInjection injection;
-  injection.spec = &spec;
-  ScriptedGate gate({});  // denies every retry
-  RecoveryPolicy policy;
-  policy.max_retries = 2;
-  policy.retry_gate = &gate;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, policy, injection);
-  // One attempt, the veto eats both allowed retries, straight to fallback.
-  EXPECT_EQ(r.record.outcome, RecoveryOutcome::kFellBack);
-  EXPECT_EQ(r.record.attempts.size(), 1u);
-  EXPECT_EQ(gate.calls(), 1u);  // consulted once, denial stops the sequence
-  EXPECT_EQ(r.output.canonical(), xor_rows(kImg1, kImg2).canonical());
-}
-
-TEST(CheckedDiff, GateAllowingRetriesKeepsThemWithinMaxRetries) {
-  FaultSpec spec;
-  spec.kind = FaultKind::kNoSwap;
-  spec.cell = 0;
-  FaultInjection injection;
-  injection.spec = &spec;
-  ScriptedGate gate({true, true, true, true});  // would allow more than max
-  RecoveryPolicy policy;
-  policy.max_retries = 2;
-  policy.retry_gate = &gate;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, policy, injection);
-  // The gate allows everything, so the outcome matches the ungated run:
-  // 1 try + 2 retries, then fallback.  max_retries still caps the count.
-  EXPECT_EQ(r.record.outcome, RecoveryOutcome::kFellBack);
-  EXPECT_EQ(r.record.attempts.size(), 3u);
-  EXPECT_EQ(gate.calls(), 2u);
-}
-
-TEST(CheckedDiff, GateIsNeverConsultedOnACleanRow) {
-  ScriptedGate gate({true, true});
-  RecoveryPolicy policy;
-  policy.retry_gate = &gate;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, policy);
-  EXPECT_EQ(r.record.outcome, RecoveryOutcome::kCleanFirstTry);
-  EXPECT_EQ(gate.calls(), 0u);
-}
-
-TEST(CheckedDiff, DeniedRetriesAreCountedInTelemetry) {
-  reset_telemetry();
-  set_telemetry_enabled(true);
-  FaultSpec spec;
-  spec.kind = FaultKind::kNoSwap;
-  spec.cell = 0;
-  FaultInjection injection;
-  injection.spec = &spec;
-  ScriptedGate gate({});
-  RecoveryPolicy policy;
-  policy.retry_gate = &gate;
-  (void)checked_xor(kImg1, kImg2, policy, injection);
-  EXPECT_EQ(global_metrics().snapshot().counter("checked.retries_denied"), 1u);
-  set_telemetry_enabled(false);
-  reset_telemetry();
 }
 
 TEST(CheckedDiff, OutcomeNamesAreDistinct) {

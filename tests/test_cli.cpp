@@ -590,7 +590,7 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   const CliRun r = cli({"serve", "--requests", reqs, "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
   EXPECT_DOUBLE_EQ(root.at("params").at("requests").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 1.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 1.0);
@@ -605,6 +605,10 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   EXPECT_EQ(root.at("router").find("hedges_fired"), nullptr);
   EXPECT_EQ(root.at("router").find("hedge_delay_us"), nullptr);
   EXPECT_EQ(root.at("backend").at("shed").find("cancelled"), nullptr);
+  // v7 dropped the service breaker and the retry budget.
+  EXPECT_EQ(root.at("backend").at("shed").find("circuit_open"), nullptr);
+  EXPECT_EQ(root.at("backend").find("retries"), nullptr);
+  EXPECT_EQ(root.at("backend").find("retry_budget_exhausted"), nullptr);
   EXPECT_DOUBLE_EQ(root.at("router").at("failovers").number, 0.0);
   EXPECT_TRUE(root.at("accounting_ok").boolean);
   ASSERT_EQ(root.at("breakers").array.size(), 1u);
@@ -653,7 +657,7 @@ TEST_F(CliFixture, ServeMultiShardTopologyRoutesAndStaysAccounted) {
                         "--replicas", "2", "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 8.0);
@@ -731,7 +735,7 @@ TEST_F(CliFixture, ServeFlightRecorderExportsJsonlAndKillShowsInReport) {
   EXPECT_EQ(r.exit_code, 0) << r.err;
 
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
   EXPECT_EQ(root.at("params").at("kill_replica").string, "0.1@3");
   EXPECT_DOUBLE_EQ(root.at("params").at("flight_recorder").number, 1024.0);
   const JsonValue& flight = root.at("flight");
@@ -836,7 +840,7 @@ TEST_F(CliFixture, ServeStoreSessionServesRepeatDiffFromCache) {
       cli({"serve", "--requests", reqs, "--store", "--json"});
   ASSERT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v6");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
   EXPECT_TRUE(root.at("params").at("store").boolean);
   EXPECT_DOUBLE_EQ(root.at("params").at("registers").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 2.0);
@@ -893,7 +897,7 @@ TEST_F(CliFixture, ServeStoreDirPersistsAcrossSessions) {
       cli({"serve", "--requests", reqs1, "--store-dir", dir, "--json"});
   ASSERT_EQ(first.exit_code, 0) << first.err;
   const JsonValue root1 = parse_json(first.out);
-  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v6");
+  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v7");
   EXPECT_EQ(root1.at("params").at("store_dir").string, dir);
   const JsonValue& dur1 = root1.at("durability");
   EXPECT_DOUBLE_EQ(dur1.at("journal").at("appends").number, 2.0);

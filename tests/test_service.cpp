@@ -1,5 +1,5 @@
 // Tests for DiffService: admission, typed shedding, deadline propagation,
-// budgeted retries, the service circuit breaker, and graceful drain.
+// the bare engine hook's per-row fallback, and graceful drain.
 
 #include "service/service.hpp"
 
@@ -143,8 +143,8 @@ TEST(Service, ShedsQueueFullWhenSaturatedAndAccountingHolds) {
     // Zero silent drops: every offered request is admitted or typed-shed,
     // and every admitted request got exactly one response.
     EXPECT_EQ(st.offered, offered);
-    EXPECT_EQ(st.admitted + st.shed_queue_full + st.shed_circuit_open +
-                  st.shed_shutdown + st.shed_deadline_at_submit,
+    EXPECT_EQ(st.admitted + st.shed_queue_full + st.shed_shutdown +
+                  st.shed_deadline_at_submit,
               offered);
     EXPECT_EQ(collector.count(), st.admitted);
     EXPECT_GT(st.shed_queue_full, 0u);
@@ -253,235 +253,35 @@ TEST(Service, DeadlineExpiredWhileQueuedIsRejectedWithoutEngineWork) {
   EXPECT_EQ(engine_rows.load(), 0u);  // the engine never saw the request
 }
 
-TEST(Service, RetryBudgetGatesEngineRetries) {
+// The engine hook runs bare: a throwing row is not retried, it goes
+// straight to StreamDiffer's sequential fallback and the request completes.
+TEST(Service, ThrowingEngineOverrideFallsBackPerRowWithoutRetry) {
   const Workload w = make_workload(7, 6);
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.retry_budget.initial_tokens = 2.0;
-  cfg.retry_budget.max_tokens = 2.0;
-  cfg.retry_budget.tokens_per_success = 0.0;
-  cfg.backoff.base_us = 1;  // keep the test fast
-  cfg.backoff.cap_us = 10;
   Collector collector;
   DiffService service(cfg, collector.callback());
 
-  // The flaky engine fails the first attempt of every row; the budget only
-  // covers 2 retries, so later rows land on the sequential fallback.
-  std::mutex mu;
-  std::map<const RleRow*, int> attempts;
-  std::atomic<std::uint64_t> throws{0};
+  std::atomic<std::uint64_t> calls{0};
   ServiceRequest req = make_request(w, 1);
-  req.engine_override = [&](const RleRow& a, const RleRow& b,
-                            SystolicCounters&) {
-    {
-      std::lock_guard<std::mutex> lk(mu);
-      if (++attempts[&a] == 1) {
-        throws.fetch_add(1);
-        throw std::runtime_error("injected engine fault");
-      }
-    }
-    return xor_rows(a, b);
+  req.engine_override = [&](const RleRow&, const RleRow&,
+                            SystolicCounters&) -> RleRow {
+    calls.fetch_add(1);
+    throw std::runtime_error("injected engine fault");
   };
   ASSERT_FALSE(service.try_submit(std::move(req)).has_value());
   service.drain();
 
   const auto responses = collector.responses();
   ASSERT_EQ(responses.size(), 1u);
-  // Every row completed (retry or fallback) with the correct diff.
   EXPECT_EQ(responses[0].status, ServiceResponse::Status::kCompleted);
   EXPECT_EQ(responses[0].rows_processed, 6u);
-  const ServiceStats st = service.stats();
-  EXPECT_EQ(st.retries, 2u);  // the budget's two tokens, no more
-  EXPECT_EQ(responses[0].retries, 2u);  // per-response view matches
-  EXPECT_GT(st.retry_budget_exhausted, 0u);
-  EXPECT_EQ(st.fallback_rows, 4u);  // remaining rows went to the fallback
-}
-
-// A retry whose backoff would outlast the deadline is denied up front (the
-// token refunded) instead of blocking a worker sleeping toward an expiry.
-TEST(Service, BackoffIsClampedToTheDeadlineAndRefundsTheToken) {
-  const Workload w = make_workload(13, 2);
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.backoff.base_us = 30'000'000;  // 30s: an unclamped sleep hangs the test
-  cfg.backoff.cap_us = 30'000'000;
-  cfg.backoff.jitter = 0.0;
-  Collector collector;
-  DiffService service(cfg, collector.callback());
-  const double tokens_before = service.retry_budget().tokens();
-
-  ServiceRequest req = make_request(w, 1);
-  req.deadline = Deadline::after(std::chrono::milliseconds(500));
-  req.engine_override = [](const RleRow&, const RleRow&,
-                           SystolicCounters&) -> RleRow {
-    throw std::runtime_error("always faulty");
-  };
-  const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_FALSE(service.try_submit(std::move(req)).has_value());
-  service.drain();
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-
-  const auto responses = collector.responses();
-  ASSERT_EQ(responses.size(), 1u);
-  // Every retry was denied (30s backoff >= 500ms remaining): each row fell
-  // back to the sequential engine within the deadline, no retry was taken,
-  // and every denied retry returned its token.
-  EXPECT_EQ(responses[0].status, ServiceResponse::Status::kCompleted);
-  EXPECT_EQ(responses[0].fallback_rows, 2u);
-  EXPECT_EQ(responses[0].retries, 0u);
-  EXPECT_EQ(service.stats().retries, 0u);
-  EXPECT_DOUBLE_EQ(service.retry_budget().tokens(), tokens_before);
-  EXPECT_LT(elapsed, std::chrono::seconds(10));
-}
-
-TEST(Service, BreakerOpensAfterFailuresAndShedsCircuitOpen) {
-  const Workload w = make_workload(8, 4);
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.use_checked_engine = true;
-  cfg.recovery.max_retries = 0;
-  cfg.recovery.fallback_to_sequential = false;  // failures stay failures
-  cfg.retry_budget.initial_tokens = 0.0;
-  cfg.breaker.failure_threshold = 3;
-  cfg.breaker.open_duration = 60'000'000;  // stays open for the whole test
-  Collector collector;
-  DiffService service(cfg, collector.callback());
-
-  FaultSpec fault;
-  fault.kind = FaultKind::kNoSwap;
-  fault.cell = 4;  // active for every row of this workload (cell 0 is not)
-  fault.activation = FaultActivation::kPermanent;
-
-  std::uint64_t circuit_open_sheds = 0;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    ServiceRequest req = make_request(w, i);
-    req.fault = fault;
-    const auto refused = service.try_submit(std::move(req));
-    if (refused && *refused == RejectReason::kCircuitOpen)
-      ++circuit_open_sheds;
-    // Let the single worker catch up so failures arrive consecutively.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  service.drain();
-
-  const ServiceStats st = service.stats();
-  EXPECT_GE(st.failed, 3u);  // enough to trip the breaker
-  EXPECT_GT(circuit_open_sheds, 0u);
-  EXPECT_EQ(st.shed_circuit_open, circuit_open_sheds);
-  EXPECT_EQ(service.breaker_state(), BreakerState::kOpen);
-  // Accounting still holds with the breaker involved.
-  EXPECT_EQ(st.admitted + st.shed_total() - st.shed_deadline_after_admit,
-            st.offered);
-}
-
-/// Permanently-active fault for the checked engine (cell 4 is exercised by
-/// every row of these workloads).
-FaultSpec permanent_fault() {
-  FaultSpec fault;
-  fault.kind = FaultKind::kNoSwap;
-  fault.cell = 4;
-  fault.activation = FaultActivation::kPermanent;
-  return fault;
-}
-
-/// Config whose checked engine turns the fault into consecutive kFailed
-/// responses (no fallback, no retries) with a short breaker open window.
-ServiceConfig breaker_recovery_config() {
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.use_checked_engine = true;
-  cfg.recovery.max_retries = 0;
-  cfg.recovery.fallback_to_sequential = false;
-  cfg.retry_budget.initial_tokens = 0.0;
-  cfg.breaker.failure_threshold = 3;
-  cfg.breaker.open_duration = 20'000;  // 20ms of service uptime
-  cfg.breaker.probe_successes_to_close = 1;
-  return cfg;
-}
-
-/// Feeds faulty requests until the service breaker opens, then waits for
-/// every admitted request to get its response (empty queue, idle worker).
-void trip_breaker_and_settle(DiffService& service, const Workload& w,
-                             Collector& collector) {
-  const FaultSpec fault = permanent_fault();
-  for (std::uint64_t i = 0;
-       i < 64 && service.breaker_state() != BreakerState::kOpen; ++i) {
-    ServiceRequest req = make_request(w, 1000 + i);
-    req.fault = fault;
-    (void)service.try_submit(std::move(req));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(service.breaker_state(), BreakerState::kOpen);
-  while (collector.count() < service.stats().admitted)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  // Let the open window lapse so the next submission is the first probe.
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-}
-
-// The recovery half of the breaker cycle at service level: after the open
-// window a healthy probe is admitted, and its success closes the breaker.
-TEST(Service, BreakerHalfOpenProbeRecoversAndCloses) {
-  const Workload w = make_workload(14, 4);
-  Collector collector;
-  DiffService service(breaker_recovery_config(), collector.callback());
-  trip_breaker_and_settle(service, w, collector);
-
-  ASSERT_FALSE(service.try_submit(make_request(w, 100)).has_value());
-  for (int i = 0;
-       i < 1000 && service.breaker_state() != BreakerState::kClosed; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(service.breaker_state(), BreakerState::kClosed);
-
-  // The recovered service serves new work normally again.
-  ASSERT_FALSE(service.try_submit(make_request(w, 101)).has_value());
-  service.drain();
-  std::uint64_t healthy_completed = 0;
-  for (const ServiceResponse& r : collector.responses())
-    if (r.id >= 100 && r.status == ServiceResponse::Status::kCompleted)
-      ++healthy_completed;
-  EXPECT_EQ(healthy_completed, 2u);
-}
-
-// Regression for the probe-slot leak: a breaker-admitted probe that ends
-// with *no* outcome (deadline expired mid-image -> kRejected) must release
-// its half-open slot; otherwise the breaker wedges half-open and sheds
-// everything as circuit_open forever.
-TEST(Service, AbandonedHalfOpenProbeDoesNotWedgeBreaker) {
-  const Workload w = make_workload(15, 4);
-  Collector collector;
-  DiffService service(breaker_recovery_config(), collector.callback());
-  trip_breaker_and_settle(service, w, collector);
-
-  // The first probe takes the only half-open slot, then its deadline lapses
-  // mid-image: the response is kRejected, never a breaker outcome.
-  ServiceRequest doomed = make_request(w, 200);
-  doomed.deadline = Deadline::after(std::chrono::milliseconds(10));
-  doomed.engine_override = [](const RleRow& a, const RleRow& b,
-                              SystolicCounters&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    return xor_rows(a, b);
-  };
-  ASSERT_FALSE(service.try_submit(std::move(doomed)).has_value());
-  EXPECT_EQ(service.breaker_state(), BreakerState::kHalfOpen);
-  auto doomed_responded = [&] {
-    for (const ServiceResponse& r : collector.responses())
-      if (r.id == 200) return true;
-    return false;
-  };
-  while (!doomed_responded())
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  ASSERT_EQ(collector.responses().back().status,
-            ServiceResponse::Status::kRejected);
-
-  // The abandoned slot was released: a fresh healthy probe is admitted
-  // (not shed circuit_open) and closes the breaker.
-  EXPECT_EQ(service.breaker_state(), BreakerState::kHalfOpen);
-  ASSERT_FALSE(service.try_submit(make_request(w, 201)).has_value());
-  for (int i = 0;
-       i < 1000 && service.breaker_state() != BreakerState::kClosed; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(service.breaker_state(), BreakerState::kClosed);
-  service.drain();
+  EXPECT_EQ(responses[0].fallback_rows, 6u);
+  EXPECT_EQ(calls.load(), 6u);  // one call per row, no retry
+  for (pos_t y = 0; y < w.a.height(); ++y)
+    EXPECT_EQ(responses[0].diff.row(y).canonical(),
+              xor_rows(w.a.row(y), w.b.row(y)).canonical());
+  EXPECT_EQ(service.stats().fallback_rows, 6u);
 }
 
 TEST(Service, DrainDeliversEveryAdmittedResponseAndRefusesNewWork) {

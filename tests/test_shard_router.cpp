@@ -1,7 +1,8 @@
 // Tests for ShardRouter: routing, failover across killed replicas (and its
-// retained flight timeline), in-flight dedup edge cases (waiter deadlines
-// and keep_diff, promotion, bit-identical fan-out), the result cache,
-// degraded mode, and the zero-silent-drops accounting identity.
+// retained flight timeline), quarantine on kFailed responses, in-flight
+// dedup edge cases (waiter deadlines and keep_diff, promotion,
+// bit-identical fan-out), the result cache, degraded mode, and the
+// zero-silent-drops accounting identity.
 
 #include "service/shard_router.hpp"
 
@@ -11,6 +12,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -316,7 +318,14 @@ TEST(ShardRouter, ProbeReadmitsARevivedReplica) {
         router.try_submit(make_request(make_workload(300 + i), i)).has_value());
   ASSERT_EQ(router.replica_breaker_state(0, 0), BreakerState::kOpen);
 
+  // Backend counters are monotonic: the killed service's sheds stay in the
+  // totals after revive swaps in a fresh DiffService.
+  const ServiceStats before_revive = router.backend_stats();
+  ASSERT_GT(before_revive.shed_shutdown, 0u);
   router.revive_replica(0, 0);
+  const ServiceStats after_revive = router.backend_stats();
+  EXPECT_GE(after_revive.offered, before_revive.offered);
+  EXPECT_GE(after_revive.shed_shutdown, before_revive.shed_shutdown);
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   // Fresh traffic: keys preferring replica 0 probe it half-open; the
   // revived backend completes the probe and the breaker closes.
@@ -330,6 +339,81 @@ TEST(ShardRouter, ProbeReadmitsARevivedReplica) {
   EXPECT_TRUE(st.accounted());
   EXPECT_EQ(router.replica_breaker_state(0, 0), BreakerState::kClosed);
   EXPECT_EQ(router.healthy_replicas(), 2u);
+  const ServiceStats end = router.backend_stats();
+  EXPECT_GE(end.offered, after_revive.offered);
+  EXPECT_EQ(end.offered, end.admitted + end.shed_total() -
+                             end.shed_deadline_after_admit);
+}
+
+// The router's kFailed path, the serving path's only breaker: with the
+// checked engine, a permanent fault, no retries and no fallback, every
+// response is kFailed.  Those failures alone quarantine both replicas,
+// later batch arrivals shed typed shard_down without reaching a backend,
+// and each trip is on the flight record as replica_failed.
+TEST(ShardRouter, FailedResponsesQuarantineEveryReplica) {
+  FlightRecorder flight(1 << 12);
+  set_flight_recorder(&flight);
+
+  Collector collector;
+  RouterConfig cfg = small_router(1, 2);
+  cfg.replica_service.use_checked_engine = true;
+  cfg.replica_service.recovery.max_retries = 0;
+  cfg.replica_service.recovery.fallback_to_sequential = false;
+  cfg.replica_breaker.open_duration = 60'000'000;  // stays open to the end
+  FaultSpec fault;
+  fault.kind = FaultKind::kNoSwap;
+  fault.activation = FaultActivation::kPermanent;
+  fault.cell = 0;
+
+  const std::uint64_t kRequests = 16;
+  std::uint64_t admitted = 0;
+  std::uint64_t shard_down = 0;
+  ServiceStats backend;
+  {
+    ShardRouter router(cfg, collector.callback());
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+      ServiceRequest req = make_request(make_workload(400 + i, 24, 1024), i);
+      req.fault = fault;
+      const auto refused = router.try_submit(std::move(req));
+      if (refused) {
+        EXPECT_EQ(*refused, RejectReason::kShardDown) << "request " << i;
+        ++shard_down;
+      } else {
+        // One request at a time: each failure is on the breaker's books
+        // before the next dispatch.
+        collector.wait_for(++admitted);
+      }
+    }
+    router.drain();
+
+    EXPECT_EQ(router.replica_breaker_state(0, 0), BreakerState::kOpen);
+    EXPECT_EQ(router.replica_breaker_state(0, 1), BreakerState::kOpen);
+    EXPECT_EQ(router.healthy_replicas(), 0u);
+    const RouterStats st = router.stats();
+    EXPECT_TRUE(st.accounted());
+    EXPECT_EQ(st.failed, admitted);
+    EXPECT_EQ(st.shed_shard_down, shard_down);
+    backend = router.backend_stats();
+  }
+  set_flight_recorder(nullptr);
+
+  // Every dispatch failed and quarantine stopped the traffic at the
+  // breaker threshold of each replica.
+  const auto threshold =
+      static_cast<std::uint64_t>(cfg.replica_breaker.failure_threshold);
+  EXPECT_EQ(backend.admitted, backend.failed);
+  EXPECT_EQ(backend.failed, admitted);
+  EXPECT_EQ(admitted, 2 * threshold);
+  EXPECT_EQ(shard_down, kRequests - admitted);
+  for (const ServiceResponse& r : collector.responses())
+    EXPECT_EQ(r.status, ServiceResponse::Status::kFailed) << r.id;
+
+  int replica_failed_trips = 0;
+  for (const FlightEvent& e : flight.snapshot())
+    if (e.kind == FlightEventKind::kBreakerTrip &&
+        std::string(e.detail) == "replica_failed")
+      ++replica_failed_trips;
+  EXPECT_EQ(replica_failed_trips, 2);
 }
 
 TEST(ShardRouter, DegradedModeShedsBatchTypedAndFailsOverInteractive) {
