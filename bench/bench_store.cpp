@@ -28,10 +28,8 @@
 //      lookups == hits + misses.
 //   3. Churn — a deliberately tiny store capacity forces eviction across a
 //      long register stream: registered == resident + evicted at every
-//      step's end, resident bytes never exceed capacity (no pins held), the
-//      slab arena's live bytes track the store's resident bytes exactly
-//      (zero leak), and a pinned entry survives a capacity storm that
-//      evicts everything around it.  The result cache gets the same
+//      step's end, evictions happen, and a pinned entry survives a capacity
+//      storm that evicts everything around it.  The result cache gets the same
 //      treatment: budgeted completions evict from the LRU tail and the
 //      lookup identity holds.
 //
@@ -307,11 +305,10 @@ int main(int argc, char** argv) {
 
     // --- 3. churn -----------------------------------------------------------
     // A 64 KiB store swallows a stream of images far past capacity; the
-    // accounting identity and the arena-leak identity must survive, and a
-    // pinned entry must ride out the storm.
+    // accounting identity must survive, and a pinned entry must ride out
+    // the storm.
     StoreConfig tiny;
     tiny.capacity_bytes = 64 * 1024;
-    tiny.slab_bytes = 16 * 1024;
     ImageStore churn(tiny);
     const int kChurn = smoke ? 64 : 256;
     const ImageHandle pinned_handle =
@@ -324,10 +321,7 @@ int main(int argc, char** argv) {
       churn_accounted = churn_accounted && s.accounted();
     }
     const StoreStats churn_stats = churn.stats();
-    const SlabArena::Stats arena = churn.arena_stats();
     const bool churn_evicts = churn_stats.evicted > 0;
-    const bool churn_arena_no_leak =
-        arena.live_bytes == churn_stats.resident_bytes;
     const bool churn_pin_survives =
         churn.contains(pinned_handle) && pinned.image().height() == 16;
 
@@ -357,10 +351,8 @@ int main(int argc, char** argv) {
               << "store: registered " << churn_stats.registered
               << " resident " << churn_stats.resident << " evicted "
               << churn_stats.evicted << " (blocked by pin "
-              << churn_stats.evict_blocked_by_pin << ")\n"
-              << "arena: live " << arena.live_bytes << " bytes vs resident "
-              << churn_stats.resident_bytes << " bytes ("
-              << (churn_arena_no_leak ? "no leak" : "LEAK") << ")\n"
+              << churn_stats.evict_blocked_by_pin << ") resident_bytes "
+              << churn_stats.resident_bytes << "\n"
               << "cache: insertions " << churn_cache_stats.insertions
               << " evictions " << churn_cache_stats.evictions
               << " resident_bytes " << churn_cache_stats.resident_bytes
@@ -370,9 +362,8 @@ int main(int argc, char** argv) {
                         hot_zero_misses && hot_bit_identical && hot_accounted &&
                         cache_serves_repeats && replay_identical &&
                         cache_accounted && churn_accounted && churn_evicts &&
-                        churn_arena_no_leak && churn_pin_survives &&
-                        cache_churn_evicts && cache_churn_budget &&
-                        cache_churn_accounted;
+                        churn_pin_survives && cache_churn_evicts &&
+                        cache_churn_budget && cache_churn_accounted;
     std::cout << "verdict: "
               << (all_ok ? "store holds (all checks pass)"
                          : "STORE GAP (see failed checks)")
@@ -405,8 +396,6 @@ int main(int argc, char** argv) {
                         static_cast<double>(churn_stats.evicted));
       report.set_scalar("churn_evict_blocked_by_pin",
                         static_cast<double>(churn_stats.evict_blocked_by_pin));
-      report.set_scalar("churn_arena_live_bytes",
-                        static_cast<double>(arena.live_bytes));
       report.set_scalar("churn_resident_bytes",
                         static_cast<double>(churn_stats.resident_bytes));
       report.set_scalar("cache_churn_evictions",
@@ -421,7 +410,6 @@ int main(int argc, char** argv) {
       report.set_check("cache_accounted", cache_accounted);
       report.set_check("churn_accounted", churn_accounted);
       report.set_check("churn_evicts", churn_evicts);
-      report.set_check("churn_arena_no_leak", churn_arena_no_leak);
       report.set_check("churn_pin_survives", churn_pin_survives);
       report.set_check("cache_churn_evicts", cache_churn_evicts);
       report.set_check("cache_churn_budget", cache_churn_budget);

@@ -1141,7 +1141,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   if (args.has("--json")) {
     JsonWriter w(out);
     w.begin_object();
-    w.member("schema", "sysrle.serve.v7");
+    w.member("schema", "sysrle.serve.v8");
     w.key("params");
     w.begin_object();
     w.member("requests", n_requests);
@@ -1219,7 +1219,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.key("store");
     if (store) {
       const StoreStats ss = store->stats();
-      const SlabArena::Stats as = store->arena_stats();
       w.begin_object();
       w.member("registered", ss.registered);
       w.member("dedup_hits", ss.dedup_hits);
@@ -1231,9 +1230,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
       w.member("resident", static_cast<std::uint64_t>(ss.resident));
       w.member("resident_bytes",
                static_cast<std::uint64_t>(ss.resident_bytes));
-      w.member("arena_live_bytes", static_cast<std::uint64_t>(as.live_bytes));
-      w.member("arena_reserved_bytes",
-               static_cast<std::uint64_t>(as.reserved_bytes));
       w.member("accounting_ok", ss.accounted());
       w.end_object();
     } else {

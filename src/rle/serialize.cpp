@@ -45,8 +45,9 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
 /// Feeds the canonical SRLB byte sequence of `img` to `sink(data, size)`.
-/// Shared by canonical_rle_bytes and canonical_fingerprint so the string
-/// and the streamed hash can never disagree about the encoding.
+/// Shared by canonical_rle_bytes, canonical_rle_size and
+/// canonical_fingerprint so the string, its size and the streamed hash can
+/// never disagree about the encoding.
 template <typename Sink>
 void emit_canonical(const RleImage& img, Sink&& sink) {
   auto put = [&sink](std::int64_t v) {
@@ -235,6 +236,12 @@ std::string canonical_rle_bytes(const RleImage& img) {
     bytes.append(data, size);
   });
   return bytes;
+}
+
+std::size_t canonical_rle_size(const RleImage& img) {
+  std::size_t size = 0;
+  emit_canonical(img, [&size](const char*, std::size_t n) { size += n; });
+  return size;
 }
 
 std::uint64_t fingerprint_bytes(const void* data, std::size_t size) {

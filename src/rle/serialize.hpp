@@ -40,6 +40,10 @@ RleImage read_rle_file(const std::string& path);
 /// are a stable content identity for the image store.
 std::string canonical_rle_bytes(const RleImage& img);
 
+/// canonical_rle_bytes(img).size(), counted without materializing the
+/// string: the image store's byte-budget charge.
+std::size_t canonical_rle_size(const RleImage& img);
+
 /// 64-bit FNV-1a over an arbitrary byte range.
 std::uint64_t fingerprint_bytes(const void* data, std::size_t size);
 

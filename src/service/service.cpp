@@ -122,16 +122,9 @@ void DiffService::process(AdmissionQueue::Item item) {
   // the span below, so the span's destructor still sees the context.
   RequestContextScope ctx_scope(req.ctx);
 
-  // Routed requests get a per-replica span label (owned-name small-buffer
-  // storage: the string dies with this frame, the event does not).
-  std::optional<TelemetrySpan> span;
-  if (telemetry_enabled() && req.ctx.shard >= 0) {
-    span.emplace("service.request.s" + std::to_string(req.ctx.shard) + ".r" +
-                     std::to_string(req.ctx.replica),
-                 "service");
-  } else {
-    span.emplace("service.request", "service");
-  }
+  // Shard and replica travel in the context; the exporter writes them as
+  // span args.
+  TELEMETRY_SPAN("service.request", "service");
 
   const auto dequeued = std::chrono::steady_clock::now();
   flight_record(FlightEventKind::kDequeue, req.ctx, "",

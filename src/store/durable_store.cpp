@@ -152,10 +152,7 @@ void DurableStore::replay_register(ImageHandle handle, const std::string& label,
   const ImageStore::RegisterResult result = store_->register_image(image);
   if (result.ok) {
     ++recovery_.replayed_registers;
-    if (!label.empty()) {
-      labels_[label] = result.handle;
-      handle_label_.emplace(result.handle, label);
-    }
+    if (!label.empty()) labels_[label] = result.handle;
   } else {
     ++recovery_.dropped_collision;
     flight_record(FlightEventKind::kRecoveryDrop, RequestContext{}, "collision",
@@ -169,10 +166,7 @@ ImageStore::RegisterResult DurableStore::register_image(
   const ImageStore::RegisterResult result = store_->register_image(image);
   if (!result.ok) return result;
   journal_->append_register(result.handle, label, canonical_rle_bytes(image));
-  if (!label.empty()) {
-    labels_[label] = result.handle;
-    handle_label_.emplace(result.handle, label);
-  }
+  if (!label.empty()) labels_[label] = result.handle;
   ++records_since_snapshot_;
   if (cfg_.snapshot_every > 0 &&
       records_since_snapshot_ >= cfg_.snapshot_every)
@@ -201,14 +195,17 @@ void DurableStore::snapshot_now() {
 }
 
 void DurableStore::snapshot_locked() {
+  std::multimap<ImageHandle, std::string> names;
+  for (const auto& [label, handle] : labels_) names.emplace(handle, label);
+  // resident_entries() only shares the parses; encoding happens here, with
+  // the store lock already released.
   std::vector<SnapshotEntry> entries;
-  for (ImageStore::ResidentEntry& re : store_->resident_entries()) {
-    SnapshotEntry entry;
-    entry.handle = re.handle;
-    auto found = handle_label_.find(re.handle);
-    if (found != handle_label_.end()) entry.label = found->second;
-    entry.bytes = std::move(re.bytes);
-    entries.push_back(std::move(entry));
+  for (const ImageStore::ResidentEntry& re : store_->resident_entries()) {
+    const std::string bytes = canonical_rle_bytes(*re.image);
+    const auto [first, last] = names.equal_range(re.handle);
+    if (first == last) entries.push_back({re.handle, "", bytes});
+    for (auto it = first; it != last; ++it)
+      entries.push_back({re.handle, it->second, bytes});
   }
   write_snapshot(store_snapshot_path(cfg_.dir), entries);
   // Only now — with the snapshot durably renamed in place — may the journal

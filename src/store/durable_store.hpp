@@ -14,6 +14,15 @@
 //             every recovery) the resident set is compacted into a fresh
 //             snapshot — write-temp, fsync, atomic rename, directory fsync —
 //             and only then is the journal truncated back to its header.
+//             The store hands over shared references to its canonical
+//             parses; they are serialized here, after the store lock is
+//             released, so a snapshot never blocks acquire() on encoding.
+//             Labels come from labels(): an image under several labels is
+//             written once per label (recovery dedups the repeats), and an
+//             image no label names any more is written unlabelled.
+//
+// This is the only store module that writes SRLB bytes; the in-memory
+// store holds parses only.
 //
 // Recovery (the constructor) replays snapshot entries then journal records
 // through the hardened SRLB reader and re-verifies every image's canonical
@@ -51,7 +60,7 @@ std::string store_snapshot_path(const std::string& dir);
 
 struct DurableStoreConfig {
   std::string dir;    ///< required: the store directory (must exist)
-  StoreConfig store;  ///< in-memory store config (capacity, slab, seams)
+  StoreConfig store;  ///< in-memory store config (capacity, seams)
   /// Journal appends per fsync batch.  1 = every record is acknowledged
   /// before register_image returns.
   std::size_t journal_fsync_every = 1;
@@ -146,8 +155,7 @@ class DurableStore {
   std::unique_ptr<StoreJournal> journal_;  ///< null only during replay
   RecoveryReport recovery_;
   mutable std::mutex op_mu_;
-  std::map<std::string, ImageHandle> labels_;
-  std::map<ImageHandle, std::string> handle_label_;
+  std::map<std::string, ImageHandle> labels_;  ///< source of truth
   std::uint64_t records_since_snapshot_ = 0;
   std::uint64_t snapshots_ = 0;
   std::uint64_t last_snapshot_entries_ = 0;

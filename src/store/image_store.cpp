@@ -1,6 +1,5 @@
 #include "store/image_store.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -11,7 +10,7 @@
 namespace sysrle {
 
 ImageStore::ImageStore(StoreConfig config)
-    : config_(std::move(config)), arena_(config_.slab_bytes) {
+    : config_(std::move(config)) {
   SYSRLE_REQUIRE(config_.capacity_bytes > 0,
                  "ImageStore: capacity must be positive");
 }
@@ -35,7 +34,6 @@ void ImageStore::evict_for_locked(std::size_t incoming) {
     }
     const ImageHandle fp = entry.fingerprint;
     resident_bytes_ -= entry.bytes;
-    arena_.release(entry.span);
     it = lru_.erase(it);  // next iteration re-decrements onto the new tail
     entries_.erase(found);
     ++evicted_;
@@ -57,7 +55,6 @@ bool ImageStore::evict(ImageHandle handle) {
     return false;
   }
   resident_bytes_ -= entry.bytes;
-  arena_.release(entry.span);
   lru_.erase(entry.lru);
   entries_.erase(found);
   ++evicted_;
@@ -79,22 +76,25 @@ std::vector<ImageStore::ResidentEntry> ImageStore::resident_entries() const {
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     auto found = entries_.find(*it);
     SYSRLE_REQUIRE(found != entries_.end(), "ImageStore: LRU/map desync");
-    const Entry& entry = *found->second;
-    ResidentEntry re;
-    re.handle = entry.fingerprint;
-    re.bytes.assign(static_cast<const char*>(
-                        static_cast<const void*>(entry.span.data)),
-                    entry.span.size);
-    out.push_back(std::move(re));
+    const std::shared_ptr<Entry>& entry = found->second;
+    out.push_back({*it, std::shared_ptr<const RleImage>(entry, &entry->image)});
   }
   return out;
 }
 
 ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
+  // Canonicalize outside the lock.  Two canonical parses are equal exactly
+  // when their pixels are, so the parse is both the resident form (by-handle
+  // diffs never pay a per-request canonicalization) and the collision check.
+  std::vector<RleRow> rows;
+  rows.reserve(image.rows().size());
+  for (const RleRow& row : image.rows())
+    rows.push_back(row.is_canonical() ? row : row.canonical());
+  RleImage canonical(image.width(), std::move(rows));
   const std::uint64_t fp = config_.fingerprint_override
-                               ? config_.fingerprint_override(image)
-                               : canonical_fingerprint(image);
-  std::string bytes = canonical_rle_bytes(image);
+                               ? config_.fingerprint_override(canonical)
+                               : canonical_fingerprint(canonical);
+  const std::size_t bytes = canonical_rle_size(canonical);
 
   const std::lock_guard<std::mutex> lock(mu_);
   RegisterResult result;
@@ -102,10 +102,7 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
   auto found = entries_.find(fp);
   if (found != entries_.end()) {
     Entry& entry = *found->second;
-    const bool same = entry.span.size == bytes.size() &&
-                      std::memcmp(entry.span.data, bytes.data(),
-                                  bytes.size()) == 0;
-    if (same) {
+    if (entry.image == canonical) {
       // Already resident: dedup, and refresh its recency.
       lru_.splice(lru_.begin(), lru_, entry.lru);
       ++dedup_hits_;
@@ -114,7 +111,7 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
       result.deduplicated = true;
       return result;
     }
-    // Fingerprint taken by different content.  Refuse — the caller gets a
+    // Fingerprint taken by different pixels.  Refuse — the caller gets a
     // typed failure instead of two images silently sharing one handle.
     ++collisions_;
     if (telemetry_enabled()) global_metrics().add("store.collisions");
@@ -122,18 +119,11 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
     return result;
   }
 
-  evict_for_locked(bytes.size());
+  evict_for_locked(bytes);
   auto entry = std::make_shared<Entry>();
   entry->fingerprint = fp;
-  // Store the canonical parse: by-handle diffs then never pay a per-request
-  // canonicalization, and the resident image matches the canonical bytes.
-  std::vector<RleRow> rows;
-  rows.reserve(static_cast<std::size_t>(image.height()));
-  for (const RleRow& row : image.rows())
-    rows.push_back(row.is_canonical() ? row : row.canonical());
-  entry->image = RleImage(image.width(), std::move(rows));
-  entry->span = arena_.store(bytes.data(), bytes.size());
-  entry->bytes = bytes.size();
+  entry->image = std::move(canonical);
+  entry->bytes = bytes;
   lru_.push_front(fp);
   entry->lru = lru_.begin();
   resident_bytes_ += entry->bytes;
@@ -196,11 +186,6 @@ StoreStats ImageStore::stats() const {
   for (const auto& [fp, entry] : entries_)
     if (entry->pins.load(std::memory_order_acquire) > 0) ++s.pinned;
   return s;
-}
-
-SlabArena::Stats ImageStore::arena_stats() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return arena_.stats();
 }
 
 void ImageStore::export_gauges_locked() const {

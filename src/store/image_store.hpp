@@ -10,17 +10,23 @@
 // parsed image, so the reference is parsed zero times per request and the
 // handle doubles as a stable shard-routing key.
 //
+// The canonical parse (every row with adjacent runs merged) is the only
+// form an entry is held in: the store never keeps SRLB bytes.  Dedup and
+// the collision check compare parses; persistence (durable_store.hpp)
+// serializes them when it writes the journal or a snapshot.
+//
 // Safety contracts:
-//   collision  a register whose fingerprint is already taken by *different*
-//              bytes is refused (RegisterResult::collision) — the result
-//              table's idiom: a 64-bit collision degrades to "this image
-//              cannot be stored", never to two images silently sharing a
-//              handle;
+//   collision  a register whose fingerprint is already taken by a
+//              *different* image (full-content compare) is refused
+//              (RegisterResult::collision) — the result table's idiom: a
+//              64-bit collision degrades to "this image cannot be stored",
+//              never to two images silently sharing a handle;
 //   pinning    acquire() returns a PinnedImage holding a refcount; a pinned
 //              entry is never evicted, so an image cannot vanish mid-diff.
 //              Pins released after eviction-time store destruction remain
 //              safe (the entry is shared-ptr-owned past the store);
-//   budget     byte-budgeted LRU eviction over the canonical bytes; the
+//   budget     byte-budgeted LRU eviction, each entry charged its
+//              canonical SRLB size (canonical_rle_size); the
 //              identity registered == resident + evicted always holds
 //              (bench_store asserts it), and pinned entries may push the
 //              store transiently over budget (evict_blocked_by_pin counts
@@ -41,12 +47,10 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "rle/rle_image.hpp"
-#include "store/slab_arena.hpp"
 
 namespace sysrle {
 
@@ -56,11 +60,10 @@ namespace sysrle {
 using ImageHandle = std::uint64_t;
 
 struct StoreConfig {
-  /// Byte budget over resident canonical bytes; registration evicts the LRU
+  /// Byte budget over resident canonical sizes; registration evicts the LRU
   /// tail past it.  Pinned entries are skipped, so the budget can be
   /// overshot while pins hold.
   std::size_t capacity_bytes = std::size_t{64} << 20;
-  std::size_t slab_bytes = std::size_t{1} << 20;
   /// Test seam: replaces canonical_fingerprint so fingerprint collisions
   /// (unconstructable for the real 64-bit hash) are testable.
   std::function<std::uint64_t(const RleImage&)> fingerprint_override;
@@ -73,13 +76,13 @@ struct StoreConfig {
 struct StoreStats {
   std::uint64_t registered = 0;  ///< accepted registrations (dedup excluded)
   std::uint64_t dedup_hits = 0;  ///< re-registrations of a resident image
-  std::uint64_t collisions = 0;  ///< refused: fingerprint taken by other bytes
+  std::uint64_t collisions = 0;  ///< refused: fingerprint taken by other pixels
   std::uint64_t evicted = 0;
   std::uint64_t evict_blocked_by_pin = 0;
   std::uint64_t acquires = 0;
   std::uint64_t lookup_misses = 0;  ///< acquire() of unknown/evicted handles
   std::size_t resident = 0;
-  std::size_t resident_bytes = 0;  ///< canonical bytes of resident entries
+  std::size_t resident_bytes = 0;  ///< canonical sizes of resident entries
   std::size_t pinned = 0;          ///< resident entries with a live pin
 
   /// Every accepted registration is still resident or was evicted.
@@ -99,7 +102,7 @@ class PinnedImage {
   explicit operator bool() const { return image_ != nullptr; }
   const RleImage& image() const { return *image_; }
   ImageHandle handle() const { return handle_; }
-  /// Canonical-bytes size (the entry's byte-budget charge).
+  /// Canonical SRLB size (the entry's byte-budget charge).
   std::size_t bytes() const { return bytes_; }
 
   /// Shares the parsed image without pin semantics: the returned pointer
@@ -123,7 +126,7 @@ class ImageStore {
     bool ok = false;
     ImageHandle handle = 0;
     bool deduplicated = false;  ///< the image was already resident
-    bool collision = false;     ///< refused: handle taken by different bytes
+    bool collision = false;     ///< refused: handle taken by other pixels
   };
 
   explicit ImageStore(StoreConfig config = {});
@@ -131,7 +134,7 @@ class ImageStore {
   ImageStore(const ImageStore&) = delete;
   ImageStore& operator=(const ImageStore&) = delete;
 
-  /// Registers (a parsed copy of) `image` under its content handle.
+  /// Registers the canonical parse of `image` under its content handle.
   /// Re-registering resident content dedups to the existing handle.
   RegisterResult register_image(const RleImage& image);
 
@@ -148,22 +151,21 @@ class ImageStore {
 
   struct ResidentEntry {
     ImageHandle handle = 0;
-    std::string bytes;  ///< canonical SRLB bytes (a copy of the span)
+    std::shared_ptr<const RleImage> image;  ///< the canonical parse
   };
-  /// Copies out every resident entry's canonical bytes, least recently used
-  /// first, so replaying the list in order reproduces today's LRU order.
+  /// Shares every resident entry's image, least recently used first, so
+  /// replaying the list in order reproduces today's LRU order.  Takes
+  /// references only; callers serialize after the store lock is released.
   std::vector<ResidentEntry> resident_entries() const;
 
   StoreStats stats() const;
-  SlabArena::Stats arena_stats() const;
   std::size_t capacity_bytes() const { return config_.capacity_bytes; }
 
  private:
   struct Entry {
     ImageHandle fingerprint = 0;
-    RleImage image{0, 0};
-    SlabArena::Span span;       ///< canonical bytes (identity + defense)
-    std::size_t bytes = 0;      ///< budget charge (span size)
+    RleImage image{0, 0};   ///< canonical parse
+    std::size_t bytes = 0;  ///< budget charge: canonical_rle_size(image)
     std::atomic<std::uint64_t> pins{0};
     std::list<ImageHandle>::iterator lru;
   };
@@ -176,7 +178,6 @@ class ImageStore {
 
   StoreConfig config_;
   mutable std::mutex mu_;
-  SlabArena arena_;
   std::unordered_map<ImageHandle, std::shared_ptr<Entry>> entries_;
   std::list<ImageHandle> lru_;  ///< front = most recently used
   std::size_t resident_bytes_ = 0;

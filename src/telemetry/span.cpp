@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 
 #include "telemetry/telemetry.hpp"
 
@@ -33,19 +32,6 @@ void SpanTracer::record(const char* name, const char* category,
                         std::uint64_t ts_us, std::uint64_t dur_us) {
   SpanEvent e;
   e.name = name;
-  e.category = category;
-  e.ts_us = ts_us;
-  e.dur_us = dur_us;
-  push(e);
-}
-
-void SpanTracer::record_owned(std::string_view name, const char* category,
-                              std::uint64_t ts_us, std::uint64_t dur_us) {
-  SpanEvent e;
-  e.name_owned = true;
-  const std::size_t n = std::min(name.size(), kSpanNameCapacity - 1);
-  std::memcpy(e.owned_name.data(), name.data(), n);
-  e.owned_name[n] = '\0';
   e.category = category;
   e.ts_us = ts_us;
   e.dur_us = dur_us;
@@ -95,26 +81,12 @@ TelemetrySpan::TelemetrySpan(const char* name, const char* category)
   start_us_ = global_tracer().now_us();
 }
 
-TelemetrySpan::TelemetrySpan(const std::string& name, const char* category)
-    : name_(nullptr), category_(category) {
-  if (!telemetry_enabled()) return;
-  const std::size_t n = std::min(name.size(), kSpanNameCapacity - 1);
-  std::memcpy(owned_.data(), name.data(), n);
-  owned_[n] = '\0';
-  active_ = true;
-  start_us_ = global_tracer().now_us();
-}
-
 TelemetrySpan::~TelemetrySpan() {
   if (!active_ || !telemetry_enabled()) return;
   SpanTracer& tracer = global_tracer();
   const std::uint64_t end_us = tracer.now_us();
   const std::uint64_t dur = end_us >= start_us_ ? end_us - start_us_ : 0;
-  if (name_ != nullptr) {
-    tracer.record(name_, category_, start_us_, dur);
-  } else {
-    tracer.record_owned(owned_.data(), category_, start_us_, dur);
-  }
+  tracer.record(name_, category_, start_us_, dur);
 }
 
 }  // namespace sysrle

@@ -13,36 +13,27 @@
 //
 // The span checks the global enable flag in its constructor; when telemetry
 // is disabled the scope never reads the clock.  Span names and categories
-// passed as `const char*` must be string literals (or otherwise outlive the
-// tracer) — the buffer stores the pointers, not copies.  For dynamically
-// composed names (a per-replica label, a per-request tag) use the
-// `std::string` constructor / `record_owned`, which copy the name into a
-// small inline buffer (truncated to kSpanNameCapacity - 1 characters) so
-// the event can never dangle.
+// must be string literals (or otherwise outlive the tracer) — the buffer
+// stores the pointers, not copies.
 //
 // Every recorded span is annotated with the calling thread's RequestContext
 // (telemetry/request_context.hpp) when one is active, so traces can be
-// filtered down to a single serving request.
+// filtered down to a single serving request; per-request detail such as the
+// shard and replica travels there, never in the name.
 
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "telemetry/request_context.hpp"
 
 namespace sysrle {
 
-/// Inline storage (including the terminator) for owned span names.
-inline constexpr std::size_t kSpanNameCapacity = 48;
-
 /// One completed span.  Timestamps are microseconds since the tracer epoch.
 struct SpanEvent {
-  const char* name = "";  ///< literal name; unused when name_owned
+  const char* name = "";  ///< string literal
   const char* category = "";
   std::uint64_t ts_us = 0;
   std::uint64_t dur_us = 0;
@@ -52,13 +43,8 @@ struct SpanEvent {
   /// Inactive (`ctx.active == false`) for spans outside any request.
   RequestContext ctx;
 
-  /// Owned-name small buffer: when name_owned, the label lives here and
-  /// `name` is ignored (the buffer is value-copied with the event).
-  bool name_owned = false;
-  std::array<char, kSpanNameCapacity> owned_name{};
-
-  /// The span's display name regardless of storage.
-  const char* label() const { return name_owned ? owned_name.data() : name; }
+  /// The span's display name.
+  const char* label() const { return name; }
 };
 
 /// Small dense id for the calling thread (1, 2, 3, ... in order of first
@@ -77,12 +63,6 @@ class SpanTracer {
   /// tracer (string literal).
   void record(const char* name, const char* category, std::uint64_t ts_us,
               std::uint64_t dur_us);
-
-  /// Records one completed span whose name is copied into the event's
-  /// inline buffer (truncated to kSpanNameCapacity - 1 chars) — safe for
-  /// dynamically composed names that do not outlive the call.
-  void record_owned(std::string_view name, const char* category,
-                    std::uint64_t ts_us, std::uint64_t dur_us);
 
   /// Copies the buffered events, sorted by (ts_us, dur_us descending) so
   /// enclosing spans precede their children at equal timestamps.
@@ -115,20 +95,14 @@ class SpanTracer {
 class TelemetrySpan {
  public:
   explicit TelemetrySpan(const char* name, const char* category = "sysrle");
-  /// Owned-name variant: copies `name` into the span's inline buffer, so a
-  /// dynamically composed label (e.g. "service.request.shard0.replica1")
-  /// can be destroyed before the tracer is exported.
-  explicit TelemetrySpan(const std::string& name,
-                         const char* category = "sysrle");
   ~TelemetrySpan();
 
   TelemetrySpan(const TelemetrySpan&) = delete;
   TelemetrySpan& operator=(const TelemetrySpan&) = delete;
 
  private:
-  const char* name_;  ///< nullptr when the name lives in owned_
+  const char* name_;
   const char* category_;
-  std::array<char, kSpanNameCapacity> owned_{};
   std::uint64_t start_us_ = 0;
   bool active_ = false;
 };

@@ -590,7 +590,7 @@ TEST_F(CliFixture, ServeJsonSchemaPinnedAndAccounted) {
   const CliRun r = cli({"serve", "--requests", reqs, "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v8");
   EXPECT_DOUBLE_EQ(root.at("params").at("requests").number, 3.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 1.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 1.0);
@@ -657,7 +657,7 @@ TEST_F(CliFixture, ServeMultiShardTopologyRoutesAndStaysAccounted) {
                         "--replicas", "2", "--json"});
   EXPECT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v8");
   EXPECT_DOUBLE_EQ(root.at("params").at("shards").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("params").at("replicas").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 8.0);
@@ -735,7 +735,7 @@ TEST_F(CliFixture, ServeFlightRecorderExportsJsonlAndKillShowsInReport) {
   EXPECT_EQ(r.exit_code, 0) << r.err;
 
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v8");
   EXPECT_EQ(root.at("params").at("kill_replica").string, "0.1@3");
   EXPECT_DOUBLE_EQ(root.at("params").at("flight_recorder").number, 1024.0);
   const JsonValue& flight = root.at("flight");
@@ -840,7 +840,7 @@ TEST_F(CliFixture, ServeStoreSessionServesRepeatDiffFromCache) {
       cli({"serve", "--requests", reqs, "--store", "--json"});
   ASSERT_EQ(r.exit_code, 0) << r.err;
   const JsonValue root = parse_json(r.out);
-  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v7");
+  EXPECT_EQ(root.at("schema").string, "sysrle.serve.v8");
   EXPECT_TRUE(root.at("params").at("store").boolean);
   EXPECT_DOUBLE_EQ(root.at("params").at("registers").number, 2.0);
   EXPECT_DOUBLE_EQ(root.at("offered").number, 2.0);
@@ -850,6 +850,9 @@ TEST_F(CliFixture, ServeStoreSessionServesRepeatDiffFromCache) {
   EXPECT_DOUBLE_EQ(store.at("registered").number, 2.0);
   EXPECT_DOUBLE_EQ(store.at("resident").number, 2.0);
   EXPECT_TRUE(store.at("accounting_ok").boolean);
+  // v8: the store holds parses only, so no byte-arena keys remain.
+  for (const auto& [key, value] : store.object)
+    EXPECT_NE(key.rfind("arena", 0), 0u) << key;
 
   const JsonValue& cache = root.at("cache");
   EXPECT_DOUBLE_EQ(cache.at("hits").number, 1.0);
@@ -897,7 +900,7 @@ TEST_F(CliFixture, ServeStoreDirPersistsAcrossSessions) {
       cli({"serve", "--requests", reqs1, "--store-dir", dir, "--json"});
   ASSERT_EQ(first.exit_code, 0) << first.err;
   const JsonValue root1 = parse_json(first.out);
-  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v7");
+  EXPECT_EQ(root1.at("schema").string, "sysrle.serve.v8");
   EXPECT_EQ(root1.at("params").at("store_dir").string, dir);
   const JsonValue& dur1 = root1.at("durability");
   EXPECT_DOUBLE_EQ(dur1.at("journal").at("appends").number, 2.0);

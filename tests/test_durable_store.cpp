@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -344,6 +345,66 @@ TEST(DurableStore, SnapshotCompactsJournal) {
   EXPECT_EQ(ds.recovery().snapshot_entries, 2u);
   EXPECT_EQ(ds.store().stats().resident, 2u);
   EXPECT_EQ(ds.labels().size(), 2u);
+}
+
+// A snapshot takes its labels from the label map: a second label on the
+// same image survives, and a label moved to another image stays moved even
+// when its old image is the more recently used one.
+TEST(DurableStore, SnapshotKeepsEveryLabel) {
+  const RleImage x = make_image(1);
+  const RleImage y = make_image(2);
+  const ImageHandle hx = canonical_fingerprint(x);
+  const ImageHandle hy = canonical_fingerprint(y);
+  {
+    ScratchDir dir("snapshot_two_labels");
+    {
+      DurableStore ds(plain_config(dir.path));
+      ASSERT_TRUE(ds.register_image(x, "a").ok);
+      ASSERT_TRUE(ds.register_image(x, "b").deduplicated);
+      ds.snapshot_now();
+    }
+    ASSERT_TRUE(load_journal(store_journal_path(dir.path)).records.empty());
+    DurableStore ds(plain_config(dir.path));
+    const std::map<std::string, ImageHandle> want{{"a", hx}, {"b", hx}};
+    EXPECT_EQ(ds.labels(), want);
+    EXPECT_EQ(ds.store().stats().resident, 1u);
+  }
+  {
+    ScratchDir dir("snapshot_moved_label");
+    {
+      DurableStore ds(plain_config(dir.path));
+      ASSERT_TRUE(ds.register_image(x, "a").ok);
+      ASSERT_TRUE(ds.register_image(y, "a").ok);
+      ASSERT_TRUE(ds.store().acquire(hx));  // x becomes the LRU head
+      ds.snapshot_now();
+    }
+    ASSERT_TRUE(load_journal(store_journal_path(dir.path)).records.empty());
+    DurableStore ds(plain_config(dir.path));
+    const std::map<std::string, ImageHandle> want{{"a", hy}};
+    EXPECT_EQ(ds.labels(), want);
+    EXPECT_TRUE(ds.store().contains(hx));  // still resident, unlabelled
+  }
+}
+
+// The store holds parses only; a snapshot encodes them.  An image
+// registered with split runs is written as its canonical bytes, and those
+// bytes fingerprint back to the handle recovery will check them against.
+TEST(DurableStore, SnapshotWritesCanonicalBytesOfSplitImage) {
+  ScratchDir dir("snapshot_split");
+  RleImage split(10, 2);
+  split.set_row(0, RleRow({{0, 2}, {2, 3}}));
+  split.set_row(1, RleRow({{4, 1}, {5, 2}}));
+  DurableStore ds(plain_config(dir.path));
+  const ImageStore::RegisterResult r = ds.register_image(split, "split");
+  ASSERT_TRUE(r.ok);
+  ds.snapshot_now();
+  const SnapshotLoadResult snap = load_snapshot(store_snapshot_path(dir.path));
+  ASSERT_EQ(snap.entries.size(), 1u);
+  EXPECT_EQ(snap.entries[0].handle, r.handle);
+  EXPECT_EQ(snap.entries[0].label, "split");
+  EXPECT_EQ(snap.entries[0].bytes, canonical_rle_bytes(split));
+  std::istringstream in(snap.entries[0].bytes);
+  EXPECT_EQ(canonical_fingerprint(read_rle(in)), r.handle);
 }
 
 TEST(DurableStore, RecoveryCompactionLeavesCanonicalDir) {

@@ -1,6 +1,5 @@
 // Tests for RequestContext propagation: the thread-local scope (install,
-// restore, nesting, per-thread isolation), span annotation, and the
-// owned-name span variant for dynamically composed labels.
+// restore, nesting, per-thread isolation) and span annotation.
 
 #include "telemetry/request_context.hpp"
 
@@ -105,61 +104,6 @@ TEST_F(RequestContextTest, SpansRecordTheActiveContext) {
   EXPECT_EQ(annotated.ctx.shard, 0);
   EXPECT_EQ(annotated.ctx.replica, 1);
   EXPECT_FALSE(unannotated.ctx.active);
-}
-
-// -------------------------------------------------------------- owned names
-
-TEST_F(RequestContextTest, OwnedNameSpanSurvivesTheSourceString) {
-  set_telemetry_enabled(true);
-  {
-    std::string label = "service.request.s1.r0";
-    TelemetrySpan span(label);
-    // Mutate and shrink the source before the span even closes: the event
-    // must carry its own copy.
-    label.assign(200, 'x');
-    label.clear();
-    label.shrink_to_fit();
-  }
-  const std::vector<SpanEvent> events = global_tracer().snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_TRUE(events[0].name_owned);
-  EXPECT_STREQ(events[0].label(), "service.request.s1.r0");
-}
-
-TEST_F(RequestContextTest, OwnedNameTruncatesAtCapacity) {
-  set_telemetry_enabled(true);
-  const std::string long_name(kSpanNameCapacity + 20, 'n');
-  { TelemetrySpan span(long_name); }
-  const std::vector<SpanEvent> events = global_tracer().snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  const std::string label = events[0].label();
-  EXPECT_EQ(label.size(), kSpanNameCapacity - 1);
-  EXPECT_EQ(label, long_name.substr(0, kSpanNameCapacity - 1));
-}
-
-TEST(SpanTracer, RecordOwnedCopiesIntoTheEvent) {
-  SpanTracer t;
-  {
-    std::string name = "dynamic.label";
-    t.record_owned(name, "cat", 10, 5);
-    name.assign(100, 'z');
-  }
-  const std::vector<SpanEvent> events = t.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_TRUE(events[0].name_owned);
-  EXPECT_STREQ(events[0].label(), "dynamic.label");
-  EXPECT_STREQ(events[0].category, "cat");
-  EXPECT_EQ(events[0].ts_us, 10u);
-  EXPECT_EQ(events[0].dur_us, 5u);
-}
-
-TEST(SpanTracer, LiteralEventsAreNotMarkedOwned) {
-  SpanTracer t;
-  t.record("literal", "cat", 0, 1);
-  const std::vector<SpanEvent> events = t.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_FALSE(events[0].name_owned);
-  EXPECT_STREQ(events[0].label(), "literal");
 }
 
 }  // namespace

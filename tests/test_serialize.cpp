@@ -286,8 +286,8 @@ TEST(Serialize, CanonicalFingerprintIsStableAndContentSensitive) {
 }
 
 // Canonical bytes are valid SRLB: reading them back yields the same pixels
-// (canonicalized), so the store can keep them as its collision-defense
-// identity and still rehydrate if it ever needs to.
+// (canonicalized), so the durable store's journal and snapshot rehydrate
+// exactly the parse the in-memory store held.
 TEST(Serialize, CanonicalBytesRoundTrip) {
   RleImage split(10, 2);
   split.set_row(0, RleRow({{0, 2}, {2, 3}}));
@@ -297,6 +297,18 @@ TEST(Serialize, CanonicalBytesRoundTrip) {
   ASSERT_EQ(back.height(), 2);
   EXPECT_EQ(back.row(0), RleRow({{0, 5}}));
   EXPECT_EQ(back.row(1), RleRow({{4, 3}}));
+}
+
+// The counted size is the materialized size — the image store's budget
+// charge — for canonical rows, split rows, and a 0-height image.
+TEST(Serialize, CanonicalSizeMatchesBytes) {
+  RleImage split(10, 2);
+  split.set_row(0, RleRow({{0, 2}, {2, 3}}));
+  split.set_row(1, RleRow({{4, 1}, {5, 2}, {8, 1}}));
+  ASSERT_FALSE(split.row(0).is_canonical());
+  for (const RleImage& img : {sample_image(), split, RleImage(7, 0)})
+    EXPECT_EQ(canonical_rle_size(img), canonical_rle_bytes(img).size());
+  EXPECT_EQ(canonical_rle_size(RleImage(7, 0)), 28u);  // bare SRLB header
 }
 
 // Different pixels must (for any realistic corpus) fingerprint differently;

@@ -401,7 +401,7 @@ TEST_F(TelemetryTest, ExportersRunConcurrentlyWithRecorders) {
       while (!stop.load()) {
         metrics.add("race.count");
         metrics.observe("race.hist", static_cast<double>(i % 32));
-        tracer.record_owned("race.span", "test", i, 1);
+        tracer.record("race.span", "test", i, 1);
         ++i;
       }
     });
