@@ -4,11 +4,13 @@
 //   * a human-readable text format ("SRLT"), convenient for fixtures,
 //   * a compact little-endian binary format ("SRLB"), for real data.
 // Readers validate every row (ordering, overlap, width) and throw
-// contract_error on malformed input.
+// contract_error on malformed input.  One encoder and one decoder handle
+// SRLB, over the shared little-endian codec (common/bytes.hpp).
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "rle/rle_image.hpp"
@@ -26,7 +28,13 @@ void write_rle(std::ostream& out, const RleImage& img,
                RleFormat format = RleFormat::kBinary);
 
 /// Reads an RLE image from a stream (format auto-detected from the magic).
+/// An SRLB stream is read to its end and decoded by the span overload's
+/// decoder; an SRLT stream is left just past the image.
 RleImage read_rle(std::istream& in);
+
+/// Decodes SRLB bytes (magic included) with the same checks and errors as
+/// the stream reader; bytes after the last row are ignored.
+RleImage read_rle(std::span<const std::byte> bytes);
 
 /// File variants.
 void write_rle_file(const std::string& path, const RleImage& img,

@@ -7,10 +7,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "rle/serialize.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
@@ -27,16 +27,28 @@ std::string store_snapshot_path(const std::string& dir) {
 
 namespace {
 
-/// Parses canonical SRLB bytes through the hardened reader.  Returns false
-/// (instead of throwing) when the reader refuses them.
-bool parse_image(const std::string& bytes, RleImage& out) {
+/// What checking one stored image record found.
+enum class RecordCheck { kVerified, kMalformed, kFingerprintMismatch };
+
+/// Decodes a record's canonical SRLB bytes through the hardened reader into
+/// `image` and checks they hash to the handle they were filed under — the
+/// end-to-end content-address check shared by recovery and fsck.  A set
+/// `fingerprint_override` (the store's test seam) replaces
+/// canonical_fingerprint.
+RecordCheck check_record(
+    ImageHandle handle, const std::string& bytes,
+    const std::function<std::uint64_t(const RleImage&)>& fingerprint_override,
+    RleImage& image) {
   try {
-    std::istringstream in(bytes);
-    out = read_rle(in);
-    return true;
+    image = read_rle(byte_span(bytes));
   } catch (const contract_error&) {
-    return false;
+    return RecordCheck::kMalformed;
   }
+  const std::uint64_t fingerprint = fingerprint_override
+                                        ? fingerprint_override(image)
+                                        : canonical_fingerprint(image);
+  return fingerprint == handle ? RecordCheck::kVerified
+                               : RecordCheck::kFingerprintMismatch;
 }
 
 /// Clips a journal file to its clean prefix so the append side can reopen
@@ -127,26 +139,16 @@ DurableStore::DurableStore(DurableStoreConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-std::uint64_t DurableStore::fingerprint_of(const RleImage& image) const {
-  return cfg_.store.fingerprint_override ? cfg_.store.fingerprint_override(image)
-                                         : canonical_fingerprint(image);
-}
-
 void DurableStore::replay_register(ImageHandle handle, const std::string& label,
                                    const std::string& bytes) {
   RleImage image(0, 0);
-  if (!parse_image(bytes, image)) {
-    ++recovery_.dropped_malformed;
-    flight_record(FlightEventKind::kRecoveryDrop, RequestContext{}, "malformed",
-                  handle);
-    return;
-  }
-  // End-to-end content addressing: the bytes must hash to the handle they
-  // were filed under, or they are not the image the journal acknowledged.
-  if (fingerprint_of(image) != handle) {
-    ++recovery_.dropped_fingerprint;
+  const RecordCheck check =
+      check_record(handle, bytes, cfg_.store.fingerprint_override, image);
+  if (check != RecordCheck::kVerified) {
+    const bool malformed = check == RecordCheck::kMalformed;
+    ++(malformed ? recovery_.dropped_malformed : recovery_.dropped_fingerprint);
     flight_record(FlightEventKind::kRecoveryDrop, RequestContext{},
-                  "fingerprint_mismatch", handle);
+                  malformed ? "malformed" : "fingerprint_mismatch", handle);
     return;
   }
   const ImageStore::RegisterResult result = store_->register_image(image);
@@ -239,15 +241,10 @@ FsckReport fsck_store_dir(const std::string& dir) {
   FsckReport report;
   const auto verify = [&report](ImageHandle handle, const std::string& bytes) {
     RleImage image(0, 0);
-    if (!parse_image(bytes, image)) {
-      ++report.malformed_images;
-      return;
-    }
-    if (canonical_fingerprint(image) != handle) {
-      ++report.fingerprint_mismatches;
-      return;
-    }
-    ++report.verified_images;
+    const RecordCheck check = check_record(handle, bytes, nullptr, image);
+    ++(check == RecordCheck::kVerified    ? report.verified_images
+       : check == RecordCheck::kMalformed ? report.malformed_images
+                                          : report.fingerprint_mismatches);
   };
 
   const SnapshotLoadResult snap = load_snapshot(store_snapshot_path(dir));

@@ -147,7 +147,6 @@ class DurableStore {
  private:
   void replay_register(ImageHandle handle, const std::string& label,
                        const std::string& bytes);
-  std::uint64_t fingerprint_of(const RleImage& image) const;
   void snapshot_locked();
 
   DurableStoreConfig cfg_;

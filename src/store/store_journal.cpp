@@ -7,10 +7,10 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -22,48 +22,10 @@ constexpr char kMagic[4] = {'S', 'R', 'L', 'J'};
 constexpr std::size_t kHeaderBytes = 8;  // magic + u32 version
 constexpr std::uint32_t kMaxLabel = 1u << 16;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-std::string header_bytes() {
-  std::string h(kMagic, sizeof(kMagic));
-  put_u32(h, StoreJournal::kVersion);
-  return h;
-}
-
-void write_all(int fd, const char* data, std::size_t size,
-               const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SYSRLE_REQUIRE(false, "StoreJournal: write failed for " + path + ": " +
-                                std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
+bool header_ok(std::string_view bytes) {
+  ByteReader in(byte_span(bytes));
+  return in.take(sizeof(kMagic)) == std::string_view(kMagic, sizeof(kMagic)) &&
+         in.read<std::uint32_t>() == StoreJournal::kVersion;
 }
 
 const std::array<std::uint32_t, 256>& crc_table() {
@@ -91,19 +53,54 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data,
 
 /// The record CRC covers the 4 length-prefix bytes followed by the payload,
 /// so framing corruption is as detectable as payload corruption.
-std::uint32_t record_crc(std::uint32_t payload_len, const char* payload) {
-  std::string len_le;
-  put_u32(len_le, payload_len);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  crc = crc32_update(crc, len_le.data(), len_le.size());
-  crc = crc32_update(crc, payload, payload_len);
-  return crc ^ 0xFFFFFFFFu;
+std::uint32_t record_crc(std::uint32_t payload_len, std::string_view payload) {
+  const auto len_le = le_bytes<std::uint32_t>(payload_len);
+  return crc32_bytes({len_le.data(), len_le.size()}, payload);
+}
+
+/// Decodes the record at the cursor into `record`.  Returns the salvage
+/// reason when the record is bad, nullptr when it decoded clean.
+const char* decode_record(ByteReader& in, JournalRecord& record) {
+  record.offset = in.offset();
+  const auto len = in.read<std::uint32_t>();
+  const auto crc = in.read<std::uint32_t>();
+  if (!len || !crc) return "torn_frame";
+  if (*len > StoreJournal::kMaxPayload) return "oversize_length";
+  const auto payload = in.take(*len);
+  if (!payload) return "torn_payload";
+  if (record_crc(*len, *payload) != *crc) return "crc_mismatch";
+  record.length = 8 + static_cast<std::uint64_t>(*len);
+  // The CRC says these are the bytes the writer wrote; a payload that still
+  // does not decode is a writer/reader version skew or an unknown kind.
+  ByteReader body(byte_span(*payload));
+  const auto kind = body.read<std::uint8_t>();
+  const auto handle = body.read<std::uint64_t>();
+  if (!kind || !handle) return "bad_payload";
+  record.handle = *handle;
+  if (*kind == static_cast<std::uint8_t>(JournalRecordKind::kEvict)) {
+    record.kind = JournalRecordKind::kEvict;
+    return body.remaining() == 0 ? nullptr : "bad_payload";
+  }
+  const auto label_len = body.read<std::uint32_t>();
+  if (*kind != static_cast<std::uint8_t>(JournalRecordKind::kRegister) ||
+      !label_len || *label_len >= kMaxLabel)
+    return "bad_payload";
+  const auto label = body.take(*label_len);
+  const auto data_len = body.read<std::uint64_t>();
+  if (!label || !data_len || *data_len != body.remaining())
+    return "bad_payload";
+  record.kind = JournalRecordKind::kRegister;
+  record.label = *label;
+  record.bytes = *body.take(body.remaining());
+  return nullptr;
 }
 
 }  // namespace
 
-std::uint32_t crc32_bytes(const void* data, std::size_t size) {
-  return crc32_update(0xFFFFFFFFu, data, size) ^ 0xFFFFFFFFu;
+std::uint32_t crc32_bytes(std::string_view head, std::string_view body) {
+  std::uint32_t crc = crc32_update(0xFFFFFFFFu, head.data(), head.size());
+  crc = crc32_update(crc, body.data(), body.size());
+  return crc ^ 0xFFFFFFFFu;
 }
 
 StoreJournal::StoreJournal(std::string path, std::size_t fsync_every)
@@ -116,17 +113,16 @@ StoreJournal::StoreJournal(std::string path, std::size_t fsync_every)
   SYSRLE_REQUIRE(::fstat(fd_, &st) == 0,
                  "StoreJournal: fstat failed for " + path_);
   if (st.st_size == 0) {
-    const std::string header = header_bytes();
-    write_all(fd_, header.data(), header.size(), path_);
+    std::string header(kMagic, sizeof(kMagic));
+    append_le<std::uint32_t>(header, kVersion);
+    write_all(fd_, header, "StoreJournal", path_);
     SYSRLE_REQUIRE(::fsync(fd_) == 0,
                    "StoreJournal: fsync failed for " + path_);
     file_bytes_ = header.size();
   } else {
     char buf[kHeaderBytes] = {};
     const ssize_t n = ::pread(fd_, buf, kHeaderBytes, 0);
-    const bool ok = n == static_cast<ssize_t>(kHeaderBytes) &&
-                    std::memcmp(buf, kMagic, sizeof(kMagic)) == 0 &&
-                    get_u32(buf + 4) == kVersion;
+    const bool ok = n >= 0 && header_ok({buf, static_cast<std::size_t>(n)});
     SYSRLE_REQUIRE(ok, "StoreJournal: " + path_ +
                            " exists but is not a v1 journal (salvage first)");
     file_bytes_ = static_cast<std::uint64_t>(st.st_size);
@@ -149,16 +145,16 @@ StoreJournal::~StoreJournal() {
   }
 }
 
-void StoreJournal::append_record_locked(const std::string& payload) {
+void StoreJournal::append_record_locked(std::string& record) {
+  const std::string_view payload = std::string_view(record).substr(8);
   SYSRLE_REQUIRE(payload.size() <= kMaxPayload,
                  "StoreJournal: record payload exceeds kMaxPayload");
   const auto len = static_cast<std::uint32_t>(payload.size());
-  std::string record;
-  record.reserve(8 + payload.size());
-  put_u32(record, len);
-  put_u32(record, record_crc(len, payload.data()));
-  record.append(payload);
-  write_all(fd_, record.data(), record.size(), path_);
+  const auto len_le = le_bytes<std::uint32_t>(len);
+  const auto crc_le = le_bytes<std::uint32_t>(record_crc(len, payload));
+  std::memcpy(record.data(), len_le.data(), len_le.size());
+  std::memcpy(record.data() + 4, crc_le.data(), crc_le.size());
+  write_all(fd_, record, "StoreJournal", path_);
   file_bytes_ += record.size();
   ++stats_.appends;
   stats_.appended_bytes += record.size();
@@ -175,27 +171,27 @@ void StoreJournal::append_register(ImageHandle handle,
                                    const std::string& bytes) {
   SYSRLE_REQUIRE(label.size() < kMaxLabel,
                  "StoreJournal: label too long to journal");
-  std::string payload;
-  payload.reserve(1 + 8 + 4 + label.size() + 8 + bytes.size());
-  payload.push_back(static_cast<char>(JournalRecordKind::kRegister));
-  put_u64(payload, handle);
-  put_u32(payload, static_cast<std::uint32_t>(label.size()));
-  payload.append(label);
-  put_u64(payload, bytes.size());
-  payload.append(bytes);
+  // 8 frame bytes (length, CRC) are filled in by append_record_locked.
+  std::string record(8, '\0');
+  record.reserve(8 + 1 + 8 + 4 + label.size() + 8 + bytes.size());
+  record.push_back(static_cast<char>(JournalRecordKind::kRegister));
+  append_le<std::uint64_t>(record, handle);
+  append_le<std::uint32_t>(record, static_cast<std::uint32_t>(label.size()));
+  record.append(label);
+  append_le<std::uint64_t>(record, bytes.size());
+  record.append(bytes);
   const std::lock_guard<std::mutex> lock(mu_);
-  append_record_locked(payload);
+  append_record_locked(record);
   flight_record(FlightEventKind::kJournalAppend, RequestContext{}, "register",
                 handle);
 }
 
 void StoreJournal::append_evict(ImageHandle handle) {
-  std::string payload;
-  payload.reserve(1 + 8);
-  payload.push_back(static_cast<char>(JournalRecordKind::kEvict));
-  put_u64(payload, handle);
+  std::string record(8, '\0');
+  record.push_back(static_cast<char>(JournalRecordKind::kEvict));
+  append_le<std::uint64_t>(record, handle);
   const std::lock_guard<std::mutex> lock(mu_);
-  append_record_locked(payload);
+  append_record_locked(record);
   flight_record(FlightEventKind::kJournalAppend, RequestContext{}, "evict",
                 handle);
 }
@@ -240,85 +236,32 @@ std::uint64_t StoreJournal::size_bytes() const {
 
 JournalLoadResult load_journal(const std::string& path) {
   JournalLoadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return result;  // missing file == empty journal
+  const auto file = read_whole_file(path, "load_journal");
+  if (!file) return result;  // missing file == empty journal
   result.file_present = true;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  SYSRLE_REQUIRE(!in.bad(), "load_journal: read failed for " + path);
+  const std::string& data = *file;
 
-  if (data.size() < kHeaderBytes ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0 ||
-      get_u32(data.data() + 4) != StoreJournal::kVersion) {
+  if (!header_ok(data)) {
     result.header_ok = false;
     result.salvaged_tail_bytes = data.size();
     result.tail_reason = "bad_header";
     return result;
   }
 
-  std::size_t pos = kHeaderBytes;
-  const auto fail = [&](const char* reason) {
+  ByteReader in(byte_span(data));
+  in.take(kHeaderBytes);  // checked by header_ok
+  std::size_t pos = kHeaderBytes;  // end of the clean prefix
+  const char* reason = nullptr;
+  while (in.remaining() > 0) {
+    JournalRecord record;
+    reason = decode_record(in, record);
+    if (reason) break;
+    result.records.push_back(std::move(record));
+    pos = in.offset();
+  }
+  if (reason) {
     result.salvaged_tail_bytes = data.size() - pos;
     result.tail_reason = reason;
-  };
-  while (pos < data.size()) {
-    if (data.size() - pos < 8) {
-      fail("torn_frame");
-      break;
-    }
-    const std::uint32_t len = get_u32(data.data() + pos);
-    const std::uint32_t crc = get_u32(data.data() + pos + 4);
-    if (len > StoreJournal::kMaxPayload) {
-      fail("oversize_length");
-      break;
-    }
-    if (data.size() - pos - 8 < len) {
-      fail("torn_payload");
-      break;
-    }
-    const char* payload = data.data() + pos + 8;
-    if (record_crc(len, payload) != crc) {
-      fail("crc_mismatch");
-      break;
-    }
-
-    JournalRecord record;
-    record.offset = pos;
-    record.length = 8 + static_cast<std::uint64_t>(len);
-    bool parsed = false;
-    if (len >= 9) {
-      const auto kind = static_cast<unsigned char>(payload[0]);
-      record.handle = get_u64(payload + 1);
-      if (kind == static_cast<unsigned char>(JournalRecordKind::kEvict) &&
-          len == 9) {
-        record.kind = JournalRecordKind::kEvict;
-        parsed = true;
-      } else if (kind ==
-                 static_cast<unsigned char>(JournalRecordKind::kRegister) &&
-                 len >= 9 + 4) {
-        const std::uint32_t label_len = get_u32(payload + 9);
-        if (label_len < kMaxLabel &&
-            len >= 9 + 4 + static_cast<std::uint64_t>(label_len) + 8) {
-          record.label.assign(payload + 13, label_len);
-          const std::uint64_t data_len = get_u64(payload + 13 + label_len);
-          if (13 + label_len + 8 + data_len == len) {
-            record.kind = JournalRecordKind::kRegister;
-            record.bytes.assign(payload + 13 + label_len + 8,
-                                static_cast<std::size_t>(data_len));
-            parsed = true;
-          }
-        }
-      }
-    }
-    if (!parsed) {
-      // CRC says the bytes are what the writer wrote, but the payload does
-      // not decode — a writer/reader version skew or an unknown kind.  The
-      // salvage rule is the same: keep the clean prefix, stop here.
-      fail("bad_payload");
-      break;
-    }
-    result.records.push_back(std::move(record));
-    pos += 8 + len;
   }
   result.clean_bytes = pos;
   return result;

@@ -30,14 +30,16 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "store/image_store.hpp"
 
 namespace sysrle {
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over a byte range.
-std::uint32_t crc32_bytes(const void* data, std::size_t size);
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over the concatenation
+/// `head ++ body`, computed incrementally without joining them.
+std::uint32_t crc32_bytes(std::string_view head, std::string_view body);
 
 enum class JournalRecordKind : std::uint8_t {
   kRegister = 1,
@@ -98,7 +100,9 @@ class StoreJournal {
   const std::string& path() const { return path_; }
 
  private:
-  void append_record_locked(const std::string& payload);
+  /// Fills the 8 frame bytes at the front of `record` (length and CRC of
+  /// the payload after them), then writes it.
+  void append_record_locked(std::string& record);
   void sync_locked();
 
   std::string path_;

@@ -7,9 +7,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "common/assert.hpp"
+#include "common/bytes.hpp"
 #include "store/store_journal.hpp"
 
 namespace sysrle {
@@ -18,59 +18,8 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'R', 'L', 'S'};
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 16;  // magic + u32 version + u64 count
 constexpr std::uint32_t kMaxLabel = 1u << 16;
 constexpr std::uint64_t kMaxData = 1u << 28;
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  return v;
-}
-
-/// The per-entry CRC covers every field except the CRC word itself, in file
-/// order: handle, label_len, label, data_len, data.
-std::uint32_t entry_crc(const SnapshotEntry& e) {
-  std::string head;
-  put_u64(head, e.handle);
-  put_u32(head, static_cast<std::uint32_t>(e.label.size()));
-  head.append(e.label);
-  put_u64(head, e.bytes.size());
-  head.append(e.bytes);
-  return crc32_bytes(head.data(), head.size());
-}
-
-void write_all(int fd, const char* data, std::size_t size,
-               const std::string& path) {
-  while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      SYSRLE_REQUIRE(false, "write_snapshot: write failed for " + path +
-                                ": " + std::strerror(errno));
-    }
-    data += n;
-    size -= static_cast<std::size_t>(n);
-  }
-}
 
 void fsync_parent_dir(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
@@ -86,23 +35,51 @@ void fsync_parent_dir(const std::string& path) {
   SYSRLE_REQUIRE(rc == 0, "write_snapshot: directory fsync failed for " + dir);
 }
 
+/// Decodes the entry at the cursor of `in` (a reader over `data`) into
+/// `entry`.  Returns the salvage reason when the entry is bad, nullptr when
+/// it loaded clean.
+const char* decode_entry(ByteReader& in, std::string_view data,
+                         SnapshotEntry& entry) {
+  const std::size_t start = in.offset();
+  const auto handle = in.read<std::uint64_t>();
+  const auto label_len = in.read<std::uint32_t>();
+  if (!handle || !label_len) return "torn_entry";
+  if (*label_len >= kMaxLabel) return "oversize_label";
+  const auto label = in.take(*label_len);
+  const auto data_len = in.read<std::uint64_t>();
+  const std::size_t crc_covered = in.offset() - start;  // then the data
+  const auto crc = in.read<std::uint32_t>();
+  if (!label || !data_len || !crc) return "torn_entry";
+  if (*data_len >= kMaxData) return "oversize_entry";
+  const auto bytes = in.take(static_cast<std::size_t>(*data_len));
+  if (!bytes) return "torn_entry";
+  if (crc32_bytes(data.substr(start, crc_covered), *bytes) != *crc)
+    return "crc_mismatch";
+  entry = {*handle, std::string(*label), std::string(*bytes)};
+  return nullptr;
+}
+
 }  // namespace
 
 void write_snapshot(const std::string& path,
                     const std::vector<SnapshotEntry>& entries) {
   std::string blob(kMagic, sizeof(kMagic));
-  put_u32(blob, kVersion);
-  put_u64(blob, entries.size());
+  append_le<std::uint32_t>(blob, kVersion);
+  append_le<std::uint64_t>(blob, entries.size());
   for (const SnapshotEntry& e : entries) {
     SYSRLE_REQUIRE(e.label.size() < kMaxLabel,
                    "write_snapshot: label too long");
     SYSRLE_REQUIRE(e.bytes.size() < kMaxData,
                    "write_snapshot: entry bytes exceed cap");
-    put_u64(blob, e.handle);
-    put_u32(blob, static_cast<std::uint32_t>(e.label.size()));
+    const std::size_t head = blob.size();
+    append_le<std::uint64_t>(blob, e.handle);
+    append_le<std::uint32_t>(blob, static_cast<std::uint32_t>(e.label.size()));
     blob.append(e.label);
-    put_u64(blob, e.bytes.size());
-    put_u32(blob, entry_crc(e));
+    append_le<std::uint64_t>(blob, e.bytes.size());
+    // The CRC covers every field except itself, in file order.
+    const std::uint32_t crc =
+        crc32_bytes(std::string_view(blob).substr(head), e.bytes);
+    append_le<std::uint32_t>(blob, crc);
     blob.append(e.bytes);
   }
 
@@ -111,7 +88,7 @@ void write_snapshot(const std::string& path,
                         0644);
   SYSRLE_REQUIRE(fd >= 0, "write_snapshot: cannot open " + tmp + ": " +
                               std::strerror(errno));
-  write_all(fd, blob.data(), blob.size(), tmp);
+  write_all(fd, blob, "write_snapshot", tmp);
   const int frc = ::fsync(fd);
   ::close(fd);
   SYSRLE_REQUIRE(frc == 0, "write_snapshot: fsync failed for " + tmp);
@@ -123,66 +100,38 @@ void write_snapshot(const std::string& path,
 
 SnapshotLoadResult load_snapshot(const std::string& path) {
   SnapshotLoadResult result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return result;  // missing file == empty snapshot
+  const auto file = read_whole_file(path, "load_snapshot");
+  if (!file) return result;  // missing file == empty snapshot
   result.file_present = true;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  SYSRLE_REQUIRE(!in.bad(), "load_snapshot: read failed for " + path);
+  const std::string_view data = *file;
 
-  if (data.size() < kHeaderBytes ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0 ||
-      get_u32(data.data() + 4) != kVersion) {
+  ByteReader in(byte_span(data));
+  const bool header_ok =
+      in.take(sizeof(kMagic)) == std::string_view(kMagic, sizeof(kMagic)) &&
+      in.read<std::uint32_t>() == kVersion;
+  const auto count = header_ok ? in.read<std::uint64_t>() : std::nullopt;
+  if (!count) {
     result.header_ok = false;
     result.salvaged_tail_bytes = data.size();
     result.tail_reason = "bad_header";
     return result;
   }
-  result.declared_entries = get_u64(data.data() + 8);
+  result.declared_entries = *count;
 
-  std::size_t pos = kHeaderBytes;
-  const auto fail = [&](const char* reason) {
+  std::size_t pos = in.offset();  // end of the clean prefix
+  const char* reason = nullptr;
+  for (std::uint64_t i = 0; i < result.declared_entries; ++i) {
+    SnapshotEntry entry;
+    reason = decode_entry(in, data, entry);
+    if (reason) break;
+    result.entries.push_back(std::move(entry));
+    pos = in.offset();
+  }
+  if (!reason && pos != data.size()) reason = "trailing_bytes";
+  if (reason) {
     result.salvaged_tail_bytes = data.size() - pos;
     result.tail_reason = reason;
-  };
-  for (std::uint64_t i = 0; i < result.declared_entries; ++i) {
-    if (data.size() - pos < 8 + 4) {
-      fail("torn_entry");
-      break;
-    }
-    SnapshotEntry entry;
-    entry.handle = get_u64(data.data() + pos);
-    const std::uint32_t label_len = get_u32(data.data() + pos + 8);
-    if (label_len >= kMaxLabel) {
-      fail("oversize_label");
-      break;
-    }
-    if (data.size() - pos < 8 + 4 + static_cast<std::size_t>(label_len) + 12) {
-      fail("torn_entry");
-      break;
-    }
-    entry.label.assign(data.data() + pos + 12, label_len);
-    const std::uint64_t data_len = get_u64(data.data() + pos + 12 + label_len);
-    const std::uint32_t crc = get_u32(data.data() + pos + 12 + label_len + 8);
-    if (data_len >= kMaxData) {
-      fail("oversize_entry");
-      break;
-    }
-    const std::size_t body = pos + 12 + label_len + 12;
-    if (data.size() - body < data_len) {
-      fail("torn_entry");
-      break;
-    }
-    entry.bytes.assign(data.data() + body, static_cast<std::size_t>(data_len));
-    if (entry_crc(entry) != crc) {
-      fail("crc_mismatch");
-      break;
-    }
-    result.entries.push_back(std::move(entry));
-    pos = body + static_cast<std::size_t>(data_len);
   }
-  if (result.tail_reason.empty() && pos != data.size())
-    fail("trailing_bytes");
   return result;
 }
 

@@ -23,10 +23,13 @@
 #include "store/store_journal.hpp"
 #include "store/store_snapshot.hpp"
 #include "workload/generator.hpp"
+#include "test_util.hpp"
 #include "workload/rng.hpp"
 
 namespace sysrle {
 namespace {
+
+using testing::to_hex;
 
 namespace fs = std::filesystem;
 
@@ -570,6 +573,46 @@ TEST(DurableStore, FsckCleanAndCorrupt) {
   FsckReport dirty = fsck_store_dir(dir.path);
   EXPECT_FALSE(dirty.clean());
   EXPECT_GT(dirty.snapshot_salvaged_bytes, 0u);
+}
+
+// Pins the SRLJ and SRLS layouts byte for byte, CRCs included: a journal
+// holding one register and one evict record, then a one-entry snapshot.
+// Every field is little-endian.
+TEST(DurableStore, GoldenJournalAndSnapshotBytes) {
+  ScratchDir dir("golden");
+  RleImage img(8, 1);
+  img.set_row(0, RleRow({{2, 3}}));
+  const std::string srlb =
+      "53524c42" "0100000000000000" "0800000000000000" "0100000000000000"
+      "0100000000000000" "0200000000000000" "0300000000000000";
+  ASSERT_EQ(to_hex(canonical_rle_bytes(img)), srlb);
+  const ImageHandle handle = canonical_fingerprint(img);
+  ASSERT_EQ(handle, 0x48ab08834a9ffb0aull);
+  const std::string handle_le = "0afb9f4a8308ab48";
+  const std::string journal_path = store_journal_path(dir.path);
+  const std::string snapshot_path = store_snapshot_path(dir.path);
+  {
+    DurableStore ds(plain_config(dir.path));
+    ASSERT_TRUE(ds.register_image(img, "g").ok);
+    ASSERT_TRUE(ds.evict(handle));
+    ds.sync();
+    EXPECT_EQ(to_hex(read_file(journal_path)),
+              "53524c4a" "01000000"  // magic, u32 version
+              // register: u32 len 74, u32 crc, kind 1, handle, u32 label
+              // length 1, "g", u64 data length 52, SRLB bytes
+              "4a000000" "84a960e8" "01" + handle_le + "01000000" "67"
+              "3400000000000000" + srlb +
+              // evict: u32 len 9, u32 crc, kind 2, handle
+              "09000000" "9416d66b" "02" + handle_le);
+    ASSERT_TRUE(ds.register_image(img, "g").ok);
+    ds.snapshot_now();
+  }
+  // magic, u32 version, u64 entry count 1; entry: handle, u32 label length
+  // 1, "g", u64 data length 52, u32 crc, SRLB bytes.
+  EXPECT_EQ(to_hex(read_file(snapshot_path)),
+            "53524c53" "01000000" "0100000000000000" + handle_le +
+                "01000000" "67" "3400000000000000" "1ad3e465" + srlb);
+  EXPECT_EQ(to_hex(read_file(journal_path)), "53524c4a01000000");
 }
 
 TEST(StoreJournal, ConcurrentAppendHammer) {

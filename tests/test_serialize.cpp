@@ -4,14 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/assert.hpp"
+#include "rle/validate.hpp"
 #include "workload/generator.hpp"
+#include "test_util.hpp"
 #include "workload/rng.hpp"
 
 namespace sysrle {
 namespace {
+
+using testing::to_hex;
 
 RleImage sample_image() {
   Rng rng(51);
@@ -309,6 +316,87 @@ TEST(Serialize, CanonicalSizeMatchesBytes) {
   for (const RleImage& img : {sample_image(), split, RleImage(7, 0)})
     EXPECT_EQ(canonical_rle_size(img), canonical_rle_bytes(img).size());
   EXPECT_EQ(canonical_rle_size(RleImage(7, 0)), 28u);  // bare SRLB header
+}
+
+// Pins the SRLB layout byte for byte: "SRLB", then little-endian i64
+// version, width and height, then per row a run count and (start, length)
+// pairs.  write_rle stores rows as given; the canonical bytes merge a split
+// row first, so the split image's canonical form hits the same golden bytes
+// and fingerprint.
+TEST(Serialize, GoldenBytes) {
+  RleImage img(16, 2);
+  img.set_row(0, RleRow({{1, 3}, {10, 2}}));
+  img.set_row(1, RleRow({{0, 16}}));
+  RleImage split(16, 2);
+  split.set_row(0, RleRow({{1, 3}, {10, 2}}));
+  split.set_row(1, RleRow({{0, 9}, {9, 7}}));
+  const std::string header =
+      "53524c42"            // magic
+      "0100000000000000"    // version
+      "1000000000000000"    // width 16
+      "0200000000000000"    // height 2
+      "0200000000000000"    // row 0: 2 runs
+      "0100000000000000" "0300000000000000"   // (1,3)
+      "0a00000000000000" "0200000000000000";  // (10,2)
+  const std::string golden = header +
+      "0100000000000000"    // row 1: 1 run
+      "0000000000000000" "1000000000000000";  // (0,16)
+  const std::string split_golden = header +
+      "0200000000000000"    // row 1: 2 runs
+      "0000000000000000" "0900000000000000"   // (0,9)
+      "0900000000000000" "0700000000000000";  // (9,7)
+
+  std::stringstream plain, raw;
+  write_rle(plain, img, RleFormat::kBinary);
+  write_rle(raw, split, RleFormat::kBinary);
+  EXPECT_EQ(to_hex(plain.str()), golden);
+  EXPECT_EQ(to_hex(raw.str()), split_golden);
+  EXPECT_EQ(to_hex(canonical_rle_bytes(img)), golden);
+  EXPECT_EQ(to_hex(canonical_rle_bytes(split)), golden);
+  EXPECT_EQ(canonical_fingerprint(img), 0x64e6fe4e14a1ab68ull);
+  EXPECT_EQ(canonical_fingerprint(split), canonical_fingerprint(img));
+}
+
+// Runs whose end does not fit in an i64 (start near INT64_MAX) must be
+// rejected as typed errors with no signed overflow on the way — the
+// sanitizer build runs this.  Covers the width check, the ordering and
+// overlap checks against an invalid previous run, the canonical check, and
+// the same rows in SRLB (stream and span) and SRLT.
+TEST(Serialize, RejectsOverflowingRunsWithoutUB) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::vector<std::vector<sysrle::Run>> rows = {
+      {{kMax, 2}},
+      {{kMax, kMax}},
+      {{kMax - 3, 10}, {kMax - 1, 1}},
+      {{kMax - 3, 10}, {kMax - 1, kMax}},
+      {{kMax, 2}, {kMax, 2}},
+      {{kMin, 1}, {kMax, kMax}},
+      {{kMin, kMax}, {0, 1}},
+  };
+  for (const std::vector<sysrle::Run>& runs : rows) {
+    std::string srlb("SRLB");
+    append_i64(srlb, 1);   // version
+    append_i64(srlb, 10);  // width
+    append_i64(srlb, 1);   // height
+    append_i64(srlb, static_cast<std::int64_t>(runs.size()));
+    std::string srlt = "SRLT\n10 1\n" + std::to_string(runs.size());
+    for (const sysrle::Run& r : runs) {
+      append_i64(srlb, r.start);
+      append_i64(srlb, r.length);
+      srlt += ' ' + std::to_string(r.start) + ' ' + std::to_string(r.length);
+    }
+    srlt += '\n';
+    std::istringstream binary(srlb);
+    EXPECT_THROW(read_rle(binary), contract_error);
+    EXPECT_THROW(read_rle(std::as_bytes(std::span(srlb))), contract_error);
+    std::istringstream text(srlt);
+    EXPECT_THROW(read_rle(text), contract_error);
+    ValidateOptions opts;
+    opts.width = 10;
+    opts.require_canonical = true;
+    EXPECT_FALSE(validate_runs(runs, opts).ok());
+  }
 }
 
 // Different pixels must (for any realistic corpus) fingerprint differently;

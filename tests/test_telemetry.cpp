@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "core/systolic_diff.hpp"
+#include "rle/serialize.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/exporters.hpp"
 #include "test_util.hpp"
@@ -207,6 +209,28 @@ TEST_F(TelemetryTest, ResetTelemetryClearsBothSinksKeepsFlag) {
   EXPECT_TRUE(global_metrics().empty());
   EXPECT_EQ(global_tracer().size(), 0u);
   EXPECT_TRUE(telemetry_enabled());  // reset does not flip the flag
+}
+
+// Reading one SRLB image from a string stream counts exactly its size in
+// serialize.bytes_in, even though the reader drains the stream; so does the
+// byte-span reader.
+TEST_F(TelemetryTest, SerializeBytesInCountsOneImageExactly) {
+  RleImage img(64, 3);
+  img.set_row(0, RleRow({{1, 3}, {10, 2}}));
+  img.set_row(2, RleRow({{0, 64}}));
+  std::ostringstream out;
+  write_rle(out, img, RleFormat::kBinary);
+  const std::string bytes = out.str();
+  set_telemetry_enabled(true);
+  std::istringstream in(bytes);
+  EXPECT_EQ(read_rle(in), img);
+  MetricsSnapshot s = global_metrics().snapshot();
+  EXPECT_EQ(s.counter("serialize.images_read"), 1u);
+  EXPECT_EQ(s.counter("serialize.bytes_in"), bytes.size());
+  EXPECT_EQ(read_rle(std::as_bytes(std::span(bytes))), img);
+  s = global_metrics().snapshot();
+  EXPECT_EQ(s.counter("serialize.images_read"), 2u);
+  EXPECT_EQ(s.counter("serialize.bytes_in"), 2 * bytes.size());
 }
 
 // -------------------------------------------------------------------- spans

@@ -35,6 +35,18 @@ inline RleRow reference_xor(const RleRow& a, const RleRow& b, pos_t width) {
   return encode_bitstring(out);
 }
 
+/// Lower-case hex of a byte string, for pinning on-disk formats.
+inline std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xf];
+  }
+  return out;
+}
+
 // ------------------------------------------------------------- JSON parsing
 //
 // Minimal strict JSON reader for validating the telemetry layer's output.
