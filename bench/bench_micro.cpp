@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "baseline/pixel_parallel.hpp"
@@ -19,6 +22,7 @@
 #include "rle/rle_image.hpp"
 #include "rle/encode.hpp"
 #include "rle/ops.hpp"
+#include "rle/serialize.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/generator.hpp"
 #include "workload/rng.hpp"
@@ -256,5 +260,50 @@ void BM_EncodeBits(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeBits)->Arg(10000);
+
+/// SRLB bytes of a 10000x48 scan at `err_permille` / 1000 error against its
+/// reference, the operand batch_diff's caller decodes on every call.
+std::string make_scan_srlb(int err_permille) {
+  constexpr pos_t kWidth = 10000, kHeight = 48;
+  Rng rng(static_cast<std::uint64_t>(err_permille) * 6151);
+  RowGenParams rp;
+  rp.width = kWidth;
+  ErrorGenParams ep;
+  ep.error_fraction = err_permille / 1000.0;
+  std::vector<RleRow> rows;
+  for (pos_t y = 0; y < kHeight; ++y)
+    rows.push_back(generate_pair(rng, rp, ep).second);
+  std::ostringstream out;
+  write_rle(out, RleImage(kWidth, std::move(rows)), RleFormat::kBinary);
+  return out.str();
+}
+
+// SRLB decode from a stream (rewound each iteration, so the stream's own
+// buffer copy is not timed) and from the bytes in place, at the similar
+// (3.5%) and run-dense (30%) error rates.
+void BM_ReadRleStream(benchmark::State& state) {
+  const std::string srlb = make_scan_srlb(static_cast<int>(state.range(0)));
+  std::istringstream in(srlb);
+  for (auto _ : state) {
+    in.clear();
+    in.seekg(0);
+    const RleImage img = read_rle(in);
+    benchmark::DoNotOptimize(img);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(srlb.size()));
+}
+BENCHMARK(BM_ReadRleStream)->Arg(35)->Arg(300);
+
+void BM_ReadRleSpan(benchmark::State& state) {
+  const std::string srlb = make_scan_srlb(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    const RleImage img = read_rle(std::as_bytes(std::span(srlb)));
+    benchmark::DoNotOptimize(img);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(srlb.size()));
+}
+BENCHMARK(BM_ReadRleSpan)->Arg(35)->Arg(300);
 
 }  // namespace

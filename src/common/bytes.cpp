@@ -22,6 +22,11 @@ void write_all(int fd, std::string_view data, const char* who,
   }
 }
 
+namespace {
+
+/// Appends everything left in `in` to `out` with chunked reads, sized from
+/// what the stream reports available so the file is copied once.  Returns
+/// false on a stream error.
 bool read_rest(std::istream& in, std::string& out) {
   constexpr std::streamsize kMinChunk = std::streamsize{1} << 14;
   while (in.peek() != std::char_traits<char>::eof()) {
@@ -33,6 +38,8 @@ bool read_rest(std::istream& in, std::string& out) {
   }
   return !in.bad();
 }
+
+}  // namespace
 
 std::optional<std::string> read_whole_file(const std::string& path,
                                            const char* who) {

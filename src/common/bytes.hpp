@@ -11,7 +11,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstring>
-#include <iosfwd>
 #include <optional>
 #include <span>
 #include <string>
@@ -63,6 +62,14 @@ class ByteReader {
     return v;
   }
 
+  /// Copies exactly the next `n` bytes into `dst`; false on short input.
+  bool copy(void* dst, std::size_t n) {
+    if (remaining() < n) return false;
+    if (n > 0) std::memcpy(dst, data_.data() + pos_, n);
+    pos_ += n;
+    return true;
+  }
+
   /// The next `n` bytes, viewed in place.
   std::optional<std::string_view> take(std::size_t n) {
     if (remaining() < n) return std::nullopt;
@@ -81,11 +88,6 @@ class ByteReader {
 /// contract_error "<who>: write failed for <path>: <reason>" otherwise.
 void write_all(int fd, std::string_view data, const char* who,
                const std::string& path);
-
-/// Appends everything left in `in` to `out` with chunked reads, sized from
-/// what the stream reports available so a string stream is copied once.
-/// Leaves `in` at end of file; returns false on a stream error.
-bool read_rest(std::istream& in, std::string& out);
 
 /// The whole content of the file at `path`, or std::nullopt when it cannot
 /// be opened.  Throws contract_error "<who>: read failed for <path>" on a

@@ -1,10 +1,12 @@
 #include "rle/serialize.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
@@ -106,21 +108,50 @@ RleImage read_text(std::istream& in) {
     }
     rows.push_back(checked_row(std::move(runs), static_cast<pos_t>(width)));
   }
+  // The newline write_rle ends the image with is part of it: consume it so
+  // the stream is left just past the image.
+  if (in.peek() == '\n') in.get();
   return RleImage(static_cast<pos_t>(width), std::move(rows));
 }
 
-/// The one SRLB decoder, over the whole encoding (magic included).  Sets
-/// `consumed` to the bytes decoded; trailing bytes after the last row are
-/// left unread.
-RleImage decode_binary(std::span<const std::byte> bytes,
-                       std::size_t& consumed) {
-  ByteReader in(bytes);
-  SYSRLE_REQUIRE(in.take(4) == std::string_view(kBinaryMagic, 4),
-                 "RLE: missing or unknown magic (expected SRLB)");
+static_assert(std::is_trivially_copyable_v<Run> && sizeof(Run) == 16 &&
+                  offsetof(Run, start) == 0 && offsetof(Run, length) == 8,
+              "Run must match the SRLB run record (i64 start, i64 length), "
+              "so a row's records copy straight into its runs");
+
+/// SRLB byte source over a stream: reads exactly what the decoder asks for,
+/// so the stream is left just past the image, and counts the bytes read.
+/// A stream error (bad(), e.g. a streambuf that threw) is its own typed
+/// failure, distinct from short input.
+class StreamSource {
+ public:
+  explicit StreamSource(std::istream& in) : in_(in) {}
+
+  std::size_t offset() const { return consumed_; }
+
+  /// Copies exactly the next `n` bytes into `dst`; false on short input.
+  bool copy(void* dst, std::size_t n) {
+    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    consumed_ += static_cast<std::size_t>(in_.gcount());
+    SYSRLE_REQUIRE(!in_.bad(), "RLE(binary): stream read failed");
+    return static_cast<std::size_t>(in_.gcount()) == n;
+  }
+
+ private:
+  std::istream& in_;
+  std::size_t consumed_ = 0;
+};
+
+/// The one SRLB decoder, over any byte source `in` (ByteReader or
+/// StreamSource) positioned just after the magic.  Each row's run records
+/// are copied straight into its runs, in chunks of at most
+/// kMaxTrustedReserve runs so allocation is paid for by bytes present.
+template <typename Source>
+RleImage decode_binary(Source& in) {
   const auto field = [&in] {
-    const std::optional<std::uint64_t> v = in.read<std::uint64_t>();
-    SYSRLE_REQUIRE(v.has_value(), "RLE(binary): truncated stream");
-    return static_cast<std::int64_t>(*v);
+    std::uint64_t v = 0;
+    SYSRLE_REQUIRE(in.copy(&v, sizeof v), "RLE(binary): truncated stream");
+    return static_cast<std::int64_t>(v);
   };
   const std::int64_t version = field();
   SYSRLE_REQUIRE(version == kBinaryVersion, "RLE(binary): unsupported version");
@@ -135,17 +166,18 @@ RleImage decode_binary(std::span<const std::byte> bytes,
   for (pos_t y = 0; y < height; ++y) {
     const std::int64_t count = field();
     SYSRLE_REQUIRE(count >= 0 && count <= width, "RLE(binary): bad run count");
+    const auto total = static_cast<std::size_t>(count);
     std::vector<Run> runs;
-    runs.reserve(static_cast<std::size_t>(
-        std::min<std::int64_t>(count, kMaxTrustedReserve)));
-    for (std::int64_t i = 0; i < count; ++i) {
-      const pos_t s = field();
-      const len_t l = field();
-      runs.emplace_back(s, l);
+    for (std::size_t done = 0; done < total;) {
+      const std::size_t chunk = std::min<std::size_t>(
+          total - done, static_cast<std::size_t>(kMaxTrustedReserve));
+      runs.resize(done + chunk);
+      SYSRLE_REQUIRE(in.copy(runs.data() + done, chunk * sizeof(Run)),
+                     "RLE(binary): truncated stream");
+      done += chunk;
     }
     rows.push_back(checked_row(std::move(runs), width));
   }
-  consumed = in.offset();
   return RleImage(width, std::move(rows));
 }
 
@@ -204,7 +236,12 @@ void write_rle(std::ostream& out, const RleImage& img, RleFormat format) {
 
 RleImage read_rle(std::span<const std::byte> bytes) {
   return counted_read([bytes](std::size_t& consumed) {
-    return decode_binary(bytes, consumed);
+    ByteReader in(bytes);
+    SYSRLE_REQUIRE(in.take(4) == std::string_view(kBinaryMagic, 4),
+                   "RLE: missing or unknown magic (expected SRLB)");
+    RleImage img = decode_binary(in);
+    consumed = in.offset();
+    return img;
   });
 }
 
@@ -225,10 +262,10 @@ RleImage read_rle(std::istream& in) {
     }
     SYSRLE_REQUIRE(std::equal(magic, magic + 4, kBinaryMagic),
                    "RLE: unknown magic (expected SRLT or SRLB)");
-    // One transient copy of the encoding, then the span decoder.
-    std::string bytes(magic, 4);
-    SYSRLE_REQUIRE(read_rest(in, bytes), "RLE(binary): stream read failed");
-    return decode_binary(byte_span(bytes), consumed);
+    StreamSource source(in);
+    RleImage img = decode_binary(source);
+    consumed = 4 + source.offset();
+    return img;
   });
 }
 

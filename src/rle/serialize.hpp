@@ -5,7 +5,8 @@
 //   * a compact little-endian binary format ("SRLB"), for real data.
 // Readers validate every row (ordering, overlap, width) and throw
 // contract_error on malformed input.  One encoder and one decoder handle
-// SRLB, over the shared little-endian codec (common/bytes.hpp).
+// SRLB, over the shared little-endian codec (common/bytes.hpp); the decoder
+// copies each row's run records straight into the row's runs.
 
 #include <cstddef>
 #include <cstdint>
@@ -28,8 +29,11 @@ void write_rle(std::ostream& out, const RleImage& img,
                RleFormat format = RleFormat::kBinary);
 
 /// Reads an RLE image from a stream (format auto-detected from the magic).
-/// An SRLB stream is read to its end and decoded by the span overload's
-/// decoder; an SRLT stream is left just past the image.
+/// Consumes exactly one image and leaves the stream just past it (for SRLT,
+/// past the newline that ends its last row), so images can be read back to
+/// back.  SRLB goes through the same decoder as the span overload, reading
+/// the stream in place with no copy of the whole encoding.  A stream error
+/// mid-image throws "stream read failed", short input "truncated stream".
 RleImage read_rle(std::istream& in);
 
 /// Decodes SRLB bytes (magic included) with the same checks and errors as

@@ -1,5 +1,6 @@
 #include "rle/validate.hpp"
 
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -34,8 +35,35 @@ std::string RowValidationReport::to_string() const {
   return os.str();
 }
 
+namespace {
+
+/// True when validate_runs would find nothing, in one branch-free pass.
+/// Ends are computed unsigned: for start >= 0 and length >= 1 both fields are
+/// below 2^63, so start + length - 1 (and that plus 2) is exact; for any
+/// other run the wrapped value is harmless because the run is already bad.
+/// A run is accepted when it starts at or after `next_min`, the previous
+/// end plus one (plus one more when adjacency is not allowed).
+bool all_ok(std::span<const Run> runs, const ValidateOptions& opts) {
+  using u64 = std::uint64_t;
+  const u64 limit = opts.width >= 0 ? static_cast<u64>(opts.width)
+                                    : std::numeric_limits<u64>::max();
+  const u64 gap = opts.require_canonical ? 2 : 1;
+  u64 next_min = 0;
+  bool bad = false;
+  for (const Run& r : runs) {
+    const auto start = static_cast<u64>(r.start);
+    const u64 end = start + static_cast<u64>(r.length) - 1;
+    bad |= (r.start < 0) | (r.length < 1) | (start < next_min) | (end >= limit);
+    next_min = end + gap;
+  }
+  return !bad;
+}
+
+}  // namespace
+
 RowValidationReport validate_runs(std::span<const Run> runs,
                                   const ValidateOptions& opts) {
+  if (all_ok(runs, opts)) return {};
   // r.end() for a run of length >= 1, saturated at the largest position
   // instead of overflowing on hostile input (a start near the i64 maximum).
   // Saturation keeps every comparison below exact: a true end past the

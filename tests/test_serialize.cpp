@@ -7,10 +7,14 @@
 #include <limits>
 #include <span>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "rle/validate.hpp"
+#include "telemetry/telemetry.hpp"
 #include "workload/generator.hpp"
 #include "test_util.hpp"
 #include "workload/rng.hpp"
@@ -146,6 +150,18 @@ void append_i64(std::string& s, std::int64_t v) {
     s.push_back(static_cast<char>((u >> (8 * i)) & 0xff));
 }
 
+/// Expects read_rle(in) to throw contract_error whose message contains
+/// `message`.
+void expect_read_error(std::istream& in, const std::string& message) {
+  try {
+    (void)read_rle(in);
+    ADD_FAILURE() << "expected contract_error: " << message;
+  } catch (const contract_error& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Serialize, EveryByteCorruptionOfSmallBinaryIsContained) {
   // Exhaustive hostility on a small SRLB file: flip every bit of every byte
   // and truncate at every prefix length.  The reader must either accept a
@@ -224,6 +240,86 @@ TEST(Serialize, RejectsHostileBinaryHeadersWithoutHugeAllocation) {
   append_i64(claim, std::int64_t{1} << 20);
   std::stringstream in5(claim);
   EXPECT_THROW(read_rle(in5), contract_error);
+
+  // A row claiming as many runs as the largest width allows, with one run
+  // of payload, is short input on the stream path: the reader copies runs
+  // in bounded chunks and fails at the missing bytes.
+  std::string claim_runs("SRLB");
+  append_i64(claim_runs, 1);
+  append_i64(claim_runs, std::int64_t{1} << 24);  // width
+  append_i64(claim_runs, 1);                      // height
+  append_i64(claim_runs, std::int64_t{1} << 24);  // count for row 0
+  append_i64(claim_runs, 0);                      // (0, 1)
+  append_i64(claim_runs, 1);
+  std::stringstream in6(claim_runs);
+  expect_read_error(in6, "RLE(binary): truncated stream");
+}
+
+// The stream reader consumes exactly one image and leaves the stream just
+// past it, so images can be read back to back; serialize.bytes_in grows by
+// each image's encoded size.
+TEST(Serialize, StreamReadStopsAfterImage) {
+  RleImage second(40, 2);
+  second.set_row(0, RleRow({{0, 40}}));
+  second.set_row(1, RleRow({{3, 1}, {5, 1}}));
+  const std::vector<std::pair<RleImage, RleFormat>> images = {
+      {sample_image(), RleFormat::kBinary},
+      {second, RleFormat::kBinary},
+      {sample_image(), RleFormat::kText},
+  };
+  std::stringstream all;
+  std::vector<std::size_t> sizes;
+  for (const auto& [img, format] : images) {
+    const auto before = static_cast<std::size_t>(all.tellp());
+    write_rle(all, img, format);
+    sizes.push_back(static_cast<std::size_t>(all.tellp()) - before);
+  }
+
+  reset_telemetry();
+  set_telemetry_enabled(true);
+  std::uint64_t counted = 0;
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(read_rle(all), images[i].first) << "image " << i;
+    const std::uint64_t now =
+        global_metrics().snapshot().counter("serialize.bytes_in");
+    EXPECT_EQ(now - counted, sizes[i]) << "image " << i;
+    counted = now;
+  }
+  EXPECT_EQ(all.peek(), std::char_traits<char>::eof());
+  set_telemetry_enabled(false);
+  reset_telemetry();
+}
+
+/// Serves `data`, then throws from underflow: a device that fails mid-read.
+class FailingBuf : public std::streambuf {
+ public:
+  explicit FailingBuf(std::string data) : data_(std::move(data)) {
+    setg(data_.data(), data_.data(), data_.data() + data_.size());
+  }
+
+ protected:
+  int_type underflow() override { throw std::runtime_error("device failed"); }
+
+ private:
+  std::string data_;
+};
+
+// A stream whose buffer fails mid-image is a stream error, not short input:
+// the typed message says so.
+TEST(Serialize, StreamFailureIsNotTruncation) {
+  std::stringstream ss;
+  write_rle(ss, sample_image(), RleFormat::kBinary);
+  const std::string full = ss.str();
+  // Cut mid-header, at a row count, and mid-run-payload.
+  for (const std::size_t keep : {std::size_t{12}, std::size_t{28},
+                                 std::size_t{28 + 8 + 20}, full.size() / 2}) {
+    FailingBuf buf(full.substr(0, keep));
+    std::istream in(&buf);
+    expect_read_error(in, "RLE(binary): stream read failed");
+  }
+  // The same bytes from a stream that merely ends are truncation.
+  std::istringstream cut(full.substr(0, full.size() / 2));
+  expect_read_error(cut, "RLE(binary): truncated stream");
 }
 
 TEST(Serialize, RejectsHostileTextHeaders) {

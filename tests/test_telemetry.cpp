@@ -212,8 +212,8 @@ TEST_F(TelemetryTest, ResetTelemetryClearsBothSinksKeepsFlag) {
 }
 
 // Reading one SRLB image from a string stream counts exactly its size in
-// serialize.bytes_in, even though the reader drains the stream; so does the
-// byte-span reader.
+// serialize.bytes_in (the reader consumes the image and nothing past it);
+// so does the byte-span reader.
 TEST_F(TelemetryTest, SerializeBytesInCountsOneImageExactly) {
   RleImage img(64, 3);
   img.set_row(0, RleRow({{1, 3}, {10, 2}}));
