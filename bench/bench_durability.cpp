@@ -75,7 +75,7 @@ void write_file(const std::string& path, const std::string& data) {
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
 }
 
-/// One acknowledged op: the journal's fsync (batch size 1) returned before
+/// One acknowledged op: its journal append (write + fsync) returned before
 /// the next op was issued, so every op in the log is acknowledged.
 struct Op {
   bool is_register = true;

@@ -187,7 +187,7 @@ std::uint64_t arrival_seed_for(std::uint64_t seed, std::uint64_t phase) {
 PhaseOutcome run_phase(const std::vector<ImagePair>& pool, double load,
                        int n, double base_interarrival_us,
                        std::size_t workers, std::uint64_t deadline_us,
-                       std::uint64_t seed, std::uint64_t arrival_seed) {
+                       std::uint64_t arrival_seed) {
   ServiceConfig cfg;
   cfg.workers = workers;
   // Small bounds are the point: the queue may hold at most ~2 service times
@@ -195,7 +195,6 @@ PhaseOutcome run_phase(const std::vector<ImagePair>& pool, double load,
   // rest sheds as queue_full.
   cfg.admission.interactive_capacity = 2;
   cfg.admission.batch_capacity = 2 * workers;
-  cfg.seed = seed;
 
   PhaseOutcome out;
   std::mutex mu;
@@ -277,7 +276,6 @@ RouterPhaseOutcome run_router_phase(const std::vector<ImagePair>& pool,
   cfg.replica_service.workers = 1;
   cfg.replica_service.admission.interactive_capacity = 2;
   cfg.replica_service.admission.batch_capacity = 2;
-  cfg.replica_service.seed = seed;
   cfg.seed = seed;
 
   RouterPhaseOutcome out;
@@ -535,7 +533,7 @@ int main(int argc, char** argv) {
   std::vector<PhaseOutcome> phases;
   for (std::size_t i = 0; i < loads.size(); ++i)
     phases.push_back(run_phase(pool, loads[i], kRequests, interarrival_us,
-                               kWorkers, /*deadline_us=*/0, kSeed,
+                               kWorkers, /*deadline_us=*/0,
                                arrival_seed_for(kSeed, i)));
 
   FixedTable table;
@@ -569,7 +567,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(service_us * 1.5);
   const PhaseOutcome storm =
       run_phase(pool, 2.0, kRequests, interarrival_us, kWorkers,
-                storm_deadline_us, kSeed + 1, arrival_seed_for(kSeed, 3));
+                storm_deadline_us, arrival_seed_for(kSeed, 3));
   const std::uint64_t storm_deadline_sheds =
       storm.stats.shed_deadline_at_submit + storm.stats.shed_deadline_after_admit;
   const std::uint64_t storm_row_budget =

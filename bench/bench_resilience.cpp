@@ -73,7 +73,7 @@ void checking_tax(const Board& board) {
     (void)systolic_xor(ra, rb);
   });
   const double checked = time_rows([](const RleRow& ra, const RleRow& rb) {
-    (void)checked_xor(ra, rb);
+    (void)checked_xor(ra, rb, false);
   });
   const double sequential = time_rows([](const RleRow& ra, const RleRow& rb) {
     (void)sequential_xor(ra, rb);

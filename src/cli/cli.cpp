@@ -952,7 +952,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   rcfg.replica_service.admission.batch_capacity =
       static_cast<std::size_t>(queue_cap);
   rcfg.replica_service.use_checked_engine = args.has("--checked");
-  rcfg.replica_service.seed = static_cast<std::uint64_t>(seed);
   rcfg.store = store;
   rcfg.cache = cache;
 
@@ -971,9 +970,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
 
   // Interactive SLO: a request is good iff it completed within the target.
   // Rejected/failed interactive requests burn budget regardless of latency.
-  SloTracker::Config slo_cfg;
-  slo_cfg.target_us = static_cast<std::uint64_t>(slo_p99_ms) * 1000;
-  SloTracker slo(slo_cfg);
+  SloTracker slo(static_cast<std::uint64_t>(slo_p99_ms) * 1000);
   const auto serve_epoch = std::chrono::steady_clock::now();
   auto slo_now_us = [&serve_epoch] {
     return static_cast<std::uint64_t>(
@@ -1338,7 +1335,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.key("slo");
     w.begin_object();
     w.member("target_p99_ms", slo_p99_ms);
-    w.member("objective", slo.config().objective);
+    w.member("objective", SloTracker::kObjective);
     w.member("good", slo.total() - slo.bad());
     w.member("bad", slo.bad());
     w.member("burn_rate_short", slo_short.burn_rate);

@@ -28,7 +28,7 @@ void run_trial(const RleRow& ra, const RleRow& rb, const RleRow& truth,
                CampaignCounts& counts) {
   FaultArbiter arbiter(spec);
   FaultInjection injection{&spec, &arbiter};
-  const CheckedRowResult r = checked_xor(ra, rb, policy, injection);
+  const CheckedRowResult r = checked_xor(ra, rb, false, policy, injection);
 
   ++counts.trials;
   if (r.record.faulty()) ++counts.detected;

@@ -32,6 +32,9 @@ bool RecoveryRecord::faulty() const {
 
 namespace {
 
+/// Watchdog bound per attempt: 2*(k1+k2) plus this many cycles.
+constexpr cycle_t kWatchdogSlack = 4;
+
 /// Runs one systolic attempt to completion, watchdog and checkers armed.
 /// Returns the gathered output when the attempt is accepted.
 std::optional<RleRow> run_attempt(const RleRow& a, const RleRow& b,
@@ -92,6 +95,7 @@ void record_checked_telemetry(const CheckedRowResult& result) {
 }
 
 CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
+                                  bool canonicalize,
                                   const RecoveryPolicy& policy,
                                   const FaultInjection& injection) {
   SYSRLE_REQUIRE(policy.max_retries >= 0,
@@ -99,7 +103,7 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
   const InvariantContext ctx = make_invariant_context(a, b);
   const cycle_t watchdog =
       2 * static_cast<cycle_t>(a.run_count() + b.run_count()) +
-      policy.watchdog_slack;
+      kWatchdogSlack;
 
   // The arbiter's global cycle clock must span all attempts so a transient
   // window fires once, not once per retry.
@@ -123,7 +127,7 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
     result.record.attempts.push_back(std::move(rec));
     if (out) {
       result.output = std::move(*out);
-      if (policy.canonicalize_output) result.output.canonicalize();
+      if (canonicalize) result.output.canonicalize();
       result.record.outcome = attempt == 0
                                   ? RecoveryOutcome::kCleanFirstTry
                                   : RecoveryOutcome::kRecoveredByRetry;
@@ -134,7 +138,7 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
   if (policy.fallback_to_sequential) {
     // The sequential comparator shares no datapath with the array; a cell
     // defect cannot reach it.
-    SequentialDiffResult seq = sequential_row(a, b, policy.canonicalize_output);
+    SequentialDiffResult seq = sequential_row(a, b, canonicalize);
     result.output = std::move(seq.output);
     result.record.fallback_iterations = seq.iterations;
     result.record.outcome = RecoveryOutcome::kFellBack;
@@ -148,10 +152,11 @@ CheckedRowResult checked_xor_impl(const RleRow& a, const RleRow& b,
 }  // namespace
 
 CheckedRowResult checked_xor(const RleRow& a, const RleRow& b,
-                             const RecoveryPolicy& policy,
+                             bool canonicalize, const RecoveryPolicy& policy,
                              const FaultInjection& injection) {
   TELEMETRY_SPAN("checked.row", "checked");
-  CheckedRowResult result = checked_xor_impl(a, b, policy, injection);
+  CheckedRowResult result =
+      checked_xor_impl(a, b, canonicalize, policy, injection);
   if (telemetry_enabled()) record_checked_telemetry(result);
   return result;
 }

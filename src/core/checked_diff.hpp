@@ -32,12 +32,6 @@ struct RecoveryPolicy {
   /// When every systolic attempt fails, compute the row on the sequential
   /// merge engine instead of giving up.
   bool fallback_to_sequential = true;
-
-  /// Watchdog bound is 2*(k1+k2) + watchdog_slack cycles per attempt.
-  cycle_t watchdog_slack = 4;
-
-  /// Merge adjacent runs in the accepted output.
-  bool canonicalize_output = false;
 };
 
 /// How a row ultimately got computed.
@@ -95,10 +89,13 @@ struct FaultInjection {
 };
 
 /// Runs the systolic XOR with checkers armed, watchdog set, and the
-/// RecoveryPolicy applied.  Never throws on a detected machine fault — that
-/// is the point — but still throws contract_error on caller errors
-/// (e.g. a negative max_retries).
+/// RecoveryPolicy applied.  `canonicalize` merges adjacent runs in the
+/// accepted output, whichever engine produced it (as sequential_row's flag
+/// does).  Never throws on a detected machine fault — that is the point —
+/// but still throws contract_error on caller errors (e.g. a negative
+/// max_retries).
 CheckedRowResult checked_xor(const RleRow& a, const RleRow& b,
+                             bool canonicalize,
                              const RecoveryPolicy& policy = {},
                              const FaultInjection& injection = {});
 

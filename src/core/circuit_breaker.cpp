@@ -23,8 +23,6 @@ CircuitBreaker::CircuitBreaker(BreakerPolicy policy, std::string metric_name)
     : policy_(policy), metric_name_(std::move(metric_name)) {
   SYSRLE_REQUIRE(policy_.failure_threshold >= 1,
                  "CircuitBreaker: failure_threshold must be >= 1");
-  SYSRLE_REQUIRE(policy_.probe_successes_to_close >= 1,
-                 "CircuitBreaker: probe_successes_to_close must be >= 1");
   publish();
 }
 
@@ -39,10 +37,7 @@ void CircuitBreaker::transition(BreakerState next) {
   state_ = next;
   ++transitions_;
   if (next == BreakerState::kClosed) consecutive_failures_ = 0;
-  if (next == BreakerState::kHalfOpen) {
-    probes_in_flight_ = 0;
-    probe_successes_ = 0;
-  }
+  probing_ = false;
   if (!metric_name_.empty() && telemetry_enabled())
     global_metrics().add("service.breaker_transitions");
   publish();
@@ -57,8 +52,8 @@ bool CircuitBreaker::allow(std::uint64_t now) {
       transition(BreakerState::kHalfOpen);
       [[fallthrough]];
     case BreakerState::kHalfOpen:
-      if (probes_in_flight_ >= policy_.probe_successes_to_close) return false;
-      ++probes_in_flight_;
+      if (probing_) return false;
+      probing_ = true;
       return true;
   }
   return true;
@@ -73,17 +68,12 @@ void CircuitBreaker::record_success(std::uint64_t) {
       // A straggler finishing after the trip; the breaker stays open.
       break;
     case BreakerState::kHalfOpen:
-      if (probes_in_flight_ > 0) --probes_in_flight_;
-      if (++probe_successes_ >= policy_.probe_successes_to_close)
-        transition(BreakerState::kClosed);
+      transition(BreakerState::kClosed);
       break;
   }
 }
 
-void CircuitBreaker::release_probe() {
-  if (state_ == BreakerState::kHalfOpen && probes_in_flight_ > 0)
-    --probes_in_flight_;
-}
+void CircuitBreaker::release_probe() { probing_ = false; }
 
 void CircuitBreaker::record_failure(std::uint64_t now) {
   switch (state_) {

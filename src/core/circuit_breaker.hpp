@@ -8,7 +8,7 @@
 // detected.  The breaker is the classic three-state answer: after
 // `failure_threshold` consecutive failures the machine is *open* (receives
 // nothing), after `open_duration` time units one *half-open* probe is
-// admitted, and only a run of probe successes closes it again.
+// admitted, and that probe's success closes it again.
 //
 // Time is a caller-supplied monotonic counter so the same state machine
 // serves both the farm simulation (systolic cycles) and the real-time
@@ -26,7 +26,7 @@ namespace sysrle {
 enum class BreakerState : int {
   kClosed = 0,    ///< healthy: all work admitted
   kOpen = 1,      ///< tripped: nothing admitted until the open window ends
-  kHalfOpen = 2,  ///< probing: a limited number of trial jobs admitted
+  kHalfOpen = 2,  ///< probing: one trial job admitted at a time
 };
 
 /// Human-readable state name.
@@ -40,10 +40,6 @@ struct BreakerPolicy {
   /// Time units (caller's clock) the breaker stays open before it admits a
   /// half-open probe.
   std::uint64_t open_duration = 256;
-
-  /// Consecutive probe successes needed to close from half-open.  One probe
-  /// failure re-opens immediately.
-  int probe_successes_to_close = 1;
 };
 
 /// Three-state breaker driven by an external monotonic clock.  Not
@@ -57,20 +53,20 @@ class CircuitBreaker {
                           std::string metric_name = {});
 
   /// True when a job may be sent now.  An open breaker whose window has
-  /// elapsed transitions to half-open and admits up to
-  /// `probe_successes_to_close` concurrent probes.
+  /// elapsed transitions to half-open and admits one probe; further calls
+  /// are refused until that probe reports or is released.
   bool allow(std::uint64_t now);
 
   /// Reports a job outcome observed at time `now`.  Success in half-open
-  /// counts toward closing; failure anywhere re-arms the breaker (closed:
-  /// counts toward the threshold; half-open: re-opens).
+  /// closes; failure anywhere re-arms the breaker (closed: counts toward
+  /// the threshold; half-open: re-opens).
   void record_success(std::uint64_t now);
   void record_failure(std::uint64_t now);
 
-  /// Returns a probe slot taken by allow() when the job produced *no*
+  /// Returns the probe slot taken by allow() when the job produced *no*
   /// outcome — it was shed at the queue, or its deadline expired before the
-  /// backend ran.  Without this, an abandoned half-open probe pins
-  /// probes_in_flight at its cap and allow() refuses everything forever.
+  /// backend ran.  Without this, an abandoned half-open probe stays in
+  /// flight and allow() refuses everything forever.
   /// Tells the breaker nothing about backend health: no state change, no
   /// success/failure accounting.
   void release_probe();
@@ -95,8 +91,7 @@ class CircuitBreaker {
   std::uint64_t opened_at_ = 0;
   std::uint64_t transitions_ = 0;
   int consecutive_failures_ = 0;
-  int probes_in_flight_ = 0;
-  int probe_successes_ = 0;
+  bool probing_ = false;  ///< half-open probe admitted, no outcome yet
 };
 
 }  // namespace sysrle

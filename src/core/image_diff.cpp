@@ -70,8 +70,8 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
       // wall-clock (BENCH_pr10.json).  Both depend on nothing but the run
       // counts, so they are identical at every thread count.
       const DiffCostEstimate model = estimate_costs(a, b);
-      out.adaptive_route = choose_adaptive_route(
-          model.k1, model.k2, options.adaptive_similarity_threshold);
+      out.adaptive_route = choose_adaptive_route(model.k1, model.k2,
+                                                 kDefaultSimilarityThreshold);
       if (*out.adaptive_route == AdaptiveRoute::kSystolic)
         out.adaptive_modelled_iterations = model.run_count_difference();
       [[fallthrough]];

@@ -54,13 +54,6 @@ struct ImageDiffOptions {
   /// offers), 1 = serial in the calling thread, N = exactly N participants
   /// (growing the pool on demand, capped at RowExecutor::kMaxThreads).
   std::size_t threads = 0;
-
-  /// kAdaptive routing knob: θ routes a row to the modelled array when
-  /// |k1 - k2| <= threshold * (k1 + k2), sequential otherwise.  It changes
-  /// only what is reported, never what runs.  The default is the θ
-  /// re-calibrated against the word-parallel sequential engine (see
-  /// cost_model.hpp).
-  double adaptive_similarity_threshold = kDefaultSimilarityThreshold;
 };
 
 /// Aggregated result of an image-level diff.

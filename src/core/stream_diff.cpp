@@ -23,11 +23,8 @@ std::string describe(const char* which, const RowValidationReport& report) {
 
 }  // namespace
 
-StreamDiffer::StreamDiffer(ImageDiffOptions options, RowCallback on_row,
-                           cycle_t load_cycles_per_run)
-    : options_(options),
-      on_row_(std::move(on_row)),
-      load_cycles_per_run_(load_cycles_per_run) {
+StreamDiffer::StreamDiffer(ImageDiffOptions options, RowCallback on_row)
+    : options_(options), on_row_(std::move(on_row)) {
   SYSRLE_REQUIRE(on_row_ != nullptr, "StreamDiffer: null row callback");
 }
 
@@ -133,10 +130,8 @@ bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
   summary_.max_row_iterations =
       std::max(summary_.max_row_iterations, row_counters.iterations);
   // Double-buffered latency: computing this row overlaps loading the next
-  // one (k1+k2 runs at load_cycles_per_run each).
-  const cycle_t load_cycles =
-      load_cycles_per_run_ *
-      (reference.run_count() + scan.run_count());
+  // one, streamed into the shadow registers at one run per cycle.
+  const cycle_t load_cycles = reference.run_count() + scan.run_count();
   summary_.pipelined_cycles +=
       std::max<cycle_t>(row_counters.iterations, load_cycles);
   summary_.counters += row_counters;

@@ -60,8 +60,6 @@ struct StreamSummary {
 class StreamDiffer {
  public:
   /// `on_row(y, diff_row)` is invoked for every pushed pair, in order.
-  /// `load_cycles_per_run` models the per-run cost of streaming a row into
-  /// the array's shadow registers (1 run per cycle by default).
   using RowCallback = std::function<void(pos_t y, const RleRow& diff)>;
 
   /// Invoked when a row could not be processed normally; `diagnostic` is a
@@ -75,8 +73,7 @@ class StreamDiffer {
   using RowEngine = std::function<RleRow(
       const RleRow& reference, const RleRow& scan, SystolicCounters& c)>;
 
-  explicit StreamDiffer(ImageDiffOptions options, RowCallback on_row,
-                        cycle_t load_cycles_per_run = 1);
+  StreamDiffer(ImageDiffOptions options, RowCallback on_row);
 
   /// Returns true when the stream's deadline has expired; checked between
   /// rows (the deadline-propagation rule in docs/ROBUSTNESS.md).
@@ -133,7 +130,6 @@ class StreamDiffer {
   ErrorCallback on_error_;
   RowEngine engine_override_;
   DeadlineCheck deadline_expired_;
-  cycle_t load_cycles_per_run_;
   StreamSummary summary_;
   /// Machine workspace recycled across rows for the systolic engine (the
   /// stream is serial, so one workspace suffices).

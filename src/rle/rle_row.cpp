@@ -1,8 +1,32 @@
 #include "rle/rle_row.hpp"
 
+#include <cstdint>
+#include <span>
+#include <string>
 #include <utility>
 
 namespace sysrle {
+
+namespace {
+
+/// Throws contract_error naming the first invariant `runs` breaks, if any.
+/// Accepting costs one well-predicted branch per run; validate_runs, which
+/// checks the same run_ok, names the finding only on failure.
+void require_valid(std::span<const Run> runs, const char* who) {
+  std::uint64_t next_min = 0;
+  for (const Run& r : runs) {
+    if (!run_ok(r, next_min)) {
+      const RowValidationReport report = validate_runs(runs);
+      SYSRLE_REQUIRE(report.ok(),
+                     std::string(who) + ": run #" +
+                         std::to_string(report.findings.front().run_index) +
+                         ": " + to_string(report.findings.front().issue));
+    }
+    next_min = run_end_u64(r) + 1;
+  }
+}
+
+}  // namespace
 
 RleRow::RleRow(std::vector<Run> runs) : runs_(std::move(runs)) { validate(); }
 
@@ -15,29 +39,16 @@ RleRow RleRow::from_pairs(std::initializer_list<std::pair<pos_t, len_t>> ps) {
   return RleRow(std::move(rs));
 }
 
-void RleRow::validate() const {
-  for (std::size_t i = 0; i < runs_.size(); ++i) {
-    SYSRLE_REQUIRE(runs_[i].length >= 1, "RleRow: run with non-positive length");
-    SYSRLE_REQUIRE(runs_[i].start >= 0, "RleRow: negative start position");
-    if (i > 0)
-      SYSRLE_REQUIRE(runs_[i - 1].end() < runs_[i].start,
-                     "RleRow: runs out of order or overlapping");
-  }
-}
+void RleRow::validate() const { require_valid(runs_, "RleRow"); }
 
 void RleRow::append(const Run* runs, std::size_t count) {
   if (count == 0) return;
+  const std::span<const Run> batch(runs, count);
+  require_valid(batch, "RleRow::append");
   if (!runs_.empty())
-    SYSRLE_REQUIRE(runs_.back().end() < runs[0].start,
+    SYSRLE_REQUIRE(run_ok(batch.front(), run_end_u64(runs_.back()) + 1),
                    "RleRow::append: batch does not follow previous run");
-  for (std::size_t i = 0; i < count; ++i) {
-    SYSRLE_REQUIRE(runs[i].length >= 1, "RleRow::append: non-positive length");
-    SYSRLE_REQUIRE(runs[i].start >= 0, "RleRow::append: negative start");
-    if (i > 0)
-      SYSRLE_REQUIRE(runs[i - 1].end() < runs[i].start,
-                     "RleRow::append: runs out of order or overlapping");
-  }
-  runs_.insert(runs_.end(), runs, runs + count);
+  runs_.insert(runs_.end(), batch.begin(), batch.end());
 }
 
 len_t RleRow::foreground_pixels() const {
@@ -87,7 +98,9 @@ RleRow RleRow::canonical() const {
 }
 
 bool RleRow::fits_width(pos_t width) const {
-  return runs_.empty() || runs_.back().end() < width;
+  return runs_.empty() ||
+         (width >= 0 && run_end_u64(runs_.back()) <
+                            static_cast<std::uint64_t>(width));
 }
 
 std::string RleRow::to_string() const {

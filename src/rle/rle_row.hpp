@@ -9,11 +9,12 @@
 #include <vector>
 
 #include "rle/run.hpp"
+#include "rle/validate.hpp"
 
 namespace sysrle {
 
 /// Ordered sequence of non-overlapping runs.  Invariants (checked on every
-/// mutating entry point):
+/// mutating entry point, by run_ok in rle/validate.hpp):
 ///   * each run has length >= 1 and start >= 0,
 ///   * starts strictly increase and runs do not overlap.
 /// Runs MAY be adjacent (end+1 == next.start); the paper permits this in both
@@ -36,7 +37,7 @@ class RleRow {
     SYSRLE_REQUIRE(r.length >= 1, "RleRow::push_back: non-positive length");
     SYSRLE_REQUIRE(r.start >= 0, "RleRow::push_back: negative start");
     if (!runs_.empty())
-      SYSRLE_REQUIRE(runs_.back().end() < r.start,
+      SYSRLE_REQUIRE(run_ok(r, run_end_u64(runs_.back()) + 1),
                      "RleRow::push_back: run does not follow previous run");
     runs_.push_back(r);
   }
@@ -75,7 +76,7 @@ class RleRow {
   /// Returns a canonicalized copy.
   RleRow canonical() const;
 
-  /// True if any run extends beyond position width-1 (for bounds checks).
+  /// True if no run extends beyond position width-1 (for bounds checks).
   bool fits_width(pos_t width) const;
 
   friend bool operator==(const RleRow&, const RleRow&) = default;

@@ -37,12 +37,8 @@ std::string RowValidationReport::to_string() const {
 
 namespace {
 
-/// True when validate_runs would find nothing, in one branch-free pass.
-/// Ends are computed unsigned: for start >= 0 and length >= 1 both fields are
-/// below 2^63, so start + length - 1 (and that plus 2) is exact; for any
-/// other run the wrapped value is harmless because the run is already bad.
-/// A run is accepted when it starts at or after `next_min`, the previous
-/// end plus one (plus one more when adjacency is not allowed).
+/// True when validate_runs would find nothing, in one branch-free pass:
+/// run_ok for every run, and every end below the width when one is given.
 bool all_ok(std::span<const Run> runs, const ValidateOptions& opts) {
   using u64 = std::uint64_t;
   const u64 limit = opts.width >= 0 ? static_cast<u64>(opts.width)
@@ -51,10 +47,8 @@ bool all_ok(std::span<const Run> runs, const ValidateOptions& opts) {
   u64 next_min = 0;
   bool bad = false;
   for (const Run& r : runs) {
-    const auto start = static_cast<u64>(r.start);
-    const u64 end = start + static_cast<u64>(r.length) - 1;
-    bad |= (r.start < 0) | (r.length < 1) | (start < next_min) | (end >= limit);
-    next_min = end + gap;
+    bad |= !run_ok(r, next_min) | (run_end_u64(r) >= limit);
+    next_min = run_end_u64(r) + gap;
   }
   return !bad;
 }

@@ -45,14 +45,10 @@ const char* to_string(ServiceResponse::Status status) {
   return "unknown";
 }
 
-AdmissionQueue::AdmissionQueue(AdmissionConfig config, std::uint64_t seed)
-    : config_(config), shed_rng_(seed) {
+AdmissionQueue::AdmissionQueue(AdmissionConfig config) : config_(config) {
   SYSRLE_REQUIRE(config_.interactive_capacity >= 1 &&
                      config_.batch_capacity >= 1,
                  "AdmissionQueue: capacities must be >= 1");
-  SYSRLE_REQUIRE(config_.batch_shed_threshold >= 0.0 &&
-                     config_.batch_shed_threshold <= 1.0,
-                 "AdmissionQueue: batch_shed_threshold must be in [0, 1]");
 }
 
 void AdmissionQueue::publish_depth_locked() const {
@@ -78,16 +74,6 @@ std::optional<RejectReason> AdmissionQueue::try_push(ServiceRequest request) {
                               ? config_.interactive_capacity
                               : config_.batch_capacity;
   if (q.size() >= cap) return RejectReason::kQueueFull;
-  if (request.priority == Priority::kBatch &&
-      config_.batch_shed_threshold < 1.0) {
-    const double fill =
-        static_cast<double>(q.size()) / static_cast<double>(cap);
-    if (fill > config_.batch_shed_threshold) {
-      const double p = (fill - config_.batch_shed_threshold) /
-                       (1.0 - config_.batch_shed_threshold);
-      if (shed_rng_.bernoulli(p)) return RejectReason::kQueueFull;
-    }
-  }
 
   q.push_back({std::move(request), std::chrono::steady_clock::now()});
   publish_depth_locked();

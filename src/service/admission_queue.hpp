@@ -4,10 +4,9 @@
 // Overload protection starts here.  Each priority class has a hard
 // capacity; a request that does not fit is refused *now*, with a typed
 // reason, instead of growing an unbounded backlog that turns every later
-// request into a deadline miss (the classic collapse mode).  Batch work can
-// additionally be shed early with a probability that ramps up as its queue
-// fills (random early drop), so interactive work keeps headroom — the shed
-// coin is a seeded deterministic Rng (docs/TESTING.md).
+// request into a deadline miss (the classic collapse mode).  The two classes
+// have separate capacities, so a full batch queue never costs interactive
+// work its headroom.
 //
 // Pop order: interactive strictly before batch, FIFO within a class.
 
@@ -19,19 +18,13 @@
 #include <optional>
 
 #include "service/types.hpp"
-#include "workload/rng.hpp"
 
 namespace sysrle {
 
-/// Queue shape and early-shed policy.
+/// Queue shape: one hard capacity per class.
 struct AdmissionConfig {
   std::size_t interactive_capacity = 64;
   std::size_t batch_capacity = 64;
-
-  /// Batch fill fraction above which arrivals are shed probabilistically
-  /// (linearly from 0 at the threshold to 1 at full).  1.0 disables early
-  /// shedding — only a full queue refuses.
-  double batch_shed_threshold = 1.0;
 };
 
 /// Thread-safe bounded queue with typed refusal.
@@ -44,9 +37,7 @@ class AdmissionQueue {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// `seed` drives the early-shed coin; equal seeds give equal shed
-  /// decisions for equal push sequences.
-  AdmissionQueue(AdmissionConfig config, std::uint64_t seed);
+  explicit AdmissionQueue(AdmissionConfig config);
 
   /// Admits or refuses immediately (never blocks).  Returns std::nullopt on
   /// success, the typed reason otherwise.  Publishes
@@ -73,7 +64,6 @@ class AdmissionQueue {
   std::condition_variable cv_;
   std::deque<Item> interactive_;
   std::deque<Item> batch_;
-  Rng shed_rng_;
   bool closed_ = false;
 };
 

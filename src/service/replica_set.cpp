@@ -33,10 +33,8 @@ ReplicaSet::ReplicaSet(std::size_t shard_index, const ReplicaSetConfig& config,
         config.breaker, "shard" + std::to_string(shard_index) + ".replica" +
                             std::to_string(r));
     rep->salt = mix64(shard_index * 0x1000 + r + 0x5eed);
-    ServiceConfig svc = config.service;
-    // Distinct per-replica seeds keep early-shed streams independent.
-    svc.seed = svc.seed ^ mix64(rep->salt);
-    rep->service = std::make_shared<DiffService>(svc, completion_for_(r));
+    rep->service =
+        std::make_shared<DiffService>(config.service, completion_for_(r));
     replicas_.push_back(std::move(rep));
   }
 }
@@ -119,13 +117,8 @@ void ReplicaSet::kill(std::size_t index) {
 }
 
 void ReplicaSet::revive(std::size_t index) {
-  ServiceConfig svc = config_.service;
-  std::shared_ptr<DiffService> replacement;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    svc.seed = svc.seed ^ mix64(replicas_.at(index)->salt);
-  }
-  replacement = std::make_shared<DiffService>(svc, completion_for_(index));
+  auto replacement =
+      std::make_shared<DiffService>(config_.service, completion_for_(index));
   std::shared_ptr<DiffService> old;
   {
     std::lock_guard<std::mutex> lk(mu_);

@@ -40,13 +40,11 @@ namespace sysrle {
 
 struct ReplicaSetConfig {
   std::size_t replicas = 2;
-  /// Per-replica DiffService shape (queue caps, workers, seed...).
+  /// Per-replica DiffService shape (queue caps, workers...).
   ServiceConfig service;
   /// Router-level breaker tripped by consecutive sheds/failures; clocked in
   /// microseconds of router uptime.
-  BreakerPolicy breaker{.failure_threshold = 3,
-                        .open_duration = 50000,
-                        .probe_successes_to_close = 1};
+  BreakerPolicy breaker{.failure_threshold = 3, .open_duration = 50000};
 };
 
 /// R replicas of one shard.

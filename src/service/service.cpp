@@ -52,7 +52,7 @@ double us_between(std::chrono::steady_clock::time_point a,
 DiffService::DiffService(ServiceConfig config, Completion on_complete)
     : config_(config),
       on_complete_(std::move(on_complete)),
-      queue_(config.admission, config.seed) {
+      queue_(config.admission) {
   // Worker sizing shares the row executor's resolution rule: 0 = auto
   // (hardware_concurrency, never 0), explicit counts honoured and capped.
   config_.workers = RowExecutor::resolve_threads(config_.workers);
@@ -178,7 +178,8 @@ void DiffService::process(AdmissionQueue::Item item) {
                                    SystolicCounters& c) -> RleRow {
       FaultInjection injection;
       if (req.fault.has_value()) injection.spec = &*req.fault;
-      CheckedRowResult r = checked_xor(a, b, config_.recovery, injection);
+      CheckedRowResult r = checked_xor(
+          a, b, req.options.canonicalize_output, config_.recovery, injection);
       c.iterations = r.record.total_cycles;
       if (r.record.outcome == RecoveryOutcome::kFellBack) ++checked_fallbacks;
       if (!r.record.ok()) {

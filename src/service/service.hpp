@@ -52,10 +52,6 @@ struct ServiceConfig {
   /// Off: the engine from ServiceRequest::options runs bare, still with the
   /// per-row sequential fallback of StreamDiffer.
   bool use_checked_engine = false;
-
-  /// Seeds batch early-shed sampling; equal seeds give byte-identical shed
-  /// behaviour (docs/TESTING.md).
-  std::uint64_t seed = 42;
 };
 
 /// Monotonic counters over the service lifetime (one snapshot, coherent

@@ -14,6 +14,9 @@ namespace sysrle {
 
 namespace {
 
+/// Ring points per shard; more = smoother key spread.
+constexpr std::size_t kVirtualNodes = 32;
+
 /// Router-level (unrouted) flight context for a client request: events at
 /// admission/response granularity, before/after any shard placement.
 RequestContext client_ctx(std::uint64_t request_id) {
@@ -69,15 +72,12 @@ ShardRouter::ShardRouter(RouterConfig config, Completion on_complete)
   SYSRLE_REQUIRE(config_.shards >= 1, "ShardRouter: need at least one shard");
   SYSRLE_REQUIRE(config_.replicas >= 1,
                  "ShardRouter: need at least one replica per shard");
-  SYSRLE_REQUIRE(config_.virtual_nodes >= 1,
-                 "ShardRouter: need at least one virtual node per shard");
 
   sets_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
     ReplicaSetConfig rsc;
     rsc.replicas = config_.replicas;
     rsc.service = config_.replica_service;
-    rsc.service.seed = config_.replica_service.seed ^ mix64(s + 0x5a4d);
     rsc.breaker = config_.replica_breaker;
     sets_.push_back(std::make_unique<ReplicaSet>(
         s, rsc, [this, s](std::size_t r) -> DiffService::Completion {
@@ -87,11 +87,11 @@ ShardRouter::ShardRouter(RouterConfig config, Completion on_complete)
         }));
   }
 
-  ring_.reserve(config_.shards * config_.virtual_nodes);
+  ring_.reserve(config_.shards * kVirtualNodes);
   for (std::size_t s = 0; s < config_.shards; ++s)
-    for (std::size_t v = 0; v < config_.virtual_nodes; ++v)
+    for (std::size_t v = 0; v < kVirtualNodes; ++v)
       ring_.emplace_back(
-          mix64(config_.seed ^ mix64(s * config_.virtual_nodes + v + 1)), s);
+          mix64(config_.seed ^ mix64(s * kVirtualNodes + v + 1)), s);
   std::sort(ring_.begin(), ring_.end());
 }
 

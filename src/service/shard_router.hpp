@@ -58,15 +58,12 @@ namespace sysrle {
 struct RouterConfig {
   std::size_t shards = 2;
   std::size_t replicas = 2;
-  /// Ring points per shard; more = smoother key spread.
-  std::size_t virtual_nodes = 32;
 
   /// Per-replica backend shape.
   ServiceConfig replica_service;
   /// Router-level per-replica breaker (clocked in µs of router uptime).
   BreakerPolicy replica_breaker{.failure_threshold = 3,
-                                .open_duration = 50000,
-                                .probe_successes_to_close = 1};
+                                .open_duration = 50000};
 
   /// Persistent image store for by-handle requests (ServiceRequest::
   /// ref_handle/scan_handle).  Null: by-handle requests shed with
@@ -80,8 +77,7 @@ struct RouterConfig {
   /// engine.
   std::shared_ptr<ResultCache> cache;
 
-  /// Seeds the ring and rendezvous salts (and, xored per replica, the
-  /// backend seeds).
+  /// Seeds the consistent-hash ring's points.
   std::uint64_t seed = 42;
 };
 

@@ -119,7 +119,7 @@ DurableStore::DurableStore(DurableStoreConfig cfg) : cfg_(std::move(cfg)) {
   // From here on the journal is live: clip the tail we refused to replay,
   // then reopen for appending.
   clip_journal_file(jour_path, jour);
-  journal_ = std::make_unique<StoreJournal>(jour_path, cfg_.journal_fsync_every);
+  journal_ = std::make_unique<StoreJournal>(jour_path);
 
   const bool had_state = snap.file_present || !jour.records.empty() ||
                          recovery_.salvaged_bytes() > 0;
@@ -188,8 +188,6 @@ bool DurableStore::evict(ImageHandle handle) {
   }
   return ok;
 }
-
-void DurableStore::sync() { journal_->sync(); }
 
 void DurableStore::snapshot_now() {
   const std::lock_guard<std::mutex> lock(op_mu_);

@@ -6,8 +6,8 @@
 // (store_journal.hpp):
 //
 //   register  journaled (label + canonical bytes) after the in-memory
-//             registration succeeds; acknowledged once the journal fsync
-//             covering the record returns.
+//             registration succeeds; acknowledged once the record's
+//             append (write + fsync) returns.
 //   evict     journaled from inside the store's eviction path (budget or
 //             explicit), so replay reproduces the same resident set.
 //   snapshot  every `snapshot_every` journal records (and at the end of
@@ -61,9 +61,6 @@ std::string store_snapshot_path(const std::string& dir);
 struct DurableStoreConfig {
   std::string dir;    ///< required: the store directory (must exist)
   StoreConfig store;  ///< in-memory store config (capacity, seams)
-  /// Journal appends per fsync batch.  1 = every record is acknowledged
-  /// before register_image returns.
-  std::size_t journal_fsync_every = 1;
   /// Journal records between automatic snapshot compactions; 0 disables
   /// automatic snapshots (explicit snapshot_now() still works).
   std::uint64_t snapshot_every = 0;
@@ -121,16 +118,12 @@ class DurableStore {
   DurableStore& operator=(const DurableStore&) = delete;
 
   /// Registers and journals under `label`.  On ok (fresh or dedup) the
-  /// record is appended and — at the default fsync batch of 1 — durable
-  /// before this returns.  Collisions are refused and not journaled.
+  /// record is appended and durable (fsynced) before this returns.  Collisions are refused and not journaled.
   ImageStore::RegisterResult register_image(const RleImage& image,
                                             const std::string& label);
 
   /// Explicit, journaled eviction.
   bool evict(ImageHandle handle);
-
-  /// Forces pending journal appends to disk (for fsync batches > 1).
-  void sync();
 
   /// Compacts now: snapshot the resident set, then truncate the journal.
   void snapshot_now();

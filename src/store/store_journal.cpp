@@ -103,9 +103,7 @@ std::uint32_t crc32_bytes(std::string_view head, std::string_view body) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-StoreJournal::StoreJournal(std::string path, std::size_t fsync_every)
-    : path_(std::move(path)),
-      fsync_every_(fsync_every == 0 ? 1 : fsync_every) {
+StoreJournal::StoreJournal(std::string path) : path_(std::move(path)) {
   fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   SYSRLE_REQUIRE(fd_ >= 0, "StoreJournal: cannot open " + path_ + ": " +
                                std::strerror(errno));
@@ -132,17 +130,7 @@ StoreJournal::StoreJournal(std::string path, std::size_t fsync_every)
 }
 
 StoreJournal::~StoreJournal() {
-  if (fd_ >= 0) {
-    // Best effort: make the tail durable before letting go of the fd.
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (pending_ > 0) {
-        ::fsync(fd_);
-        pending_ = 0;
-      }
-    }
-    ::close(fd_);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void StoreJournal::append_record_locked(std::string& record) {
@@ -158,12 +146,14 @@ void StoreJournal::append_record_locked(std::string& record) {
   file_bytes_ += record.size();
   ++stats_.appends;
   stats_.appended_bytes += record.size();
-  ++pending_;
   if (telemetry_enabled()) {
     global_metrics().add("store.journal.appends");
     global_metrics().add("store.journal.bytes", record.size());
   }
-  if (pending_ >= fsync_every_) sync_locked();
+  SYSRLE_REQUIRE(::fsync(fd_) == 0,
+                 "StoreJournal: fsync failed for " + path_);
+  ++stats_.fsyncs;
+  if (telemetry_enabled()) global_metrics().add("store.journal.fsyncs");
 }
 
 void StoreJournal::append_register(ImageHandle handle,
@@ -196,20 +186,6 @@ void StoreJournal::append_evict(ImageHandle handle) {
                 handle);
 }
 
-void StoreJournal::sync_locked() {
-  if (pending_ == 0) return;
-  SYSRLE_REQUIRE(::fsync(fd_) == 0,
-                 "StoreJournal: fsync failed for " + path_);
-  pending_ = 0;
-  ++stats_.fsyncs;
-  if (telemetry_enabled()) global_metrics().add("store.journal.fsyncs");
-}
-
-void StoreJournal::sync() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  sync_locked();
-}
-
 void StoreJournal::truncate_to_header() {
   const std::lock_guard<std::mutex> lock(mu_);
   SYSRLE_REQUIRE(::ftruncate(fd_, static_cast<off_t>(kHeaderBytes)) == 0,
@@ -219,7 +195,6 @@ void StoreJournal::truncate_to_header() {
   SYSRLE_REQUIRE(::fsync(fd_) == 0,
                  "StoreJournal: fsync failed for " + path_);
   file_bytes_ = kHeaderBytes;
-  pending_ = 0;
   ++stats_.truncations;
   if (telemetry_enabled()) global_metrics().add("store.journal.truncations");
 }

@@ -12,11 +12,10 @@
 // The CRC covers the length prefix as well as the payload, so a flipped
 // byte anywhere in a record — including the framing — is detected (CRC-32
 // catches every burst error of 32 bits or fewer; a single corrupted byte
-// is an 8-bit burst).  Appends are a single write(2) each and are made
-// durable in batches: every `fsync_every` appends, and on demand via
-// sync().  A record counts as *acknowledged* only once a sync covering it
-// has returned — the recovery prefix property is stated over acknowledged
-// records.
+// is an 8-bit burst).  Each append is a single write(2) followed by an
+// fsync, and returns only once both have: a record counts as *acknowledged*
+// when its append returns — the recovery prefix property is stated over
+// acknowledged records.
 //
 // Torn-tail salvage (load_journal): records are replayed up to the first
 // bad one — short length word, length past EOF, oversize length, CRC
@@ -77,7 +76,7 @@ class StoreJournal {
   /// record (keeps salvage from attempting multi-GB allocations).
   static constexpr std::uint32_t kMaxPayload = 1u << 28;
 
-  explicit StoreJournal(std::string path, std::size_t fsync_every = 1);
+  explicit StoreJournal(std::string path);
   ~StoreJournal();
 
   StoreJournal(const StoreJournal&) = delete;
@@ -86,10 +85,6 @@ class StoreJournal {
   void append_register(ImageHandle handle, const std::string& label,
                        const std::string& bytes);
   void append_evict(ImageHandle handle);
-
-  /// Forces everything appended so far to disk (fsync).  No-op when nothing
-  /// is pending.
-  void sync();
 
   /// Empties the journal back to a bare header + fsync.  Called only after
   /// a snapshot covering its records is durable.
@@ -101,16 +96,13 @@ class StoreJournal {
 
  private:
   /// Fills the 8 frame bytes at the front of `record` (length and CRC of
-  /// the payload after them), then writes it.
+  /// the payload after them), then writes and fsyncs it.
   void append_record_locked(std::string& record);
-  void sync_locked();
 
   std::string path_;
-  std::size_t fsync_every_;
   mutable std::mutex mu_;
   int fd_ = -1;
   std::uint64_t file_bytes_ = 0;
-  std::uint64_t pending_ = 0;  ///< appends not yet covered by an fsync
   JournalStats stats_;
 };
 

@@ -1,31 +1,17 @@
 #include "telemetry/slo.hpp"
 
-#include <algorithm>
-
 namespace sysrle {
-
-SloTracker::SloTracker() : SloTracker(Config{}) {}
-
-SloTracker::SloTracker(const Config& config) : config_(config) {
-  if (config_.bucket_width_us == 0) config_.bucket_width_us = 1;
-  if (config_.long_window_buckets == 0) config_.long_window_buckets = 1;
-  config_.short_window_buckets =
-      std::clamp<std::size_t>(config_.short_window_buckets, 1,
-                              config_.long_window_buckets);
-  config_.objective = std::clamp(config_.objective, 0.0, 0.9999);
-  ring_.resize(config_.long_window_buckets);
-}
 
 SloTracker::Bucket& SloTracker::bucket_for_locked(std::uint64_t now_us) {
   // 1-based epochs so index 0 unambiguously means "slot never used".
-  const std::uint64_t index = now_us / config_.bucket_width_us + 1;
+  const std::uint64_t index = now_us / kBucketWidthUs + 1;
   Bucket& b = ring_[index % ring_.size()];
   if (b.index != index) b = Bucket{index, 0, 0};
   return b;
 }
 
 void SloTracker::record(std::uint64_t now_us, std::uint64_t latency_us) {
-  const bool bad = latency_us > config_.target_us;
+  const bool bad = latency_us > target_us_;
   const std::lock_guard<std::mutex> lock(mu_);
   Bucket& b = bucket_for_locked(now_us);
   ++b.total;
@@ -47,7 +33,7 @@ void SloTracker::record_breach(std::uint64_t now_us) {
 
 SloTracker::Burn SloTracker::window_locked(std::uint64_t now_us,
                                            std::size_t buckets) const {
-  const std::uint64_t newest = now_us / config_.bucket_width_us + 1;
+  const std::uint64_t newest = now_us / kBucketWidthUs + 1;
   const std::uint64_t oldest =
       newest >= buckets ? newest - buckets + 1 : 1;
   Burn burn;
@@ -59,19 +45,19 @@ SloTracker::Burn SloTracker::window_locked(std::uint64_t now_us,
   if (burn.total > 0) {
     burn.bad_fraction =
         static_cast<double>(burn.bad) / static_cast<double>(burn.total);
-    burn.burn_rate = burn.bad_fraction / (1.0 - config_.objective);
+    burn.burn_rate = burn.bad_fraction / (1.0 - kObjective);
   }
   return burn;
 }
 
 SloTracker::Burn SloTracker::short_window(std::uint64_t now_us) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return window_locked(now_us, config_.short_window_buckets);
+  return window_locked(now_us, kShortWindowBuckets);
 }
 
 SloTracker::Burn SloTracker::long_window(std::uint64_t now_us) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return window_locked(now_us, config_.long_window_buckets);
+  return window_locked(now_us, kLongWindowBuckets);
 }
 
 std::uint64_t SloTracker::total() const {
@@ -94,9 +80,8 @@ void SloTracker::export_gauges(MetricsRegistry& registry, std::uint64_t now_us,
     tot = total_;
     bad = bad_;
   }
-  registry.set_gauge(prefix + ".target_us",
-                     static_cast<double>(config_.target_us));
-  registry.set_gauge(prefix + ".objective", config_.objective);
+  registry.set_gauge(prefix + ".target_us", static_cast<double>(target_us_));
+  registry.set_gauge(prefix + ".objective", kObjective);
   registry.set_gauge(prefix + ".burn_rate_short", s.burn_rate);
   registry.set_gauge(prefix + ".burn_rate_long", l.burn_rate);
   registry.set_gauge(prefix + ".bad_fraction_short", s.bad_fraction);

@@ -28,7 +28,7 @@ AdmissionConfig small_config(std::size_t interactive, std::size_t batch) {
 }
 
 TEST(AdmissionQueue, PopsInteractiveBeforeBatchFifoWithinClass) {
-  AdmissionQueue q(small_config(4, 4), 1);
+  AdmissionQueue q(small_config(4, 4));
   EXPECT_FALSE(q.try_push(request(1, Priority::kBatch)).has_value());
   EXPECT_FALSE(q.try_push(request(2, Priority::kInteractive)).has_value());
   EXPECT_FALSE(q.try_push(request(3, Priority::kBatch)).has_value());
@@ -40,7 +40,7 @@ TEST(AdmissionQueue, PopsInteractiveBeforeBatchFifoWithinClass) {
 }
 
 TEST(AdmissionQueue, RefusesWithQueueFullPerClass) {
-  AdmissionQueue q(small_config(1, 2), 1);
+  AdmissionQueue q(small_config(1, 2));
   EXPECT_FALSE(q.try_push(request(1, Priority::kInteractive)).has_value());
   const auto refused = q.try_push(request(2, Priority::kInteractive));
   ASSERT_TRUE(refused.has_value());
@@ -55,7 +55,7 @@ TEST(AdmissionQueue, RefusesWithQueueFullPerClass) {
 }
 
 TEST(AdmissionQueue, ClosedQueueRefusesWithShutdownAndDrains) {
-  AdmissionQueue q(small_config(4, 4), 1);
+  AdmissionQueue q(small_config(4, 4));
   EXPECT_FALSE(q.try_push(request(1, Priority::kBatch)).has_value());
   q.close();
   EXPECT_TRUE(q.closed());
@@ -71,7 +71,7 @@ TEST(AdmissionQueue, ClosedQueueRefusesWithShutdownAndDrains) {
 }
 
 TEST(AdmissionQueue, PopBlocksUntilWorkArrives) {
-  AdmissionQueue q(small_config(4, 4), 1);
+  AdmissionQueue q(small_config(4, 4));
   std::uint64_t got = 0;
   std::thread consumer([&] {
     auto item = q.pop();
@@ -83,49 +83,11 @@ TEST(AdmissionQueue, PopBlocksUntilWorkArrives) {
   EXPECT_EQ(got, 42u);
 }
 
-TEST(AdmissionQueue, EarlyShedRampsUpAsBatchFillsAndIsSeedDeterministic) {
-  AdmissionConfig cfg = small_config(4, 100);
-  cfg.batch_shed_threshold = 0.5;
-  auto run = [&cfg](std::uint64_t seed) {
-    AdmissionQueue q(cfg, seed);
-    std::vector<bool> admitted;
-    for (std::uint64_t i = 0; i < 100; ++i)
-      admitted.push_back(!q.try_push(request(i, Priority::kBatch)).has_value());
-    return admitted;
-  };
-  const std::vector<bool> a = run(9);
-  const std::vector<bool> b = run(9);
-  EXPECT_EQ(a, b);  // the shed coin is the seed, not global state
-
-  // Below the threshold nothing is early-shed; above it, some arrivals are
-  // refused before the queue is actually full.
-  AdmissionQueue q(cfg, 9);
-  std::size_t shed = 0;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    const auto r = q.try_push(request(i, Priority::kBatch));
-    if (i < 50) {
-      EXPECT_FALSE(r.has_value()) << "early shed below threshold";
-    }
-    if (r.has_value()) ++shed;
-  }
-  EXPECT_GT(shed, 0u);
-  EXPECT_LT(q.depth(), 100u);
-}
-
-TEST(AdmissionQueue, InteractiveIsNeverEarlyShed) {
-  AdmissionConfig cfg = small_config(100, 4);
-  cfg.batch_shed_threshold = 0.0;  // batch sheds with probability = fill
-  AdmissionQueue q(cfg, 3);
-  for (std::uint64_t i = 0; i < 100; ++i)
-    EXPECT_FALSE(q.try_push(request(i, Priority::kInteractive)).has_value());
-  EXPECT_EQ(q.depth(), 100u);
-}
-
 TEST(AdmissionQueue, PublishesDepthGaugeBalanced) {
   reset_telemetry();
   set_telemetry_enabled(true);
   {
-    AdmissionQueue q(small_config(4, 4), 1);
+    AdmissionQueue q(small_config(4, 4));
     (void)q.try_push(request(1, Priority::kBatch));
     (void)q.try_push(request(2, Priority::kInteractive));
     EXPECT_EQ(global_metrics().snapshot().gauge("service.queue_depth", -1.0),
@@ -141,10 +103,8 @@ TEST(AdmissionQueue, PublishesDepthGaugeBalanced) {
 }
 
 TEST(AdmissionQueue, RejectsInvalidConfig) {
-  EXPECT_THROW(AdmissionQueue(small_config(0, 4), 1), contract_error);
-  AdmissionConfig bad = small_config(4, 4);
-  bad.batch_shed_threshold = 1.5;
-  EXPECT_THROW(AdmissionQueue(bad, 1), contract_error);
+  EXPECT_THROW(AdmissionQueue(small_config(0, 4)), contract_error);
+  EXPECT_THROW(AdmissionQueue(small_config(4, 0)), contract_error);
 }
 
 TEST(AdmissionQueue, ToStringsCoverTheVocabulary) {

@@ -22,7 +22,7 @@ const RleRow kImg1{{10, 3}, {16, 2}, {23, 2}, {27, 3}};
 const RleRow kImg2{{3, 4}, {8, 5}, {15, 5}, {23, 2}, {27, 4}};
 
 TEST(CheckedDiff, HealthyRowIsCleanFirstTry) {
-  const CheckedRowResult r = checked_xor(kImg1, kImg2);
+  const CheckedRowResult r = checked_xor(kImg1, kImg2, false);
   EXPECT_EQ(r.record.outcome, RecoveryOutcome::kCleanFirstTry);
   EXPECT_TRUE(r.record.ok());
   EXPECT_FALSE(r.record.faulty());
@@ -35,7 +35,7 @@ TEST(CheckedDiff, HealthyRowIsCleanFirstTry) {
 }
 
 TEST(CheckedDiff, EmptyRowsAreClean) {
-  const CheckedRowResult r = checked_xor(RleRow{}, RleRow{});
+  const CheckedRowResult r = checked_xor(RleRow{}, RleRow{}, false);
   EXPECT_EQ(r.record.outcome, RecoveryOutcome::kCleanFirstTry);
   EXPECT_TRUE(r.output.empty());
 }
@@ -46,7 +46,7 @@ TEST(CheckedDiff, PermanentFaultFallsBackWithCorrectOutput) {
   spec.cell = 0;  // always-detected on the Figure-1 pair
   FaultInjection injection;
   injection.spec = &spec;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, {}, injection);
+  const CheckedRowResult r = checked_xor(kImg1, kImg2, false, {}, injection);
   EXPECT_EQ(r.record.outcome, RecoveryOutcome::kFellBack);
   EXPECT_TRUE(r.record.faulty());
   EXPECT_EQ(r.record.attempts.size(), 3u);  // 1 try + 2 retries, all detected
@@ -69,7 +69,7 @@ TEST(CheckedDiff, TransientFaultRecoversByRetry) {
   spec.window_length = 1;
   FaultInjection injection;
   injection.spec = &spec;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, {}, injection);
+  const CheckedRowResult r = checked_xor(kImg1, kImg2, false, {}, injection);
   EXPECT_EQ(r.record.outcome, RecoveryOutcome::kRecoveredByRetry);
   EXPECT_TRUE(r.record.faulty());
   EXPECT_EQ(r.record.retries(), 1u);
@@ -86,7 +86,8 @@ TEST(CheckedDiff, IntermittentFaultRecoversOrFallsBackCorrectly) {
     spec.seed = seed;
     FaultInjection injection;
     injection.spec = &spec;
-    const CheckedRowResult r = checked_xor(kImg1, kImg2, {}, injection);
+    const CheckedRowResult r =
+        checked_xor(kImg1, kImg2, false, {}, injection);
     ASSERT_TRUE(r.record.ok()) << "seed " << seed;
     ASSERT_EQ(r.output.canonical(), xor_rows(kImg1, kImg2).canonical())
         << "seed " << seed << " outcome " << to_string(r.record.outcome);
@@ -102,7 +103,8 @@ TEST(CheckedDiff, FallbackDisabledReportsUnrecovered) {
   RecoveryPolicy policy;
   policy.fallback_to_sequential = false;
   policy.max_retries = 1;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, policy, injection);
+  const CheckedRowResult r =
+      checked_xor(kImg1, kImg2, false, policy, injection);
   EXPECT_EQ(r.record.outcome, RecoveryOutcome::kUnrecovered);
   EXPECT_FALSE(r.record.ok());
   EXPECT_TRUE(r.output.empty());
@@ -117,7 +119,8 @@ TEST(CheckedDiff, ZeroRetriesGoesStraightToFallback) {
   injection.spec = &spec;
   RecoveryPolicy policy;
   policy.max_retries = 0;
-  const CheckedRowResult r = checked_xor(kImg1, kImg2, policy, injection);
+  const CheckedRowResult r =
+      checked_xor(kImg1, kImg2, false, policy, injection);
   EXPECT_EQ(r.record.outcome, RecoveryOutcome::kFellBack);
   EXPECT_EQ(r.record.attempts.size(), 1u);
   EXPECT_EQ(r.output.canonical(), xor_rows(kImg1, kImg2).canonical());
@@ -126,13 +129,11 @@ TEST(CheckedDiff, ZeroRetriesGoesStraightToFallback) {
 TEST(CheckedDiff, NegativeMaxRetriesRejected) {
   RecoveryPolicy policy;
   policy.max_retries = -1;
-  EXPECT_THROW(checked_xor(kImg1, kImg2, policy), contract_error);
+  EXPECT_THROW(checked_xor(kImg1, kImg2, false, policy), contract_error);
 }
 
 TEST(CheckedDiff, CanonicalizeOptionAppliesToBothPaths) {
-  RecoveryPolicy policy;
-  policy.canonicalize_output = true;
-  const CheckedRowResult clean = checked_xor(kImg1, kImg2, policy);
+  const CheckedRowResult clean = checked_xor(kImg1, kImg2, true);
   EXPECT_TRUE(clean.output.is_canonical());
 
   FaultSpec spec;
@@ -140,7 +141,7 @@ TEST(CheckedDiff, CanonicalizeOptionAppliesToBothPaths) {
   spec.cell = 0;
   FaultInjection injection;
   injection.spec = &spec;
-  const CheckedRowResult fell = checked_xor(kImg1, kImg2, policy, injection);
+  const CheckedRowResult fell = checked_xor(kImg1, kImg2, true, {}, injection);
   EXPECT_EQ(fell.record.outcome, RecoveryOutcome::kFellBack);
   EXPECT_TRUE(fell.output.is_canonical());
 }
@@ -153,7 +154,7 @@ TEST(CheckedDiff, NoFalsePositivesOnRandomRows) {
   for (int trial = 0; trial < 200; ++trial) {
     const RleRow a = random_row(rng, width, 0.3);
     const RleRow b = random_row(rng, width, 0.3);
-    const CheckedRowResult r = checked_xor(a, b);
+    const CheckedRowResult r = checked_xor(a, b, false);
     ASSERT_EQ(r.record.outcome, RecoveryOutcome::kCleanFirstTry) << trial;
     ASSERT_EQ(r.output.canonical(), reference_xor(a, b, width)) << trial;
   }

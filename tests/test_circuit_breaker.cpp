@@ -9,12 +9,10 @@
 namespace sysrle {
 namespace {
 
-BreakerPolicy policy(int threshold, std::uint64_t open_duration,
-                     int probes = 1) {
+BreakerPolicy policy(int threshold, std::uint64_t open_duration) {
   BreakerPolicy p;
   p.failure_threshold = threshold;
   p.open_duration = open_duration;
-  p.probe_successes_to_close = probes;
   return p;
 }
 
@@ -52,26 +50,31 @@ TEST(CircuitBreaker, SuccessResetsTheFailureStreak) {
 }
 
 TEST(CircuitBreaker, HalfOpenAdmitsLimitedProbesAfterTheWindow) {
-  CircuitBreaker b(policy(1, 50, /*probes=*/2));
+  CircuitBreaker b(policy(1, 50));
   b.record_failure(10);
   EXPECT_EQ(b.state(), BreakerState::kOpen);
   EXPECT_FALSE(b.allow(59));
-  EXPECT_TRUE(b.allow(60));  // window elapsed: first probe
+  EXPECT_TRUE(b.allow(60));  // window elapsed: the one probe
   EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_TRUE(b.allow(61));   // second probe slot
-  EXPECT_FALSE(b.allow(62));  // probe slots exhausted
+  // A second allow() while that probe is in flight is refused, however
+  // late it comes...
+  EXPECT_FALSE(b.allow(61));
+  EXPECT_FALSE(b.allow(1000));
+  // ...until release_probe hands the slot back: then exactly one more.
+  b.release_probe();
+  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
+  EXPECT_TRUE(b.allow(1001));
+  EXPECT_FALSE(b.allow(1002));
 }
 
 TEST(CircuitBreaker, ProbeSuccessesCloseTheBreaker) {
-  CircuitBreaker b(policy(1, 50, /*probes=*/2));
+  CircuitBreaker b(policy(1, 50));
   b.record_failure(0);
   ASSERT_TRUE(b.allow(50));
-  ASSERT_TRUE(b.allow(51));
-  b.record_success(55);
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);  // one of two
-  b.record_success(56);
+  b.record_success(55);  // the one probe's success closes
   EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_TRUE(b.allow(57));
+  EXPECT_TRUE(b.allow(56));
+  EXPECT_TRUE(b.allow(57));  // closed: no probe limit
 }
 
 TEST(CircuitBreaker, ProbeFailureReopensImmediately) {
@@ -88,7 +91,7 @@ TEST(CircuitBreaker, ProbeFailureReopensImmediately) {
 }
 
 TEST(CircuitBreaker, ReleaseProbeFreesAnAbandonedHalfOpenSlot) {
-  CircuitBreaker b(policy(1, 50, /*probes=*/1));
+  CircuitBreaker b(policy(1, 50));
   b.record_failure(0);
   ASSERT_TRUE(b.allow(50));  // the only probe slot
   EXPECT_FALSE(b.allow(51));

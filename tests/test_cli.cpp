@@ -280,6 +280,13 @@ TEST_F(CliFixture, TraceRejectsMalformedRuns) {
   EXPECT_EQ(cli({"trace", "10,3"}).exit_code, 2);  // arity
   // Overlapping runs are invalid input rows.
   EXPECT_EQ(cli({"trace", "1,5 3,2", "0,1"}).exit_code, 2);
+  // So is a run list out of order behind a run whose end passes the i64
+  // maximum: refused when the row is parsed, not deep in the engine.
+  const CliRun r = cli({"trace", "9223372036854775806,5 0,1", "0,1"});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.err.find("RleRow: run #1: out of order"), std::string::npos)
+      << r.err;
+  EXPECT_EQ(r.err.find("push_back"), std::string::npos) << r.err;
 }
 
 TEST_F(CliFixture, VerilogEmitsThreeFiles) {

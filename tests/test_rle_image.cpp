@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/assert.hpp"
 
 namespace sysrle {
@@ -41,6 +43,15 @@ TEST(RleImage, ConstructFromRowsValidatesWidth) {
   EXPECT_EQ(img.height(), 2);
   std::vector<RleRow> bad{RleRow{{6, 6}}};
   EXPECT_THROW(RleImage(10, bad), contract_error);
+}
+
+// A run far past the width whose i64 end would wrap negative is still
+// outside the width (RleRow::fits_width computes the end without overflow).
+TEST(RleImage, RejectsARunWhoseEndOverflows) {
+  const RleRow huge{{std::numeric_limits<pos_t>::max() - 1, 5}};
+  EXPECT_THROW(RleImage(10, {huge}), contract_error);
+  RleImage img(10, 1);
+  EXPECT_THROW(img.set_row(0, huge), contract_error);
 }
 
 TEST(RleImage, StatsAggregatesRuns) {

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/assert.hpp"
+#include "rle/validate.hpp"
 
 namespace sysrle {
 namespace {
@@ -88,6 +92,34 @@ TEST(RleRow, FitsWidthChecksLastPixel) {
   EXPECT_TRUE(row.fits_width(15));
   EXPECT_FALSE(row.fits_width(14));
   EXPECT_TRUE(RleRow{}.fits_width(0));
+}
+
+// A run whose end lies past the i64 maximum must not wrap the row
+// invariant: RleRow checks with the same overflow-safe predicate
+// (run_ok) as validate_runs, on every entry point.
+TEST(RleRow, OrderCheckDoesNotOverflowNearTheI64Maximum) {
+  constexpr pos_t kNearMax = std::numeric_limits<pos_t>::max() - 1;
+  const sysrle::Run huge{kNearMax, 5};  // true end is 2^63 + 2
+  EXPECT_THROW((RleRow{huge, {0, 1}}), contract_error);
+  EXPECT_THROW((RleRow{huge, {kNearMax + 1, 1}}), contract_error);
+  EXPECT_FALSE(validate_runs(std::vector<sysrle::Run>{huge, {0, 1}}).ok());
+
+  RleRow pushed{huge};
+  EXPECT_THROW(pushed.push_back({0, 1}), contract_error);
+  const sysrle::Run batch[] = {{0, 1}};
+  EXPECT_THROW(pushed.append(batch, 1), contract_error);
+  const sysrle::Run out_of_order[] = {huge, {0, 1}};
+  EXPECT_THROW(RleRow{}.append(out_of_order, 2), contract_error);
+  EXPECT_EQ(pushed.run_count(), 1u);
+}
+
+TEST(RleRow, FitsWidthDoesNotOverflowNearTheI64Maximum) {
+  constexpr pos_t kNearMax = std::numeric_limits<pos_t>::max() - 1;
+  const RleRow row{{kNearMax, 5}};
+  EXPECT_FALSE(row.fits_width(10));
+  EXPECT_FALSE(row.fits_width(std::numeric_limits<pos_t>::max()));
+  EXPECT_TRUE((RleRow{{kNearMax, 1}}).fits_width(
+      std::numeric_limits<pos_t>::max()));
 }
 
 TEST(RleRow, ToStringMatchesPaperFigures) {

@@ -154,7 +154,7 @@ TEST(RowDispatch, AdaptiveRoutesAreReportedPerRow) {
       ASSERT_TRUE(row.adaptive_route.has_value()) << where();
       const AdaptiveRoute expected =
           choose_adaptive_route(ra.run_count(), rb.run_count(),
-                                options.adaptive_similarity_threshold);
+                                kDefaultSimilarityThreshold);
       EXPECT_EQ(*row.adaptive_route, expected) << where();
       if (expected == AdaptiveRoute::kSystolic) {
         ++systolic_rows;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "core/image_diff.hpp"
 #include "rle/ops.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/generator.hpp"
@@ -284,6 +285,51 @@ TEST(Service, ThrowingEngineOverrideFallsBackPerRowWithoutRetry) {
   EXPECT_EQ(service.stats().fallback_rows, 6u);
 }
 
+// Checked mode runs every row through checked_xor, which must honour the
+// request's own canonicalize_output: the response (and whatever a result
+// cache stores under the request's canonical key) is the diff the unchecked
+// systolic engine gives for the same options.
+TEST(Service, CheckedEngineHonoursCanonicalizeOutput) {
+  const Workload w = make_workload(21, 12);
+  for (const bool canonical : {true, false}) {
+    ServiceConfig cfg;
+    cfg.use_checked_engine = true;
+    Collector collector;
+    {
+      DiffService service(cfg, collector.callback());
+      ServiceRequest req = make_request(w, 1);
+      req.options.engine = DiffEngine::kSystolic;
+      req.options.canonicalize_output = canonical;
+      ASSERT_FALSE(service.try_submit(std::move(req)).has_value());
+      service.drain();
+    }
+    ImageDiffOptions expected_options;
+    expected_options.engine = DiffEngine::kSystolic;
+    expected_options.canonicalize_output = canonical;
+    const RleImage expected = image_diff(w.a, w.b, expected_options).diff;
+
+    const auto responses = collector.responses();
+    ASSERT_EQ(responses.size(), 1u);
+    ASSERT_EQ(responses[0].status, ServiceResponse::Status::kCompleted);
+    const RleImage& got = responses[0].diff;
+    ASSERT_EQ(got.height(), w.a.height());
+    bool any_raw_row = false;
+    for (pos_t y = 0; y < w.a.height(); ++y) {
+      EXPECT_EQ(got.row(y), expected.row(y))
+          << "canonical=" << canonical << " row " << y;
+      if (canonical) {
+        EXPECT_TRUE(got.row(y).is_canonical()) << "row " << y;
+      }
+      any_raw_row |= !got.row(y).is_canonical();
+    }
+    // The workload is one where the raw systolic output is not canonical,
+    // so the canonical case above is not passing by accident.
+    if (!canonical) {
+      EXPECT_TRUE(any_raw_row);
+    }
+  }
+}
+
 TEST(Service, DrainDeliversEveryAdmittedResponseAndRefusesNewWork) {
   const Workload w = make_workload(9, 8);
   ServiceConfig cfg;
@@ -354,32 +400,6 @@ TEST(Service, PublishesServingMetrics) {
   EXPECT_NE(snap.histogram("service.latency_us.batch"), nullptr);
   set_telemetry_enabled(false);
   reset_telemetry();
-}
-
-TEST(Service, EqualSeedsShedIdenticallyUnderEarlyDrop) {
-  const Workload w = make_workload(12, 2, 128);
-  auto run = [&w](std::uint64_t seed) {
-    ServiceConfig cfg;
-    cfg.workers = 1;
-    cfg.admission.batch_capacity = 8;
-    cfg.admission.batch_shed_threshold = 0.25;
-    cfg.seed = seed;
-    std::vector<bool> admitted;
-    DiffService service(cfg, nullptr);
-    // Submit in one burst (single worker still busy with the first), so the
-    // early-shed coin is exercised at the same fill levels each run.
-    for (std::uint64_t i = 0; i < 32; ++i)
-      admitted.push_back(!service.try_submit(make_request(w, i)).has_value());
-    service.drain();
-    return admitted;
-  };
-  // Same seed: byte-identical shed decisions are overwhelmingly likely to
-  // agree (timing affects only how fast the queue drains, and the first
-  // burst dominates).  Run both with the worker artificially slowed by
-  // workload size being tiny; assert equality of the deterministic prefix.
-  const std::vector<bool> a = run(1234);
-  const std::vector<bool> b = run(1234);
-  ASSERT_EQ(a.size(), b.size());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the SLO tracker: good/bad classification against the latency
 // target, breach recording, rolling-window roll-off and ring recycling,
-// burn-rate arithmetic, config clamping, and the gauge export.
+// burn-rate arithmetic, and the gauge export.  Every test runs on the real
+// windows (1 s buckets, 5-bucket short and 60-bucket long window, 0.99
+// objective), driven by the explicit `now_us` each call takes.
 
 #include "telemetry/slo.hpp"
 
@@ -13,18 +15,10 @@
 namespace sysrle {
 namespace {
 
-SloTracker::Config small_config() {
-  SloTracker::Config cfg;
-  cfg.target_us = 1000;
-  cfg.objective = 0.9;  // error budget 0.1
-  cfg.bucket_width_us = 1000;
-  cfg.short_window_buckets = 2;
-  cfg.long_window_buckets = 4;
-  return cfg;
-}
+constexpr std::uint64_t kSecondUs = SloTracker::kBucketWidthUs;
 
 TEST(SloTracker, ClassifiesAgainstTheLatencyTarget) {
-  SloTracker slo(small_config());
+  SloTracker slo(1000);
   slo.record(10, 1000);  // exactly at target: good
   slo.record(20, 999);   // good
   slo.record(30, 1001);  // late: bad
@@ -38,7 +32,7 @@ TEST(SloTracker, ClassifiesAgainstTheLatencyTarget) {
 }
 
 TEST(SloTracker, BreachConsumesBudgetRegardlessOfLatency) {
-  SloTracker slo(small_config());
+  SloTracker slo(1000);
   slo.record_breach(10);
   slo.record_breach(20);
   EXPECT_EQ(slo.total(), 2u);
@@ -47,20 +41,20 @@ TEST(SloTracker, BreachConsumesBudgetRegardlessOfLatency) {
 }
 
 TEST(SloTracker, BurnRateIsBadFractionOverErrorBudget) {
-  SloTracker slo(small_config());
-  // 10 requests, 2 bad: bad_fraction 0.2, budget 0.1 -> burn rate 2.0.
-  for (int i = 0; i < 8; ++i) slo.record(100, 10);
+  SloTracker slo(1000);
+  // 100 requests, 2 bad: bad_fraction 0.02, budget 0.01 -> burn rate 2.0.
+  for (int i = 0; i < 98; ++i) slo.record(100, 10);
   slo.record_breach(100);
   slo.record(100, 5000);
   const SloTracker::Burn b = slo.long_window(100);
-  EXPECT_EQ(b.total, 10u);
+  EXPECT_EQ(b.total, 100u);
   EXPECT_EQ(b.bad, 2u);
-  EXPECT_NEAR(b.bad_fraction, 0.2, 1e-12);
+  EXPECT_NEAR(b.bad_fraction, 0.02, 1e-12);
   EXPECT_NEAR(b.burn_rate, 2.0, 1e-9);
 }
 
 TEST(SloTracker, EmptyWindowsReportZero) {
-  SloTracker slo(small_config());
+  SloTracker slo(1000);
   const SloTracker::Burn b = slo.short_window(0);
   EXPECT_EQ(b.total, 0u);
   EXPECT_DOUBLE_EQ(b.bad_fraction, 0.0);
@@ -68,29 +62,30 @@ TEST(SloTracker, EmptyWindowsReportZero) {
 }
 
 TEST(SloTracker, WindowsRollOffOldBuckets) {
-  SloTracker slo(small_config());  // buckets of 1000 us, short 2, long 4
-  slo.record_breach(500);  // bucket epoch 1
+  SloTracker slo(1000);
+  slo.record_breach(kSecondUs / 2);  // bucket epoch 1
 
-  // Still inside both windows one bucket later.
-  EXPECT_EQ(slo.short_window(1500).bad, 1u);
-  EXPECT_EQ(slo.long_window(1500).bad, 1u);
+  // Still inside both windows at the short window's last bucket.
+  EXPECT_EQ(slo.short_window(4 * kSecondUs + 1).bad, 1u);
+  EXPECT_EQ(slo.long_window(4 * kSecondUs + 1).bad, 1u);
 
-  // Two buckets on, the short window has rolled past it; the long has not.
-  EXPECT_EQ(slo.short_window(2500).bad, 0u);
-  EXPECT_EQ(slo.long_window(2500).bad, 1u);
+  // Five buckets on, the short window has rolled past it; the long has not.
+  EXPECT_EQ(slo.short_window(5 * kSecondUs).bad, 0u);
+  EXPECT_EQ(slo.long_window(5 * kSecondUs).bad, 1u);
+  EXPECT_EQ(slo.long_window(59 * kSecondUs + 1).bad, 1u);
 
   // Past the long window too.
-  EXPECT_EQ(slo.long_window(4500).bad, 0u);
+  EXPECT_EQ(slo.long_window(60 * kSecondUs).bad, 0u);
   // Lifetime totals never roll off.
   EXPECT_EQ(slo.total(), 1u);
   EXPECT_EQ(slo.bad(), 1u);
 }
 
 TEST(SloTracker, RingSlotsRecycleAcrossEpochs) {
-  SloTracker slo(small_config());  // ring of 4 slots
-  slo.record(500, 1);       // epoch 1
-  slo.record_breach(4500);  // epoch 5: recycles epoch 1's slot
-  const SloTracker::Burn b = slo.long_window(4500);
+  SloTracker slo(1000);  // ring of 60 one-second slots
+  slo.record(kSecondUs / 2, 1);                // epoch 1
+  slo.record_breach(60 * kSecondUs + 500);     // epoch 61: epoch 1's slot
+  const SloTracker::Burn b = slo.long_window(60 * kSecondUs + 500);
   EXPECT_EQ(b.total, 1u) << "the recycled slot must not leak epoch 1 counts";
   EXPECT_EQ(b.bad, 1u);
   EXPECT_EQ(slo.total(), 2u);
@@ -98,45 +93,35 @@ TEST(SloTracker, RingSlotsRecycleAcrossEpochs) {
 
 TEST(SloTracker, DefaultConfigIsInteractiveP99FiftyMs) {
   SloTracker slo;
-  EXPECT_EQ(slo.config().target_us, 50'000u);
-  EXPECT_DOUBLE_EQ(slo.config().objective, 0.99);
-  EXPECT_LE(slo.config().short_window_buckets,
-            slo.config().long_window_buckets);
-}
-
-TEST(SloTracker, DegenerateConfigIsClamped) {
-  SloTracker::Config cfg;
-  cfg.bucket_width_us = 0;
-  cfg.long_window_buckets = 0;
-  cfg.short_window_buckets = 100;
-  cfg.objective = 2.0;
-  SloTracker slo(cfg);
-  EXPECT_GE(slo.config().bucket_width_us, 1u);
-  EXPECT_GE(slo.config().long_window_buckets, 1u);
-  EXPECT_LE(slo.config().short_window_buckets,
-            slo.config().long_window_buckets);
-  // A clamped objective still yields a finite burn rate.
-  slo.record_breach(10);
-  const SloTracker::Burn b = slo.short_window(10);
-  EXPECT_TRUE(b.burn_rate >= 0.0);
-  EXPECT_TRUE(b.burn_rate < 1e9);
+  EXPECT_EQ(slo.target_us(), 50'000u);
+  EXPECT_DOUBLE_EQ(SloTracker::kObjective, 0.99);
+  EXPECT_EQ(SloTracker::kBucketWidthUs, 1'000'000u);
+  EXPECT_EQ(SloTracker::kShortWindowBuckets, 5u);
+  EXPECT_EQ(SloTracker::kLongWindowBuckets, 60u);
+  slo.record(0, 50'000);
+  slo.record(0, 50'001);
+  EXPECT_EQ(slo.bad(), 1u);
 }
 
 TEST(SloTracker, ExportGaugesPublishesWindowsAndTotals) {
-  SloTracker slo(small_config());
-  for (int i = 0; i < 9; ++i) slo.record(100, 10);
-  slo.record_breach(100);
+  SloTracker slo(1000);
+  // 100 requests in the newest bucket, 1 bad: burn rate 1.0 in both
+  // windows.  An older breach 10 s back counts only in the long window.
+  slo.record_breach(kSecondUs / 2);
+  for (int i = 0; i < 99; ++i) slo.record(10 * kSecondUs, 10);
+  slo.record_breach(10 * kSecondUs);
 
   MetricsRegistry registry;
-  slo.export_gauges(registry, 100, "slo.test");
+  slo.export_gauges(registry, 10 * kSecondUs, "slo.test");
   const MetricsSnapshot s = registry.snapshot();
   EXPECT_DOUBLE_EQ(s.gauge("slo.test.target_us"), 1000.0);
-  EXPECT_DOUBLE_EQ(s.gauge("slo.test.objective"), 0.9);
-  EXPECT_NEAR(s.gauge("slo.test.bad_fraction_short"), 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(s.gauge("slo.test.objective"), 0.99);
+  EXPECT_NEAR(s.gauge("slo.test.bad_fraction_short"), 0.01, 1e-12);
   EXPECT_NEAR(s.gauge("slo.test.burn_rate_short"), 1.0, 1e-9);
-  EXPECT_NEAR(s.gauge("slo.test.burn_rate_long"), 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(s.gauge("slo.test.good_total"), 9.0);
-  EXPECT_DOUBLE_EQ(s.gauge("slo.test.bad_total"), 1.0);
+  EXPECT_NEAR(s.gauge("slo.test.bad_fraction_long"), 2.0 / 101.0, 1e-12);
+  EXPECT_NEAR(s.gauge("slo.test.burn_rate_long"), 200.0 / 101.0, 1e-9);
+  EXPECT_DOUBLE_EQ(s.gauge("slo.test.good_total"), 99.0);
+  EXPECT_DOUBLE_EQ(s.gauge("slo.test.bad_total"), 2.0);
 }
 
 }  // namespace
