@@ -113,7 +113,7 @@ bool recovered_matches(const std::string& dir,
   if (!ss.accounted()) return false;
   if (ss.resident != expected.size()) return false;
   for (const ImageHandle h : expected) {
-    PinnedImage pin = ds.store().acquire(h);
+    SharedImage pin = ds.store().acquire(h);
     if (!pin) return false;
     if (canonical_fingerprint(pin.image()) != h) {
       ++*fingerprint_mismatches;
@@ -356,7 +356,7 @@ int main(int argc, char** argv) {
     if (!ss.accounted()) snapshot_flips_ok = false;
     std::size_t resident_seen = 0;
     for (const ImageHandle h : final_state) {
-      PinnedImage pin = ds.store().acquire(h);
+      SharedImage pin = ds.store().acquire(h);
       if (!pin) continue;
       ++resident_seen;
       if (canonical_fingerprint(pin.image()) != h) {

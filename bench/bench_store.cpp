@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
   const auto t_acquire = std::chrono::steady_clock::now();
   for (int i = 0; i < kRequests; ++i) {
     const std::size_t p = static_cast<std::size_t>(i % kScanPool);
-    const PinnedImage a = store.acquire(ref_handle);
-    const PinnedImage b = store.acquire(scan_handles[p]);
+    const SharedImage a = store.acquire(ref_handle);
+    const SharedImage b = store.acquire(scan_handles[p]);
     ImageDiffResult r = image_diff(a.image(), b.image(), options);
     if (i < kScanPool) acquire_diffs[p] = std::move(r.diff);
   }
@@ -166,14 +166,14 @@ int main(int argc, char** argv) {
   const auto t_stack = std::chrono::steady_clock::now();
   for (int i = 0; i < kRequests; ++i) {
     const std::size_t p = static_cast<std::size_t>(i % kScanPool);
-    const PinnedImage a = store.acquire(ref_handle);
-    const PinnedImage b = store.acquire(scan_handles[p]);
-    const ResultKey key = ResultKey::of(a.handle(), b.handle(), options);
+    const SharedImage a = store.acquire(ref_handle);
+    const SharedImage b = store.acquire(scan_handles[p]);
+    const ResultKey key =
+        ResultKey::of(a.fingerprint(), b.fingerprint(), options);
     const std::uint64_t call_id = static_cast<std::uint64_t>(i) + 1;
     std::shared_ptr<const CachedDiff> hit =
         hot_cache
-            .admit(key, {a.image(), b.image(), a.share(), b.share()}, call_id,
-                   /*cacheable=*/true)
+            .admit(key, a.share(), b.share(), call_id, /*cacheable=*/true)
             .result;
     if (!hit) {
       const ImageDiffResult r = image_diff(a.image(), b.image(), options);
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
     const int kChurn = smoke ? 64 : 256;
     const ImageHandle pinned_handle =
         churn.register_image(make_image(rng, 16, 2048, 0.3)).handle;
-    const PinnedImage pinned = churn.acquire(pinned_handle);
+    const SharedImage pinned = churn.acquire(pinned_handle);
     bool churn_accounted = true;
     for (int i = 0; i < kChurn; ++i) {
       (void)churn.register_image(make_image(rng, 16, 2048, 0.3));
@@ -336,9 +336,9 @@ int main(int argc, char** argv) {
       auto a = std::make_shared<const RleImage>(0, 0);
       auto b = std::make_shared<const RleImage>(0, 0);
       const std::uint64_t call_id = static_cast<std::uint64_t>(i) + 1;
-      (void)churn_cache.admit(key, {*a, *b, a, b}, call_id, true);
+      (void)churn_cache.admit(key, a, b, call_id, true);
       (void)churn_cache.complete(key, call_id, diff, 16, 0);
-      (void)churn_cache.admit(key, {*a, *b, a, b}, call_id, true);
+      (void)churn_cache.admit(key, a, b, call_id, true);
     }
     const CacheStats churn_cache_stats = churn_cache.stats();
     const bool cache_churn_evicts = churn_cache_stats.evictions > 0;

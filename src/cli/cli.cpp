@@ -1102,7 +1102,8 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
       ErrorGenParams ep;
       ep.error_fraction = s.error_fraction;
       for (pos_t y = 0; y < s.rows; ++y)
-        scan.set_row(y, inject_errors(rng, req.reference.row(y), s.width, ep));
+        scan.set_row(y, inject_errors(rng, req.reference.image().row(y),
+                                      s.width, ep));
       req.scan = std::move(scan);
     }
     const std::uint64_t req_id = req.id;

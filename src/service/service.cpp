@@ -64,9 +64,7 @@ DiffService::DiffService(ServiceConfig config, Completion on_complete)
 DiffService::~DiffService() { drain(); }
 
 std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
-  SYSRLE_REQUIRE(request.ref_image().width() == request.scan_image().width() &&
-                     request.ref_image().height() ==
-                         request.scan_image().height(),
+  SYSRLE_REQUIRE(request.same_size(),
                  "DiffService: request image dimensions differ");
   offered_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry_enabled()) global_metrics().add("service.requests_offered");
@@ -155,10 +153,8 @@ void DiffService::process(AdmissionQueue::Item item) {
   std::uint64_t checked_fallbacks = 0;
   std::uint64_t unrecovered = 0;
 
-  // By-handle requests carry pinned store images; by-value ones carry their
-  // own.  Everything below reads through these, never req.reference/scan.
-  const RleImage& reference = req.ref_image();
-  const RleImage& scan = req.scan_image();
+  const RleImage& reference = req.reference.image();
+  const RleImage& scan = req.scan.image();
 
   std::vector<RleRow> diff_rows;
   if (req.keep_diff)

@@ -39,26 +39,35 @@ double us_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
-/// The result-table key of a request's operands.  By-handle operands use
-/// their handles — the handle IS the canonical fingerprint — so no image
-/// bytes are hashed; by-value operands are hashed here with the same
-/// canonical_fingerprint, once per submit, because the route key derives
-/// from the same pair.  By-value and by-handle requests for one pair
-/// therefore share one key (and one shard).
-ResultKey operand_key(const ServiceRequest& request) {
-  if (request.by_handle())
-    return ResultKey::of(request.ref_handle, request.scan_handle,
-                         request.options);
-  return ResultKey::of(canonical_fingerprint(request.reference),
-                       canonical_fingerprint(request.scan), request.options);
+/// The route key of an operand fingerprint pair, so re-submissions of the
+/// same pair land on the same shard.
+std::uint64_t pair_route_key(std::uint64_t fp_ref, std::uint64_t fp_scan) {
+  return mix64(fp_ref ^ mix64(fp_scan));
 }
 
-/// The route key: an explicit override, else the operand fingerprint pair,
-/// so re-submissions of the same pair land on the same shard.
-std::uint64_t route_key_from(const ServiceRequest& request,
-                             const ResultKey& operands) {
-  if (request.route_key != 0) return request.route_key;
-  return mix64(operands.fp_a ^ mix64(operands.fp_b));
+/// An operand's canonical fingerprint: the handle of a by-handle operand
+/// (the handle IS the canonical fingerprint), else the hash of its image.
+/// By-value and by-handle requests for one pair therefore share one
+/// result-table key and one shard.
+std::uint64_t fingerprint_of(const SharedImage& operand, ImageHandle handle) {
+  if (handle != 0) return handle;
+  return operand.pinned() ? operand.fingerprint()
+                          : canonical_fingerprint(operand.image());
+}
+
+/// Resolves one operand in place: a non-zero `handle` becomes the store's
+/// pinned parse, a by-value image gets its canonical fingerprint when
+/// `hash`.  False: the handle is not resident.
+bool resolve(SharedImage& operand, ImageHandle handle, ImageStore* store,
+             bool hash) {
+  if (handle != 0) {
+    operand = store ? store->acquire(handle) : SharedImage{};
+    return static_cast<bool>(operand);
+  }
+  if (hash && !operand.pinned())
+    operand = SharedImage(operand.share(),
+                          canonical_fingerprint(operand.image()));
+  return true;
 }
 
 }  // namespace
@@ -108,7 +117,8 @@ void ShardRouter::count_metric(const char* name) const {
 
 std::uint64_t ShardRouter::route_key_of(const ServiceRequest& request) {
   if (request.route_key != 0) return request.route_key;
-  return route_key_from(request, operand_key(request));
+  return pair_route_key(fingerprint_of(request.reference, request.ref_handle),
+                        fingerprint_of(request.scan, request.scan_handle));
 }
 
 std::size_t ShardRouter::shard_of(std::uint64_t key) const {
@@ -121,39 +131,36 @@ std::size_t ShardRouter::shard_of(std::uint64_t key) const {
 }
 
 std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
-  SYSRLE_REQUIRE(request.by_handle() ||
-                     (request.reference.width() == request.scan.width() &&
-                      request.reference.height() == request.scan.height()),
+  // Resolve each operand before taking the lock, so concurrent submitters
+  // never queue behind hashing or the store.  A handle pins the store's
+  // parse for the request's whole lifetime (the pin blocks eviction until
+  // the last dispatch copy dies); a by-value image is hashed once.  Hooked
+  // requests with an explicit route key never share a result, so they
+  // skip the hash.
+  const bool hooked = request.fault || request.engine_override;
+  const bool hash = !hooked || request.route_key == 0;
+  ImageStore* store = config_.store.get();
+  const bool ref_resolved =
+      resolve(request.reference, request.ref_handle, store, hash);
+  const bool resolved =
+      resolve(request.scan, request.scan_handle, store, hash) && ref_resolved;
+  SYSRLE_REQUIRE(!resolved || request.same_size(),
                  "ShardRouter: request image dimensions differ");
   std::vector<Delivery> deliveries;
   std::optional<RejectReason> result;
   {
     std::lock_guard<std::mutex> lk(mu_);
-    result = submit_locked(std::move(request), deliveries);
+    result = submit_locked(std::move(request), !resolved, deliveries);
   }
   deliver(deliveries);
   return result;
 }
 
 std::optional<RejectReason> ShardRouter::submit_locked(
-    ServiceRequest request, std::vector<Delivery>& out) {
+    ServiceRequest request, bool unknown_handle, std::vector<Delivery>& out) {
   ++stats_.offered;
   count_metric("router.requests_offered");
   const RequestContext cctx = client_ctx(request.id);
-
-  // Resolve by-handle operands before any routing decision: the pinned
-  // images ride inside the request for its whole lifetime (the pin blocks
-  // store eviction until the last dispatch copy dies).
-  bool unknown_handle = false;
-  if (request.by_handle()) {
-    if (config_.store) {
-      if (request.ref_handle != 0)
-        request.pinned_ref = config_.store->acquire(request.ref_handle);
-      if (request.scan_handle != 0)
-        request.pinned_scan = config_.store->acquire(request.scan_handle);
-    }
-    unknown_handle = !request.pinned_ref || !request.pinned_scan;
-  }
 
   std::optional<RejectReason> shed;
   if (draining_) {
@@ -175,27 +182,28 @@ std::optional<RejectReason> ShardRouter::submit_locked(
     return shed;
   }
 
-  SYSRLE_REQUIRE(
-      request.ref_image().width() == request.scan_image().width() &&
-          request.ref_image().height() == request.scan_image().height(),
-      "ShardRouter: by-handle image dimensions differ");
   // Requests carrying per-request behaviour hooks (fault injection, engine
   // overrides) never share a computation or a result.
   const bool hooked = request.fault || request.engine_override;
-  ResultKey result_key;
-  if (!hooked || request.route_key == 0) result_key = operand_key(request);
-  const std::uint64_t key = route_key_from(request, result_key);
+  const ResultKey result_key =
+      ResultKey::of(request.reference.fingerprint(),
+                    request.scan.fingerprint(), request.options);
+  const std::uint64_t key =
+      request.route_key != 0
+          ? request.route_key
+          : pair_route_key(result_key.fp_a, result_key.fp_b);
 
   bool registered = false;
   if (!hooked) {
-    // Only by-handle results stay resident: their key is the verified store
-    // fingerprint pair, so a hit is answerable without re-hashing anything.
-    const bool cacheable = config_.cache != nullptr && request.by_handle();
-    const ResultCache::Admission admission = results_->admit(
-        result_key,
-        {request.ref_image(), request.scan_image(), request.pinned_ref.share(),
-         request.pinned_scan.share()},
-        next_call_id_, cacheable);
+    // Only results of two store operands stay resident: their key is the
+    // verified store fingerprint pair, so a hit is answerable without
+    // re-hashing anything.
+    const bool cacheable = config_.cache != nullptr &&
+                           request.reference.pinned() &&
+                           request.scan.pinned();
+    const ResultCache::Admission admission =
+        results_->admit(result_key, request.reference.share(),
+                        request.scan.share(), next_call_id_, cacheable);
     using Kind = ResultCache::Admission::Kind;
     if (cacheable && admission.kind != Kind::kHit) {
       ++stats_.cache_misses;
@@ -327,7 +335,7 @@ std::optional<RejectReason> ShardRouter::dispatch_locked(
 bool ShardRouter::submit_to_replica_locked(const std::shared_ptr<Call>& call,
                                            std::size_t shard,
                                            std::size_t replica) {
-  ServiceRequest backend = call->request;  // copy: a shed means failover
+  ServiceRequest backend = call->request;  // shares the operands
   backend.id = call->call_id;
   // A registered call's diff may serve waiters that asked for it, or stay
   // resident; each delivery drops it when its own request did not.

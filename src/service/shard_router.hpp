@@ -207,8 +207,9 @@ class ShardRouter {
 
   std::uint64_t now_us() const;
 
-  /// try_submit's body, under the lock.
+  /// try_submit's body, under the lock, on resolved operands.
   std::optional<RejectReason> submit_locked(ServiceRequest request,
+                                            bool unknown_handle,
                                             std::vector<Delivery>& out);
 
   /// Dispatches `call`'s request to its home shard (failing over across its

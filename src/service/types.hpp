@@ -89,31 +89,27 @@ struct ServiceRequest {
   /// identically without the caller managing handles.
   std::uint64_t route_key = 0;
 
-  RleImage reference{0, 0};
-  RleImage scan{0, 0};
+  /// The operands in effect, shared and never copied on the serving path.
+  /// Assigning an RleImage moves it into a new share; unset, an operand
+  /// reads as the 0x0 image.
+  SharedImage reference;
+  SharedImage scan;
   ImageDiffOptions options;
 
-  /// By-handle operands: non-zero handles name images registered in the
-  /// router's ImageStore (handle = canonical-bytes fingerprint, see
-  /// store/image_store.hpp), replacing the by-value images above.  The
-  /// router resolves them at submit (unknown handle = typed shed,
-  /// kUnknownHandle) and pins the resolved images for the request's
-  /// lifetime in pinned_ref/pinned_scan; the engines then read through
-  /// ref_image()/scan_image(), which prefer the pinned parse.
+  /// By-handle operands: a non-zero handle names an image registered in the
+  /// router's ImageStore (handle = canonical fingerprint, see
+  /// store/image_store.hpp) and replaces the operand above.  The router
+  /// resolves each handle at submit, before it takes its lock, into the
+  /// store's pinned parse (unknown handle = typed shed, kUnknownHandle);
+  /// the pin lasts until the last dispatch copy of the request dies.
   ImageHandle ref_handle = 0;
   ImageHandle scan_handle = 0;
-  PinnedImage pinned_ref;
-  PinnedImage pinned_scan;
 
-  bool by_handle() const { return ref_handle != 0 || scan_handle != 0; }
-
-  /// The reference/scan operand actually in effect: the pinned store image
-  /// for by-handle requests, the by-value member otherwise.
-  const RleImage& ref_image() const {
-    return pinned_ref ? pinned_ref.image() : reference;
-  }
-  const RleImage& scan_image() const {
-    return pinned_scan ? pinned_scan.image() : scan;
+  /// Both operands have one size (the router and the service refuse others).
+  bool same_size() const {
+    const RleImage& a = reference.image();
+    const RleImage& b = scan.image();
+    return a.width() == b.width() && a.height() == b.height();
   }
 
   /// Inject this fault into every checked-engine row (tests, bench,

@@ -200,12 +200,13 @@ void DurableStore::snapshot_locked() {
   // resident_entries() only shares the parses; encoding happens here, with
   // the store lock already released.
   std::vector<SnapshotEntry> entries;
-  for (const ImageStore::ResidentEntry& re : store_->resident_entries()) {
-    const std::string bytes = canonical_rle_bytes(*re.image);
-    const auto [first, last] = names.equal_range(re.handle);
-    if (first == last) entries.push_back({re.handle, "", bytes});
+  for (const SharedImage& resident : store_->resident_entries()) {
+    const ImageHandle handle = resident.fingerprint();
+    const std::string bytes = canonical_rle_bytes(resident.image());
+    const auto [first, last] = names.equal_range(handle);
+    if (first == last) entries.push_back({handle, "", bytes});
     for (auto it = first; it != last; ++it)
-      entries.push_back({re.handle, it->second, bytes});
+      entries.push_back({handle, it->second, bytes});
   }
   write_snapshot(store_snapshot_path(cfg_.dir), entries);
   // Only now — with the snapshot durably renamed in place — may the journal

@@ -9,6 +9,19 @@
 
 namespace sysrle {
 
+SharedImage::SharedImage(RleImage image)
+    : image_(std::make_shared<const RleImage>(std::move(image))) {}
+
+SharedImage::SharedImage(std::shared_ptr<const RleImage> image,
+                         std::uint64_t fingerprint)
+    : image_(std::move(image)), fingerprint_(fingerprint) {}
+
+const std::shared_ptr<const RleImage>& SharedImage::share() const {
+  static const std::shared_ptr<const RleImage> kEmpty =
+      std::make_shared<const RleImage>(0, 0);
+  return image_ ? image_ : kEmpty;
+}
+
 ImageStore::ImageStore(StoreConfig config)
     : config_(std::move(config)) {
   SYSRLE_REQUIRE(config_.capacity_bytes > 0,
@@ -32,7 +45,7 @@ void ImageStore::evict_for_locked(std::size_t incoming) {
         global_metrics().add("store.evict_blocked_by_pin");
       continue;
     }
-    const ImageHandle fp = entry.fingerprint;
+    const ImageHandle fp = *it;
     resident_bytes_ -= entry.bytes;
     it = lru_.erase(it);  // next iteration re-decrements onto the new tail
     entries_.erase(found);
@@ -67,9 +80,9 @@ bool ImageStore::evict(ImageHandle handle) {
   return true;
 }
 
-std::vector<ImageStore::ResidentEntry> ImageStore::resident_entries() const {
+std::vector<SharedImage> ImageStore::resident_entries() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ResidentEntry> out;
+  std::vector<SharedImage> out;
   out.reserve(entries_.size());
   // lru_ front = most recent; walk from the back so the result replays
   // oldest-first.
@@ -77,7 +90,8 @@ std::vector<ImageStore::ResidentEntry> ImageStore::resident_entries() const {
     auto found = entries_.find(*it);
     SYSRLE_REQUIRE(found != entries_.end(), "ImageStore: LRU/map desync");
     const std::shared_ptr<Entry>& entry = found->second;
-    out.push_back({*it, std::shared_ptr<const RleImage>(entry, &entry->image)});
+    out.emplace_back(std::shared_ptr<const RleImage>(entry, &entry->image),
+                     *it);
   }
   return out;
 }
@@ -121,7 +135,6 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
 
   evict_for_locked(bytes);
   auto entry = std::make_shared<Entry>();
-  entry->fingerprint = fp;
   entry->image = std::move(canonical);
   entry->bytes = bytes;
   lru_.push_front(fp);
@@ -137,13 +150,13 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
   return result;
 }
 
-PinnedImage ImageStore::acquire(ImageHandle handle) {
+SharedImage ImageStore::acquire(ImageHandle handle) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto found = entries_.find(handle);
   if (found == entries_.end()) {
     ++lookup_misses_;
     if (telemetry_enabled()) global_metrics().add("store.lookup_misses");
-    return PinnedImage{};
+    return SharedImage{};
   }
   std::shared_ptr<Entry> entry = found->second;
   lru_.splice(lru_.begin(), lru_, entry->lru);
@@ -151,18 +164,16 @@ PinnedImage ImageStore::acquire(ImageHandle handle) {
   if (telemetry_enabled()) global_metrics().add("store.acquires");
 
   entry->pins.fetch_add(1, std::memory_order_acq_rel);
-  PinnedImage pinned;
   // Aliasing pointer: shares the entry's lifetime but exposes the image, so
   // a cached share() outlives eviction without blocking it.
-  pinned.image_ = std::shared_ptr<const RleImage>(entry, &entry->image);
-  // One pin token per acquire; copies of the PinnedImage share it, and the
+  SharedImage pinned(std::shared_ptr<const RleImage>(entry, &entry->image),
+                     handle);
+  // One pin token per acquire; copies of the SharedImage share it, and the
   // last copy's destructor releases the pin lock-free.
   pinned.pin_ = std::shared_ptr<void>(
-      static_cast<void*>(nullptr), [entry](void*) {
+      static_cast<void*>(entry.get()), [entry](void*) {
         entry->pins.fetch_sub(1, std::memory_order_acq_rel);
       });
-  pinned.handle_ = handle;
-  pinned.bytes_ = entry->bytes;
   return pinned;
 }
 

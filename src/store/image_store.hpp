@@ -21,7 +21,7 @@
 //              (RegisterResult::collision) — the result table's idiom: a
 //              64-bit collision degrades to "this image cannot be stored",
 //              never to two images silently sharing a handle;
-//   pinning    acquire() returns a PinnedImage holding a refcount; a pinned
+//   pinning    acquire() returns a SharedImage holding a pin; a pinned
 //              entry is never evicted, so an image cannot vanish mid-diff.
 //              Pins released after eviction-time store destruction remain
 //              safe (the entry is shared-ptr-owned past the store);
@@ -33,7 +33,7 @@
 //              every such skip).
 //
 // Thread-safe: all entry points lock; pin release is a lock-free atomic
-// decrement so dropping a PinnedImage never contends with the serving path.
+// decrement so dropping a SharedImage never contends with the serving path.
 //
 // Metrics (docs/OBSERVABILITY.md): store.registered, store.dedup_hits,
 // store.collisions, store.evictions, store.evict_blocked_by_pin,
@@ -91,32 +91,35 @@ struct StoreStats {
 
 class ImageStore;
 
-/// A pinned, parsed image.  While any copy is alive the underlying store
-/// entry cannot be evicted; copies share one pin (refcounted token), and
-/// the last copy releases it with a single atomic decrement.  Safe to hold
-/// across the owning store's eviction or destruction.
-class PinnedImage {
+/// One immutable image, shared rather than copied: the serving path's one
+/// operand type.  A store image (ImageStore::acquire) carries its handle as
+/// its canonical fingerprint, and a pin: while any copy lives the entry
+/// cannot be evicted, and the last copy releases the pin (safe past the
+/// store's destruction).  A by-value image has no pin.  Empty reads as 0x0.
+class SharedImage {
  public:
-  PinnedImage() = default;
+  SharedImage() = default;
+  /// By value: moves `image` into a new share.
+  SharedImage(RleImage image);
+  /// An existing share, tagged with its canonical fingerprint.
+  SharedImage(std::shared_ptr<const RleImage> image,
+              std::uint64_t fingerprint = 0);
 
   explicit operator bool() const { return image_ != nullptr; }
-  const RleImage& image() const { return *image_; }
-  ImageHandle handle() const { return handle_; }
-  /// Canonical SRLB size (the entry's byte-budget charge).
-  std::size_t bytes() const { return bytes_; }
+  const RleImage& image() const { return *share(); }
+  std::uint64_t fingerprint() const { return fingerprint_; }
+  bool pinned() const { return pin_ != nullptr; }
 
-  /// Shares the parsed image without pin semantics: the returned pointer
-  /// keeps the image alive (past eviction) but does not block eviction.
-  /// Store entries are stable, so pointer equality of two shares means
-  /// same entry — the result cache's collision fast path.
-  std::shared_ptr<const RleImage> share() const { return image_; }
+  /// The image as a share, never null.  A share keeps the image alive past
+  /// eviction without blocking it; equal shares mean one image (the result
+  /// cache's collision fast path).
+  const std::shared_ptr<const RleImage>& share() const;
 
  private:
   friend class ImageStore;
-  std::shared_ptr<const RleImage> image_;  ///< aliases the store entry
-  std::shared_ptr<void> pin_;              ///< shared pin token
-  ImageHandle handle_ = 0;
-  std::size_t bytes_ = 0;
+  std::shared_ptr<const RleImage> image_;  ///< null: the 0x0 image
+  std::shared_ptr<void> pin_;              ///< shared pin token; null: none
+  std::uint64_t fingerprint_ = 0;
 };
 
 /// The store.  See the header comment for the contracts.
@@ -138,9 +141,9 @@ class ImageStore {
   /// Re-registering resident content dedups to the existing handle.
   RegisterResult register_image(const RleImage& image);
 
-  /// Pins and returns the image, or an empty PinnedImage when the handle is
+  /// Pins and returns the image, or an empty SharedImage when the handle is
   /// unknown (never registered, refused, or evicted).
-  PinnedImage acquire(ImageHandle handle);
+  SharedImage acquire(ImageHandle handle);
 
   bool contains(ImageHandle handle) const;
 
@@ -149,21 +152,17 @@ class ImageStore {
   /// successful evict counts toward `evicted` exactly like a budget evict.
   bool evict(ImageHandle handle);
 
-  struct ResidentEntry {
-    ImageHandle handle = 0;
-    std::shared_ptr<const RleImage> image;  ///< the canonical parse
-  };
-  /// Shares every resident entry's image, least recently used first, so
-  /// replaying the list in order reproduces today's LRU order.  Takes
-  /// references only; callers serialize after the store lock is released.
-  std::vector<ResidentEntry> resident_entries() const;
+  /// Shares every resident entry's parse (unpinned, fingerprint = handle),
+  /// least recently used first, so replaying the list in order reproduces
+  /// today's LRU order.  Takes references only; callers serialize after the
+  /// store lock is released.
+  std::vector<SharedImage> resident_entries() const;
 
   StoreStats stats() const;
   std::size_t capacity_bytes() const { return config_.capacity_bytes; }
 
  private:
   struct Entry {
-    ImageHandle fingerprint = 0;
     RleImage image{0, 0};   ///< canonical parse
     std::size_t bytes = 0;  ///< budget charge: canonical_rle_size(image)
     std::atomic<std::uint64_t> pins{0};

@@ -56,21 +56,17 @@ ResultCache::Map::iterator ResultCache::pending_locked(const ResultKey& key,
   return found;
 }
 
-ResultCache::Admission ResultCache::admit(const ResultKey& key,
-                                          const ResultOperands& operands,
-                                          std::uint64_t call_id,
-                                          bool cacheable) {
+ResultCache::Admission ResultCache::admit(
+    const ResultKey& key, const std::shared_ptr<const RleImage>& a,
+    const std::shared_ptr<const RleImage>& b, std::uint64_t call_id,
+    bool cacheable) {
   using Kind = Admission::Kind;
   const std::lock_guard<std::mutex> lock(mu_);
   auto found = entries_.find(key);
   if (found == entries_.end()) {
     Entry entry;
-    entry.a = operands.shared_a
-                  ? operands.shared_a
-                  : std::make_shared<const RleImage>(operands.a);
-    entry.b = operands.shared_b
-                  ? operands.shared_b
-                  : std::make_shared<const RleImage>(operands.b);
+    entry.a = a;
+    entry.b = b;
     entry.owner = call_id;
     entry.cacheable = cacheable;
     entries_.emplace(key, std::move(entry));
@@ -82,10 +78,10 @@ ResultCache::Admission ResultCache::admit(const ResultKey& key,
   const bool resident = entry.result != nullptr;
   if (resident && !cacheable) return {Kind::kBypass, 0, nullptr};
   // Collision defense: the key only *names* the operands; verify them.
-  // Store entries are stable objects, so pointer equality (the common case
-  // for by-handle requests) short-circuits the full compare.
-  const bool same = (entry.a.get() == &operands.a || *entry.a == operands.a) &&
-                    (entry.b.get() == &operands.b || *entry.b == operands.b);
+  // Shares of one image (store entries, a by-value image re-submitted)
+  // short-circuit the full compare.
+  const bool same = (entry.a == a || *entry.a == *a) &&
+                    (entry.b == b || *entry.b == *b);
   if (cacheable) count_locked(resident && same, resident && !same);
   if (!same) return {resident ? Kind::kBypass : Kind::kCollision, 0, nullptr};
   if (!resident) return {Kind::kJoined, entry.owner, nullptr};

@@ -13,19 +13,17 @@
 //             owner's deadline expires, reassign() re-owns the entry in
 //             place for the promoted waiter; a failure or shed release()s it;
 //   resident  complete() turns a pending entry into an LRU-resident result
-//             when it was admitted cache-eligible (by-handle operands with a
-//             cache configured — the router's call); any other completion
-//             erases it.  A later duplicate is a hit, answered with no
-//             engine at all.
+//             when it was admitted cache-eligible (both operands from the
+//             store with a cache configured — the router's call); any other
+//             completion erases it.  A later duplicate is a hit, answered
+//             with no engine at all.
 //
 // Collision defense: every match is verified against the entry's operands
-// before it is joined or served.  Entries keep shared operand references:
-// the store's non-pinning shares for by-handle operands
-// (PinnedImage::share(), which keeps an image alive past eviction without
-// blocking it — verification is then usually a pointer compare), or one deep
-// copy of by-value operands per registration.  A 64-bit key collision (same
-// key, different operands) runs unregistered; it never joins or receives
-// another pair's diff.
+// before it is joined or served.  Entries keep the caller's operand shares
+// (SharedImage::share(): a store image's share keeps it alive past eviction
+// without blocking it), never copies, so verification is usually a pointer
+// compare.  A 64-bit key collision (same key, different operands) runs
+// unregistered; it never joins or receives another pair's diff.
 //
 // Byte-budgeted LRU over resident entries: each is charged its diff's run
 // storage plus the operand-reference overhead, and completion evicts from
@@ -83,22 +81,6 @@ struct ResultKeyHash {
   }
 };
 
-/// One diff's operands as the table sees them.  `a`/`b` verify a key
-/// match; a registration keeps `shared_a`/`shared_b` when given (store
-/// shares: no copy) and otherwise deep-copies `a`/`b`.
-struct ResultOperands {
-  ResultOperands(const RleImage& ref, const RleImage& scan,
-                 std::shared_ptr<const RleImage> ref_share = nullptr,
-                 std::shared_ptr<const RleImage> scan_share = nullptr)
-      : a(ref), b(scan), shared_a(std::move(ref_share)),
-        shared_b(std::move(scan_share)) {}
-
-  const RleImage& a;
-  const RleImage& b;
-  std::shared_ptr<const RleImage> shared_a;
-  std::shared_ptr<const RleImage> shared_b;
-};
-
 /// One cached completion: the diff image plus the row counters the service
 /// reported, so a cache hit reproduces the original response payload.
 struct CachedDiff {
@@ -151,10 +133,12 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// The one submit-path call.  `call_id` becomes the owner of a new
-  /// pending entry; `cacheable` admissions are counted (lookups, hits,
-  /// misses), may be served a resident result, and their completion
-  /// becomes resident.
-  Admission admit(const ResultKey& key, const ResultOperands& operands,
+  /// pending entry, which keeps the shares `a` and `b` (never copies);
+  /// `cacheable` admissions are counted (lookups, hits, misses), may be
+  /// served a resident result, and their completion becomes resident.
+  Admission admit(const ResultKey& key,
+                  const std::shared_ptr<const RleImage>& a,
+                  const std::shared_ptr<const RleImage>& b,
                   std::uint64_t call_id, bool cacheable);
 
   /// Hands the pending entry `owner` holds to `new_owner` (waiter promotion

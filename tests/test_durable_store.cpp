@@ -305,7 +305,7 @@ TEST(DurableStore, RecoversRegistersLabelsAndEvicts) {
 
   const auto labels = ds.labels();
   ASSERT_TRUE(labels.count("kept"));
-  const PinnedImage pin = ds.store().acquire(labels.at("kept"));
+  const SharedImage pin = ds.store().acquire(labels.at("kept"));
   ASSERT_TRUE(pin);
   EXPECT_EQ(pin.image(), kept);
   EXPECT_EQ(canonical_fingerprint(pin.image()), labels.at("kept"));
@@ -503,7 +503,7 @@ TEST(DurableStore, CrashPointSweepPreservesPrefixProperty) {
     EXPECT_TRUE(ds.store().stats().accounted());
     EXPECT_EQ(ds.store().stats().resident, expect.size()) << "cut=" << cut;
     for (const ImageHandle h : expect) {
-      const PinnedImage pin = ds.store().acquire(h);
+      const SharedImage pin = ds.store().acquire(h);
       ASSERT_TRUE(pin) << "cut=" << cut;
       EXPECT_EQ(canonical_fingerprint(pin.image()), h);
     }
@@ -543,7 +543,7 @@ TEST(DurableStore, SingleByteFlipFuzzJournalAndSnapshot) {
       EXPECT_TRUE(ds.store().stats().accounted());
       std::size_t resident_seen = 0;
       for (const ImageHandle h : truth) {
-        const PinnedImage pin = ds.store().acquire(h);
+        const SharedImage pin = ds.store().acquire(h);
         if (!pin) continue;
         ++resident_seen;
         EXPECT_EQ(canonical_fingerprint(pin.image()), h)

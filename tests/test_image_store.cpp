@@ -35,10 +35,10 @@ TEST(ImageStore, RegisterAndAcquire) {
   EXPECT_EQ(r.handle, canonical_fingerprint(img));
   EXPECT_TRUE(store.contains(r.handle));
 
-  const PinnedImage pin = store.acquire(r.handle);
+  const SharedImage pin = store.acquire(r.handle);
   ASSERT_TRUE(pin);
   EXPECT_EQ(pin.image(), img);
-  EXPECT_EQ(pin.handle(), r.handle);
+  EXPECT_EQ(pin.fingerprint(), r.handle);
 
   const StoreStats s = store.stats();
   EXPECT_EQ(s.registered, 1u);
@@ -146,7 +146,7 @@ TEST(ImageStore, PinBlocksEviction) {
   ImageStore store(cfg);
   const ImageHandle ha = store.register_image(a).handle;
   {
-    const PinnedImage pin = store.acquire(ha);
+    const SharedImage pin = store.acquire(ha);
     // `a` is pinned and LRU-everything: the new image must not evict it.
     const ImageHandle hb = store.register_image(make_image(21)).handle;
     EXPECT_TRUE(store.contains(ha));
@@ -164,7 +164,7 @@ TEST(ImageStore, PinBlocksEviction) {
 // is gone — and even after the store itself is gone.
 TEST(ImageStore, PinSurvivesEvictionAndStoreDestruction) {
   const RleImage a = make_image(30);
-  PinnedImage pin;
+  SharedImage pin;
   {
     StoreConfig cfg;
     cfg.capacity_bytes = canonical_rle_bytes(a).size() + 64;
@@ -173,7 +173,7 @@ TEST(ImageStore, PinSurvivesEvictionAndStoreDestruction) {
     pin = store.acquire(ha);
     // Pins block eviction; drop to a plain share to let eviction proceed.
     std::shared_ptr<const RleImage> shared = pin.share();
-    pin = PinnedImage();
+    pin = SharedImage();
     (void)store.register_image(make_image(31));
     EXPECT_FALSE(store.contains(ha));
     EXPECT_EQ(*shared, a);  // still alive past eviction
@@ -229,8 +229,8 @@ TEST(ImageStore, ConcurrentRegisterEvictDiffHammer) {
       opt.threads = 1;
       std::size_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {
-        const PinnedImage a = store.acquire(warm[i % warm.size()]);
-        const PinnedImage b = store.acquire(warm[(i + 1) % warm.size()]);
+        const SharedImage a = store.acquire(warm[i % warm.size()]);
+        const SharedImage b = store.acquire(warm[(i + 1) % warm.size()]);
         ++i;
         if (!a || !b) continue;
         const ImageDiffResult r = image_diff(a.image(), b.image(), opt);

@@ -40,10 +40,9 @@ ResultKey key_of(std::uint64_t a, std::uint64_t b) {
   return k;
 }
 
-/// By-handle shaped operands: shared images, kept without a copy.
-ResultOperands shared_ops(const std::shared_ptr<const RleImage>& a,
-                          const std::shared_ptr<const RleImage>& b) {
-  return {*a, *b, a, b};
+/// A by-value operand: a fresh share of its own copy of `image`.
+std::shared_ptr<const RleImage> share(const RleImage& image) {
+  return std::make_shared<const RleImage>(image);
 }
 
 /// Admits `key` cache-eligible as `call_id` and completes it with `result`.
@@ -52,8 +51,7 @@ std::shared_ptr<const CachedDiff> put(ResultCache& cache, const ResultKey& key,
                                       const std::shared_ptr<const RleImage>& b,
                                       const CachedDiff& result,
                                       std::uint64_t call_id = 1) {
-  EXPECT_EQ(cache.admit(key, shared_ops(a, b), call_id, true).kind,
-            Kind::kOwner);
+  EXPECT_EQ(cache.admit(key, a, b, call_id, true).kind, Kind::kOwner);
   return cache.complete(key, call_id, result.diff, result.rows_processed,
                         result.fallback_rows);
 }
@@ -63,15 +61,14 @@ TEST(ResultCache, MissThenHit) {
   const auto a = shared_image(1);
   const auto b = shared_image(2);
   const ResultKey key = key_of(10, 20);
-  EXPECT_EQ(cache.admit(key, shared_ops(a, b), 1, true).kind, Kind::kOwner);
+  EXPECT_EQ(cache.admit(key, a, b, 1, true).kind, Kind::kOwner);
 
   CachedDiff result;
   result.diff = make_image(3);
   result.rows_processed = 4;
   ASSERT_NE(cache.complete(key, 1, result.diff, 4, 0), nullptr);
 
-  const ResultCache::Admission hit =
-      cache.admit(key, shared_ops(a, b), 2, true);
+  const ResultCache::Admission hit = cache.admit(key, a, b, 2, true);
   ASSERT_EQ(hit.kind, Kind::kHit);
   EXPECT_EQ(hit.result->diff, result.diff);
   EXPECT_EQ(hit.result->rows_processed, 4u);
@@ -99,11 +96,13 @@ TEST(ResultCache, KeyCollisionFallsBackToFullCompare) {
   // path fails, the full compare succeeds — still a hit.
   const RleImage a_copy = make_image(1);
   const RleImage b_copy = make_image(2);
-  EXPECT_EQ(cache.admit(key, {a_copy, b_copy}, 2, true).kind, Kind::kHit);
+  EXPECT_EQ(cache.admit(key, share(a_copy), share(b_copy), 2, true).kind,
+            Kind::kHit);
 
   // Same key, different pixels: collision, counted, run unregistered.
   const RleImage other = make_image(99);
-  EXPECT_EQ(cache.admit(key, {other, *b}, 3, true).kind, Kind::kBypass);
+  EXPECT_EQ(cache.admit(key, share(other), share(*b), 3, true).kind,
+            Kind::kBypass);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.collisions, 1u);
   EXPECT_EQ(s.hits, 1u);
@@ -124,16 +123,13 @@ TEST(ResultCache, EvictsLeastRecentlyUsedFirst) {
   put(cache, key_of(1, 1), a, b, payload, 1);
   put(cache, key_of(2, 2), a, b, payload, 2);
   // Touch key 1 so key 2 is the LRU tail.
-  EXPECT_EQ(cache.admit(key_of(1, 1), shared_ops(a, b), 3, true).kind,
-            Kind::kHit);
+  EXPECT_EQ(cache.admit(key_of(1, 1), a, b, 3, true).kind, Kind::kHit);
   put(cache, key_of(3, 3), a, b, payload, 4);
 
-  EXPECT_EQ(cache.admit(key_of(1, 1), shared_ops(a, b), 5, true).kind,
-            Kind::kHit);
-  EXPECT_EQ(cache.admit(key_of(2, 2), shared_ops(a, b), 6, true).kind,
+  EXPECT_EQ(cache.admit(key_of(1, 1), a, b, 5, true).kind, Kind::kHit);
+  EXPECT_EQ(cache.admit(key_of(2, 2), a, b, 6, true).kind,
             Kind::kOwner);  // evicted: admittable as a fresh computation
-  EXPECT_EQ(cache.admit(key_of(3, 3), shared_ops(a, b), 7, true).kind,
-            Kind::kHit);
+  EXPECT_EQ(cache.admit(key_of(3, 3), a, b, 7, true).kind, Kind::kHit);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.resident, 2u);
@@ -154,16 +150,16 @@ TEST(ResultCache, ReInsertKeepsIncumbentAndRefreshesRecency) {
   const ResultKey key = key_of(10, 20);
   put(cache, key, a, b, payload, 1);
   const RleImage other = make_image(99);
-  EXPECT_EQ(cache.admit(key, {other, *b}, 2, true).kind, Kind::kBypass);
+  EXPECT_EQ(cache.admit(key, share(other), share(*b), 2, true).kind,
+            Kind::kBypass);
   put(cache, key_of(30, 40), a, b, payload, 3);
 
-  const ResultCache::Admission hit =
-      cache.admit(key, shared_ops(a, b), 4, true);
+  const ResultCache::Admission hit = cache.admit(key, a, b, 4, true);
   ASSERT_EQ(hit.kind, Kind::kHit);
   EXPECT_EQ(hit.result->diff, payload.diff);  // incumbent won
   put(cache, key_of(50, 60), a, b, payload, 5);  // evicts the LRU tail
 
-  EXPECT_EQ(cache.admit(key, shared_ops(a, b), 6, true).kind, Kind::kHit);
+  EXPECT_EQ(cache.admit(key, a, b, 6, true).kind, Kind::kHit);
   const CacheStats s = cache.stats();
   EXPECT_EQ(s.insertions, 3u);  // the collider did not insert
   EXPECT_EQ(s.evictions, 1u);   // key 30/40, not the refreshed incumbent
@@ -181,8 +177,7 @@ TEST(ResultCache, ByteBudgetHoldsUnderChurn) {
     put(cache, key_of(i, i + 1), a, b,
         CachedDiff{make_image(300 + i, 4, 1024), 4, 0}, ++call_id);
     const ResultKey probe = key_of(i / 2, i / 2 + 1);
-    if (cache.admit(probe, shared_ops(a, b), ++call_id, true).kind ==
-        Kind::kOwner)
+    if (cache.admit(probe, a, b, ++call_id, true).kind == Kind::kOwner)
       cache.release(probe, call_id);  // evicted; nothing to recompute here
     const CacheStats s = cache.stats();
     ASSERT_LE(s.resident_bytes, cfg.capacity_bytes);
@@ -235,14 +230,21 @@ TEST(ResultCache, KeyDistinguishesEngineCanonicalizationAndOperandOrder) {
   EXPECT_FALSE(k == ResultKey::of(fb, fa, base));  // order matters
 
   ResultCache cache;
-  EXPECT_EQ(cache.admit(k, {a, b}, 1, false).kind, Kind::kOwner);
-  EXPECT_EQ(cache.admit(ResultKey::of(fa, fb, other_engine), {a, b}, 2, false)
+  EXPECT_EQ(cache.admit(k, share(a), share(b), 1, false).kind, Kind::kOwner);
+  EXPECT_EQ(cache
+                .admit(ResultKey::of(fa, fb, other_engine), share(a), share(b),
+                       2, false)
                 .kind,
             Kind::kOwner);
-  EXPECT_EQ(
-      cache.admit(ResultKey::of(fa, fb, no_canon), {a, b}, 3, false).kind,
-      Kind::kOwner);
-  EXPECT_EQ(cache.admit(ResultKey::of(fb, fa, base), {b, a}, 4, false).kind,
+  EXPECT_EQ(cache
+                .admit(ResultKey::of(fa, fb, no_canon), share(a), share(b), 3,
+                       false)
+                .kind,
+            Kind::kOwner);
+  EXPECT_EQ(cache
+                .admit(ResultKey::of(fb, fa, base), share(b), share(a), 4,
+                       false)
+                .kind,
             Kind::kOwner);
   EXPECT_EQ(cache.stats().pending, 4u);
 }
@@ -251,11 +253,12 @@ TEST(ResultCache, SecondAdmitJoinsThePendingOwner) {
   const ResultKey key = key_of(5, 6);
   ResultCache cache;
   {
-    // By-value operands: the registration keeps its own copy, so the
-    // caller's images may die while the entry is pending.
+    // By-value operands: the registration keeps the caller's shares, so
+    // the caller may drop them while the entry is pending.
     const RleImage a = make_image(5);
     const RleImage b = make_image(6);
-    const ResultCache::Admission first = cache.admit(key, {a, b}, 11, false);
+    const ResultCache::Admission first =
+        cache.admit(key, share(a), share(b), 11, false);
     EXPECT_EQ(first.kind, Kind::kOwner);
     EXPECT_EQ(first.owner, 11u);
   }
@@ -263,7 +266,8 @@ TEST(ResultCache, SecondAdmitJoinsThePendingOwner) {
 
   const RleImage a = make_image(5);
   const RleImage b = make_image(6);
-  const ResultCache::Admission second = cache.admit(key, {a, b}, 12, false);
+  const ResultCache::Admission second =
+      cache.admit(key, share(a), share(b), 12, false);
   EXPECT_EQ(second.kind, Kind::kJoined);
   EXPECT_EQ(second.owner, 11u);
   EXPECT_EQ(cache.stats().pending, 1u);
@@ -274,11 +278,11 @@ TEST(ResultCache, ReleaseMakesTheKeyAdmittableAgain) {
   const RleImage b = make_image(8);
   const ResultKey key = key_of(7, 8);
   ResultCache cache;
-  ASSERT_EQ(cache.admit(key, {a, b}, 1, true).kind, Kind::kOwner);
+  ASSERT_EQ(cache.admit(key, share(a), share(b), 1, true).kind, Kind::kOwner);
   cache.release(key, 1);
   EXPECT_EQ(cache.stats().pending, 0u);
   EXPECT_EQ(cache.stats().resident, 0u);
-  EXPECT_EQ(cache.admit(key, {a, b}, 2, true).kind, Kind::kOwner);
+  EXPECT_EQ(cache.admit(key, share(a), share(b), 2, true).kind, Kind::kOwner);
 }
 
 TEST(ResultCache, CollisionWithAPendingEntryRunsUnregistered) {
@@ -288,15 +292,17 @@ TEST(ResultCache, CollisionWithAPendingEntryRunsUnregistered) {
   const RleImage d = make_image(12);
   const ResultKey key = key_of(9, 10);
   ResultCache cache;
-  ASSERT_EQ(cache.admit(key, {a, b}, 1, false).kind, Kind::kOwner);
+  ASSERT_EQ(cache.admit(key, share(a), share(b), 1, false).kind, Kind::kOwner);
 
   // Same key, different images: exactly what a 64-bit fingerprint collision
   // looks like from the table's side.
-  EXPECT_EQ(cache.admit(key, {c, d}, 2, false).kind, Kind::kCollision);
+  EXPECT_EQ(cache.admit(key, share(c), share(d), 2, false).kind,
+            Kind::kCollision);
   EXPECT_EQ(cache.stats().pending, 1u);  // the collider was NOT registered
 
   // The original owner still holds the key.
-  const ResultCache::Admission dup = cache.admit(key, {a, b}, 3, false);
+  const ResultCache::Admission dup =
+      cache.admit(key, share(a), share(b), 3, false);
   EXPECT_EQ(dup.kind, Kind::kJoined);
   EXPECT_EQ(dup.owner, 1u);
 }
@@ -306,9 +312,10 @@ TEST(ResultCache, ReassignHandsOwnershipToThePromotedWaiter) {
   const RleImage b = make_image(14);
   const ResultKey key = key_of(13, 14);
   ResultCache cache;
-  ASSERT_EQ(cache.admit(key, {a, b}, 1, false).kind, Kind::kOwner);
+  ASSERT_EQ(cache.admit(key, share(a), share(b), 1, false).kind, Kind::kOwner);
   cache.reassign(key, 1, 42);
-  const ResultCache::Admission dup = cache.admit(key, {a, b}, 3, false);
+  const ResultCache::Admission dup =
+      cache.admit(key, share(a), share(b), 3, false);
   EXPECT_EQ(dup.kind, Kind::kJoined);
   EXPECT_EQ(dup.owner, 42u);
   // Only the new owner may settle the entry.
@@ -322,7 +329,7 @@ TEST(ResultCache, PendingEntryBecomesResidentOnEligibleCompletion) {
   const auto b = shared_image(16);
   const ResultKey key = key_of(15, 16);
   ResultCache cache;
-  ASSERT_EQ(cache.admit(key, shared_ops(a, b), 1, true).kind, Kind::kOwner);
+  ASSERT_EQ(cache.admit(key, a, b, 1, true).kind, Kind::kOwner);
   EXPECT_EQ(cache.stats().resident, 0u);
   // Re-owned in place by a promoted waiter: the entry keeps its
   // eligibility, so the new owner's completion still becomes resident.
@@ -339,8 +346,7 @@ TEST(ResultCache, PendingEntryBecomesResidentOnEligibleCompletion) {
   EXPECT_EQ(s.insertions, 1u);
   EXPECT_EQ(s.resident_bytes, ResultCache::cost_of(diff));
 
-  const ResultCache::Admission hit =
-      cache.admit(key, shared_ops(a, b), 3, true);
+  const ResultCache::Admission hit = cache.admit(key, a, b, 3, true);
   ASSERT_EQ(hit.kind, Kind::kHit);
   EXPECT_EQ(hit.result, stored);
   EXPECT_EQ(hit.result->fallback_rows, 1u);
@@ -354,21 +360,21 @@ TEST(ResultCache, ByValueCompletionNeverBecomesResident) {
   const RleImage b = make_image(19);
   const ResultKey key = key_of(18, 19);
   ResultCache cache;
-  ASSERT_EQ(cache.admit(key, {a, b}, 1, false).kind, Kind::kOwner);
+  ASSERT_EQ(cache.admit(key, share(a), share(b), 1, false).kind, Kind::kOwner);
   EXPECT_EQ(cache.complete(key, 1, make_image(20), 4, 0), nullptr);
   CacheStats s = cache.stats();
   EXPECT_EQ(s.resident, 0u);
   EXPECT_EQ(s.pending, 0u);
   EXPECT_EQ(s.insertions, 0u);
   EXPECT_EQ(s.lookups, 0u);
-  EXPECT_EQ(cache.admit(key, {a, b}, 2, false).kind, Kind::kOwner);
+  EXPECT_EQ(cache.admit(key, share(a), share(b), 2, false).kind, Kind::kOwner);
   cache.release(key, 2);
 
   // A resident result is not served to an ineligible caller.
   const auto sa = std::make_shared<const RleImage>(a);
   const auto sb = std::make_shared<const RleImage>(b);
   put(cache, key, sa, sb, CachedDiff{make_image(20), 4, 0}, 3);
-  EXPECT_EQ(cache.admit(key, {a, b}, 4, false).kind, Kind::kBypass);
+  EXPECT_EQ(cache.admit(key, share(a), share(b), 4, false).kind, Kind::kBypass);
   s = cache.stats();
   EXPECT_EQ(s.lookups, 1u);  // only the eligible registration
   EXPECT_EQ(s.resident, 1u);
@@ -384,11 +390,13 @@ TEST(ResultCache, AccountedHoldsAcrossJoins) {
   const RleImage other = make_image(23);
   const ResultKey key = key_of(21, 22);
   ResultCache cache;
-  ASSERT_EQ(cache.admit(key, shared_ops(a, b), 1, true).kind, Kind::kOwner);
-  EXPECT_EQ(cache.admit(key, shared_ops(a, b), 2, true).kind, Kind::kJoined);
-  EXPECT_EQ(cache.admit(key, shared_ops(a, b), 3, true).kind, Kind::kJoined);
-  EXPECT_EQ(cache.admit(key, {other, *b}, 4, true).kind, Kind::kCollision);
-  EXPECT_EQ(cache.admit(key, {*a, *b}, 5, false).kind, Kind::kJoined);
+  ASSERT_EQ(cache.admit(key, a, b, 1, true).kind, Kind::kOwner);
+  EXPECT_EQ(cache.admit(key, a, b, 2, true).kind, Kind::kJoined);
+  EXPECT_EQ(cache.admit(key, a, b, 3, true).kind, Kind::kJoined);
+  EXPECT_EQ(cache.admit(key, share(other), share(*b), 4, true).kind,
+            Kind::kCollision);
+  EXPECT_EQ(cache.admit(key, share(*a), share(*b), 5, false).kind,
+            Kind::kJoined);
   CacheStats s = cache.stats();
   EXPECT_EQ(s.lookups, 4u);  // the by-value join is not a lookup
   EXPECT_EQ(s.misses, 4u);
@@ -397,7 +405,7 @@ TEST(ResultCache, AccountedHoldsAcrossJoins) {
   EXPECT_TRUE(s.accounted());
 
   ASSERT_NE(cache.complete(key, 1, make_image(24), 4, 0), nullptr);
-  EXPECT_EQ(cache.admit(key, shared_ops(a, b), 6, true).kind, Kind::kHit);
+  EXPECT_EQ(cache.admit(key, a, b, 6, true).kind, Kind::kHit);
   s = cache.stats();
   EXPECT_EQ(s.lookups, 5u);
   EXPECT_EQ(s.hits, 1u);
@@ -421,10 +429,9 @@ TEST(ResultCache, ConcurrentLookupInsertHammer) {
         const std::uint64_t k = (t * 7 + i) % 16;
         const ResultKey key = key_of(k, k + 1);
         const std::uint64_t id = t * 1000000 + i + 1;
-        const ResultOperands ops =
-            i % 11 == 5 ? ResultOperands{other, *b} : shared_ops(a, b);
         const ResultCache::Admission adm =
-            cache.admit(key, ops, id, /*cacheable=*/i % 5 != 0);
+            cache.admit(key, i % 11 == 5 ? share(other) : a, b, id,
+                        /*cacheable=*/i % 5 != 0);
         switch (adm.kind) {
           case Kind::kHit:
             ASSERT_GT(adm.result->diff.height(), 0);

@@ -852,5 +852,199 @@ TEST(ShardRouter, ByHandleDiffSurvivesConcurrentStoreChurn) {
   EXPECT_TRUE(store->stats().accounted());
 }
 
+// The one dimension check runs before the request is offered: a by-handle
+// pair of different sizes is refused without leaving a request that was
+// offered but neither admitted nor shed.
+TEST(ShardRouter, MismatchedHandleDimensionsLeaveStatsAccounted) {
+  std::shared_ptr<ImageStore> store;
+  std::shared_ptr<ResultCache> cache;
+  Collector collector;
+  ShardRouter router(store_router(store, cache), collector.callback());
+  ServiceRequest req;
+  req.id = 0;
+  req.ref_handle = store->register_image(RleImage(16, 2)).handle;
+  req.scan_handle = store->register_image(RleImage(32, 2)).handle;
+  EXPECT_THROW((void)router.try_submit(std::move(req)), contract_error);
+
+  const Workload w = make_workload(604);
+  ASSERT_FALSE(router.try_submit(make_request(w, 1)).has_value());
+  router.drain();
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.offered, 1u);
+  EXPECT_EQ(st.admitted, 1u);
+  EXPECT_TRUE(st.accounted());
+  expect_correct_diff(collector.only(1), w);
+}
+
+// Each operand resolves on its own: a resident handle paired with a
+// by-value image runs (kUnknownHandle means only that a named handle is not
+// resident).  Only one operand came from the store, so the result is not
+// cache-eligible and a repeat runs the engine again.
+TEST(ShardRouter, MixedHandleAndValueOperandsRun) {
+  std::shared_ptr<ImageStore> store;
+  std::shared_ptr<ResultCache> cache;
+  Collector collector;
+  const Workload w = make_workload(605);
+  ShardRouter router(store_router(store, cache), collector.callback());
+  const ImageHandle ha = store->register_image(w.a).handle;
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    ServiceRequest req;
+    req.id = id;
+    req.ref_handle = ha;
+    req.scan = w.b;
+    ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
+    collector.wait_for(id + 1);
+  }
+  ServiceRequest swapped;
+  swapped.id = 2;
+  swapped.reference = w.a;
+  swapped.scan_handle = ha;
+  swapped.scan = w.b;  // ignored: the handle names the scan
+  ASSERT_FALSE(router.try_submit(std::move(swapped)).has_value());
+  router.drain();
+
+  for (std::uint64_t id = 0; id < 2; ++id) {
+    const ServiceResponse r = collector.only(id);
+    ASSERT_EQ(r.status, ServiceResponse::Status::kCompleted);
+    EXPECT_FALSE(r.from_cache);
+    expect_correct_diff(r, w);
+  }
+  const ServiceResponse self = collector.only(2);
+  ASSERT_EQ(self.status, ServiceResponse::Status::kCompleted);
+  EXPECT_EQ(self.diff, RleImage(w.a.width(), w.a.height()));  // a ^ a
+  const RouterStats st = router.stats();
+  EXPECT_EQ(st.shed_unknown_handle, 0u);
+  EXPECT_EQ(st.cache_misses, 0u);
+  EXPECT_EQ(st.cache_stores, 0u);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(router.backend_stats().engine_invocations, 3u);
+  EXPECT_EQ(cache->stats().lookups, 0u);
+}
+
+// Operands are shared, never copied, from the caller to the engine: the
+// rows an engine reads are the caller's own.
+TEST(ShardRouter, DispatchSharesTheCallersImage) {
+  Collector collector;
+  ShardRouter router(small_router(2, 2), collector.callback());
+  const Workload w = make_workload(606);
+  const auto reference = std::make_shared<const RleImage>(w.a);
+  const auto scan = std::make_shared<const RleImage>(w.b);
+  std::atomic<const RleRow*> first_ref{nullptr};
+  std::atomic<const RleRow*> first_scan{nullptr};
+  ServiceRequest req;
+  req.id = 0;
+  req.reference = reference;
+  req.scan = scan;
+  req.engine_override = [&](const RleRow& a, const RleRow& b,
+                            SystolicCounters&) {
+    const RleRow* none = nullptr;
+    first_ref.compare_exchange_strong(none, &a);
+    none = nullptr;
+    first_scan.compare_exchange_strong(none, &b);
+    return xor_rows(a, b).canonical();
+  };
+  ASSERT_FALSE(router.try_submit(std::move(req)).has_value());
+  router.drain();
+
+  expect_correct_diff(collector.only(0), w);
+  EXPECT_EQ(first_ref.load(), &reference->row(0));
+  EXPECT_EQ(first_scan.load(), &scan->row(0));
+}
+
+// Four submitters send the same pairs by value and by handle while the
+// store churns.  Every request is accounted for and answered with the
+// oracle's diff; a pair has one result-table key whichever way it is sent
+// (all but one request per pair join, so the engine runs once per pair);
+// and the pins the in-flight requests hold block eviction of the pair's
+// images until the last dispatch copy dies.
+TEST(ShardRouter, ConcurrentByValueAndByHandleSubmitsStayAccounted) {
+  constexpr std::uint64_t kPairs = 2;
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 12;
+  std::vector<Workload> pairs;
+  for (std::uint64_t p = 0; p < kPairs; ++p)
+    pairs.push_back(make_workload(607 + p));
+  StoreConfig tight;
+  tight.capacity_bytes = 3 * canonical_rle_bytes(pairs[0].a).size();
+  auto store = std::make_shared<ImageStore>(tight);
+  auto cache = std::make_shared<ResultCache>();
+  RouterConfig cfg = small_router(1, 1);
+  cfg.store = store;
+  cfg.cache = cache;
+  Collector collector;
+  ShardRouter router(cfg, collector.callback());
+
+  std::vector<ImageHandle> handles;
+  std::vector<SharedImage> held;  // keeps the pairs resident until submitted
+  for (const Workload& w : pairs)
+    for (const RleImage* image : {&w.a, &w.b}) {
+      handles.push_back(store->register_image(*image).handle);
+      held.push_back(store->acquire(handles.back()));
+    }
+
+  // The plug holds the only worker, so every pair's first request stays
+  // pending while the rest arrive.
+  std::atomic<bool> release{false};
+  const Workload plug_w = make_workload(609);
+  ASSERT_FALSE(router.try_submit(make_plug(plug_w, 0, release)).has_value());
+
+  std::atomic<bool> churning{true};
+  std::thread churn([&] {
+    for (std::uint64_t i = 0; churning.load(); ++i) {
+      Rng rng(900 + i);
+      RowGenParams p;
+      p.width = 256;
+      (void)store->register_image(generate_image(rng, 8, p));
+    }
+  });
+  std::atomic<std::uint64_t> sheds{0};
+  std::vector<std::thread> submitters;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    submitters.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t id = 1 + t * kPerThread + i;
+        const std::uint64_t p = id % kPairs;
+        ServiceRequest req;
+        if ((id / kPairs) % 2 == 0) {
+          req = make_request(pairs[p], id);
+        } else {
+          req.id = id;
+          req.ref_handle = handles[2 * p];
+          req.scan_handle = handles[2 * p + 1];
+        }
+        if (router.try_submit(std::move(req))) sheds.fetch_add(1);
+      }
+    });
+  for (std::thread& t : submitters) t.join();
+  held.clear();
+
+  // Only the in-flight requests pin the pairs now.
+  for (const ImageHandle h : handles) EXPECT_FALSE(store->evict(h));
+  churning.store(false);
+  churn.join();
+  release.store(true);
+  router.drain();
+
+  EXPECT_EQ(sheds.load(), 0u);
+  const RouterStats st = router.stats();
+  constexpr std::uint64_t kRequests = kThreads * kPerThread;
+  EXPECT_EQ(st.offered, kRequests + 1);
+  EXPECT_EQ(st.completed, kRequests + 1);
+  EXPECT_EQ(st.coalesced, kRequests - kPairs);
+  EXPECT_TRUE(st.accounted());
+  EXPECT_EQ(router.backend_stats().engine_invocations, 1 + kPairs);
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    const ServiceResponse r = collector.only(id);
+    ASSERT_EQ(r.status, ServiceResponse::Status::kCompleted);
+    expect_correct_diff(r, pairs[id % kPairs]);
+  }
+  EXPECT_TRUE(cache->stats().accounted());
+  // The last dispatch copy is gone: nothing pins the pairs any more.
+  EXPECT_GT(store->stats().evict_blocked_by_pin, 0u);
+  EXPECT_EQ(store->stats().pinned, 0u);
+  for (const ImageHandle h : handles) EXPECT_TRUE(store->evict(h));
+  EXPECT_TRUE(store->stats().accounted());
+}
+
 }  // namespace
 }  // namespace sysrle
