@@ -6,6 +6,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -703,6 +704,23 @@ struct ServeAction {
   HandleDiffSpec diff;
 };
 
+/// Reads request line `lineno`'s optional last operand into `value`, left
+/// as is when absent.  An operand that does not parse whole, or any token
+/// after it, is a usage error naming the line.
+template <typename T>
+void read_last_operand(std::istream& ls, T& value, std::size_t lineno) {
+  std::string token;
+  if (ls >> token) {
+    std::istringstream ts(token);
+    if (!(ts >> value) || ts.peek() != std::char_traits<char>::eof())
+      usage_error("serve: request line " + std::to_string(lineno) +
+                  ": bad operand '" + token + "'");
+  }
+  if (ls >> token)
+    usage_error("serve: request line " + std::to_string(lineno) +
+                ": unexpected operand '" + token + "'");
+}
+
 Priority parse_priority(const std::string& prio, std::size_t lineno) {
   if (prio == "interactive") return Priority::kInteractive;
   if (prio == "batch") return Priority::kBatch;
@@ -750,7 +768,7 @@ std::vector<ServeAction> parse_serve_actions(std::istream& in,
         if (!ls || a.reg.name.empty())
           usage_error("serve: request line " + std::to_string(lineno) +
                       " must be 'register <name> <rows> <width> [density]'");
-        if (!(ls >> a.reg.density)) a.reg.density = 0.30;
+        read_last_operand(ls, a.reg.density, lineno);
         if (a.reg.rows < 1 || a.reg.width < 1)
           usage_error("serve: request line " + std::to_string(lineno) +
                       ": rows and width must be >= 1");
@@ -765,7 +783,7 @@ std::vector<ServeAction> parse_serve_actions(std::istream& in,
           usage_error(
               "serve: request line " + std::to_string(lineno) +
               " must be 'diff-handles <priority> <a> <b> [deadline_ms]'");
-        if (!(ls >> a.diff.deadline_ms)) a.diff.deadline_ms = -1;
+        read_last_operand(ls, a.diff.deadline_ms, lineno);
         a.diff.priority = parse_priority(prio, lineno);
       }
       actions.push_back(std::move(a));
@@ -780,7 +798,7 @@ std::vector<ServeAction> parse_serve_actions(std::istream& in,
     if (!sl)
       usage_error("serve: request line " + std::to_string(lineno) +
                   " must be 'priority rows width error [deadline_ms]'");
-    if (!(sl >> s.deadline_ms)) s.deadline_ms = -1;
+    read_last_operand(sl, s.deadline_ms, lineno);
     s.priority = parse_priority(prio, lineno);
     if (s.rows < 1 || s.width < 1)
       usage_error("serve: request line " + std::to_string(lineno) +
@@ -858,8 +876,15 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     usage_error("--store-cap-mb requires --store");
   if (!use_store && args.has("--cache-cap-mb"))
     usage_error("--cache-cap-mb requires --store");
-  if (store_cap_mb < 1) usage_error("--store-cap-mb must be >= 1");
-  if (cache_cap_mb < 1) usage_error("--cache-cap-mb must be >= 1");
+  // The largest capacity whose byte count fits size_t.
+  constexpr std::int64_t kMaxCapMb = static_cast<std::int64_t>(
+      std::numeric_limits<std::size_t>::max() >> 20);
+  if (store_cap_mb < 1 || store_cap_mb > kMaxCapMb)
+    usage_error("--store-cap-mb must be in [1, " + std::to_string(kMaxCapMb) +
+                "]");
+  if (cache_cap_mb < 1 || cache_cap_mb > kMaxCapMb)
+    usage_error("--cache-cap-mb must be in [1, " + std::to_string(kMaxCapMb) +
+                "]");
   if (args.has("--snapshot-every") && store_dir.empty())
     usage_error("--snapshot-every requires --store-dir");
   if (snapshot_every < 0)

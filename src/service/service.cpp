@@ -35,12 +35,6 @@ ServiceStats& ServiceStats::operator+=(const ServiceStats& o) {
 
 namespace {
 
-/// Counts a shed decision into the typed-shed metric family.
-void count_shed(RejectReason reason) {
-  if (!telemetry_enabled()) return;
-  global_metrics().add(std::string("service.shed_total.") + to_string(reason));
-}
-
 double us_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return static_cast<double>(
@@ -67,7 +61,6 @@ std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
   SYSRLE_REQUIRE(request.same_size(),
                  "DiffService: request image dimensions differ");
   offered_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_enabled()) global_metrics().add("service.requests_offered");
 
   // Standalone submissions self-stamp an unrouted context; the shard router
   // pre-stamps routed ones (client id + attempt + shard/replica).
@@ -82,7 +75,6 @@ std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
   auto shed = [&](RejectReason reason,
                   std::atomic<std::uint64_t>& counter) -> RejectReason {
     counter.fetch_add(1, std::memory_order_relaxed);
-    count_shed(reason);
     flight_record(FlightEventKind::kShed, ctx, to_string(reason));
     flight_retain(ctx.request_id, "shed");
     return reason;
@@ -92,8 +84,6 @@ std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
     return shed(RejectReason::kShutdown, shed_shutdown_);
   if (request.deadline.expired()) {
     deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry_enabled())
-      global_metrics().add("service.deadline_miss_total");
     return shed(RejectReason::kDeadlineExpired, shed_deadline_at_submit_);
   }
   if (const auto reason = queue_.try_push(std::move(request))) {
@@ -102,7 +92,6 @@ std::optional<RejectReason> DiffService::try_submit(ServiceRequest request) {
     return shed(RejectReason::kShutdown, shed_shutdown_);
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry_enabled()) global_metrics().add("service.requests_admitted");
   flight_record(FlightEventKind::kEnqueue, ctx, to_string(priority));
   return std::nullopt;
 }
@@ -218,28 +207,23 @@ void DiffService::process(AdmissionQueue::Item item) {
 }
 
 void DiffService::respond(ServiceResponse response) {
-  const bool telem = telemetry_enabled();
   // The worker's RequestContextScope is still installed here, so flight
   // events carry the request identity without threading it through.
   const RequestContext& ctx = current_request_context();
   switch (response.status) {
     case ServiceResponse::Status::kCompleted:
       completed_.fetch_add(1, std::memory_order_relaxed);
-      if (telem) global_metrics().add("service.requests_completed");
       break;
     case ServiceResponse::Status::kFailed:
       failed_.fetch_add(1, std::memory_order_relaxed);
-      if (telem) global_metrics().add("service.requests_failed");
       break;
     case ServiceResponse::Status::kRejected:
       shed_deadline_after_admit_.fetch_add(1, std::memory_order_relaxed);
       deadline_misses_.fetch_add(1, std::memory_order_relaxed);
-      if (telem) global_metrics().add("service.deadline_miss_total");
       flight_retain(ctx.request_id, "deadline_expired");
-      if (telem) count_shed(response.reject_reason);
       break;
   }
-  if (telem) {
+  if (telemetry_enabled()) {
     MetricsRegistry& m = global_metrics();
     m.observe("service.queue_wait_us", response.queue_us);
     m.observe(std::string("service.latency_us.") +

@@ -19,9 +19,10 @@
 // shard router's per-replica breaker across replicas (replica_set.hpp).  A
 // kFailed response is reported, not acted on.
 //
-// Metrics (docs/OBSERVABILITY.md): service.queue_depth,
-// service.shed_total.<reason>, service.deadline_miss_total,
-// service.queue_wait_us, service.latency_us.{interactive,batch}.
+// Counts live only in ServiceStats.  The metrics registry carries what no
+// stats field holds (docs/OBSERVABILITY.md): the service.queue_depth
+// gauges and the service.queue_wait_us, service.latency_us.<priority>
+// distributions.
 
 #include <atomic>
 #include <cstdint>

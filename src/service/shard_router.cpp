@@ -8,7 +8,6 @@
 #include "common/assert.hpp"
 #include "rle/serialize.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sysrle {
 
@@ -111,10 +110,6 @@ std::uint64_t ShardRouter::now_us() const {
       us_between(epoch_, std::chrono::steady_clock::now()));
 }
 
-void ShardRouter::count_metric(const char* name) const {
-  if (telemetry_enabled()) global_metrics().add(name);
-}
-
 std::uint64_t ShardRouter::route_key_of(const ServiceRequest& request) {
   if (request.route_key != 0) return request.route_key;
   return pair_route_key(fingerprint_of(request.reference, request.ref_handle),
@@ -159,7 +154,6 @@ std::optional<RejectReason> ShardRouter::try_submit(ServiceRequest request) {
 std::optional<RejectReason> ShardRouter::submit_locked(
     ServiceRequest request, bool unknown_handle, std::vector<Delivery>& out) {
   ++stats_.offered;
-  count_metric("router.requests_offered");
   const RequestContext cctx = client_ctx(request.id);
 
   std::optional<RejectReason> shed;
@@ -174,7 +168,6 @@ std::optional<RejectReason> ShardRouter::submit_locked(
     // The caller re-registers and re-submits; nothing is silently dropped.
     ++stats_.shed_unknown_handle;
     shed = RejectReason::kUnknownHandle;
-    count_metric("router.unknown_handle_sheds");
   }
   if (shed) {
     flight_record(FlightEventKind::kShed, cctx, to_string(*shed));
@@ -207,7 +200,6 @@ std::optional<RejectReason> ShardRouter::submit_locked(
     using Kind = ResultCache::Admission::Kind;
     if (cacheable && admission.kind != Kind::kHit) {
       ++stats_.cache_misses;
-      count_metric("router.cache_misses");
       flight_record(FlightEventKind::kCacheMiss, cctx, "", result_key.fp_a);
     }
     switch (admission.kind) {
@@ -218,7 +210,6 @@ std::optional<RejectReason> ShardRouter::submit_locked(
         ++stats_.admitted;
         ++stats_.completed;
         ++stats_.cache_hits;
-        count_metric("router.cache_hits");
         flight_record(FlightEventKind::kAdmit, cctx, "cache");
         flight_record(FlightEventKind::kCacheHit, cctx, "", result_key.fp_a);
         ServiceResponse resp;
@@ -244,7 +235,6 @@ std::optional<RejectReason> ShardRouter::submit_locked(
             {std::move(request), std::chrono::steady_clock::now()});
         ++stats_.coalesced;
         ++stats_.admitted;
-        count_metric("router.coalesced");
         return std::nullopt;
       }
       case Kind::kOwner:
@@ -272,12 +262,10 @@ std::optional<RejectReason> ShardRouter::submit_locked(
   shed = dispatch_locked(call);
   if (shed) {
     if (call->registered) results_->release(call->result_key, call->call_id);
-    if (*shed == RejectReason::kShardDown) {
+    if (*shed == RejectReason::kShardDown)
       ++stats_.shed_shard_down;
-      count_metric("router.shard_down_sheds");
-    } else {
+    else
       ++stats_.shed_shutdown;
-    }
     flight_record(FlightEventKind::kShed, cctx, to_string(*shed));
     flight_retain(cctx.request_id, "shed");
     return shed;
@@ -316,14 +304,10 @@ std::optional<RejectReason> ShardRouter::dispatch_locked(
       if (submit_to_replica_locked(call, shard, *r)) {
         if (*r != order.front()) {
           ++stats_.failovers;
-          count_metric("router.failovers");
           flight_record(FlightEventKind::kFailover, call->dispatch_ctx,
                         hop > 0 ? "cross_shard" : "in_shard");
         }
-        if (crossed_shard || hop > 0) {
-          ++stats_.cross_shard_failovers;
-          count_metric("router.cross_shard_failovers");
-        }
+        if (crossed_shard || hop > 0) ++stats_.cross_shard_failovers;
         return std::nullopt;
       }
     }
@@ -532,8 +516,6 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
         wr.priority = next->request.priority;
         wr.total_us = us_between(waiter.arrived, now);
         ++stats_.rejected;
-        if (*reason == RejectReason::kShardDown)
-          count_metric("router.shard_down_sheds");
         flight_record(FlightEventKind::kRespond, client_ctx(wr.id),
                       to_string(wr.status),
                       static_cast<std::uint64_t>(wr.total_us));
@@ -545,7 +527,6 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
       promoted_to = next->call_id;
       calls_.emplace(next->call_id, next);
       ++stats_.coalesce_promotions;
-      count_metric("router.coalesce_promotions");
       flight_record(FlightEventKind::kCoalescePromoted,
                     client_ctx(next->request.id), "", call->request.id);
       break;
@@ -560,10 +541,8 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   if (call->registered) {
     if (result.status == ServiceResponse::Status::kCompleted) {
       if (results_->complete(call->result_key, call->call_id, payload,
-                             result.rows_processed, result.fallback_rows)) {
+                             result.rows_processed, result.fallback_rows))
         ++stats_.cache_stores;
-        count_metric("router.cache_stores");
-      }
     } else if (promoted_to != 0) {
       results_->reassign(call->result_key, call->call_id, promoted_to);
     } else {

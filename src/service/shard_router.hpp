@@ -35,10 +35,9 @@
 // ServiceResponse.  Never both, never neither, no matter which replicas
 // die mid-flight.
 //
-// Metrics (docs/OBSERVABILITY.md): router.failovers,
-// router.cross_shard_failovers, router.coalesced, router.coalesce_promotions,
-// router.shard_down_sheds, plus per-replica
-// service.breaker_state.shard<S>.replica<R> gauges.
+// Counts live only in RouterStats.  The metrics registry carries the
+// per-replica service.breaker_state.shard<S>.replica<R> gauges
+// (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <memory>
@@ -232,8 +231,6 @@ class ShardRouter {
                           ServiceResponse result, std::vector<Delivery>& out);
 
   void deliver(std::vector<Delivery>& deliveries);
-
-  void count_metric(const char* name) const;
 
   RouterConfig config_;
   Completion on_complete_;

@@ -46,8 +46,7 @@ enum class RejectReason {
   kUnknownHandle,    ///< a by-handle operand is not resident in the store
 };
 
-/// Human-readable rejection name (doubles as the metric label suffix of
-/// "service.shed_total.<reason>").
+/// Human-readable rejection name.
 const char* to_string(RejectReason reason);
 
 /// An absolute point in time after which a request must stop consuming

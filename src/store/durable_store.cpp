@@ -13,7 +13,6 @@
 #include "common/bytes.hpp"
 #include "rle/serialize.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sysrle {
 
@@ -127,16 +126,6 @@ DurableStore::DurableStore(DurableStoreConfig cfg) : cfg_(std::move(cfg)) {
     const std::lock_guard<std::mutex> lock(op_mu_);
     snapshot_locked();
   }
-
-  if (telemetry_enabled()) {
-    MetricsRegistry& m = global_metrics();
-    m.add("store.recovery.replayed",
-          recovery_.replayed_registers + recovery_.replayed_evicts);
-    if (recovery_.dropped() > 0)
-      m.add("store.recovery.dropped", recovery_.dropped());
-    if (recovery_.salvaged_bytes() > 0)
-      m.add("store.recovery.salvaged_bytes", recovery_.salvaged_bytes());
-  }
 }
 
 void DurableStore::replay_register(ImageHandle handle, const std::string& label,
@@ -215,7 +204,6 @@ void DurableStore::snapshot_locked() {
   records_since_snapshot_ = 0;
   ++snapshots_;
   last_snapshot_entries_ = entries.size();
-  if (telemetry_enabled()) global_metrics().add("store.snapshot.writes");
   flight_record(FlightEventKind::kSnapshot, RequestContext{}, "",
                 entries.size());
 }

@@ -38,9 +38,9 @@
 // so a snapshot can never truncate a journal record it did not capture.
 // Lock order: DurableStore::op_mu_ -> ImageStore::mu_ -> StoreJournal::mu_.
 //
-// Metrics: store.journal.* (journal side), store.snapshot.writes,
-// store.recovery.{replayed,dropped,salvaged_bytes}.  Flight events:
-// journal_append, snapshot, recovery_drop (docs/OBSERVABILITY.md).
+// Counts live only in RecoveryReport, DurabilityStats and JournalStats (the
+// serve JSON's durability{} block).  Flight events: journal_append,
+// snapshot, recovery_drop (docs/OBSERVABILITY.md).
 
 #include <cstdint>
 #include <map>

@@ -5,7 +5,6 @@
 #include "common/assert.hpp"
 #include "rle/serialize.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sysrle {
 
@@ -40,17 +39,14 @@ void ImageStore::evict_for_locked(std::size_t incoming) {
     SYSRLE_REQUIRE(found != entries_.end(), "ImageStore: LRU/map desync");
     Entry& entry = *found->second;
     if (entry.pins.load(std::memory_order_acquire) > 0) {
-      ++evict_blocked_by_pin_;
-      if (telemetry_enabled())
-        global_metrics().add("store.evict_blocked_by_pin");
+      ++stats_.evict_blocked_by_pin;
       continue;
     }
     const ImageHandle fp = *it;
     resident_bytes_ -= entry.bytes;
     it = lru_.erase(it);  // next iteration re-decrements onto the new tail
     entries_.erase(found);
-    ++evicted_;
-    if (telemetry_enabled()) global_metrics().add("store.evictions");
+    ++stats_.evicted;
     flight_record(FlightEventKind::kStoreEvict, RequestContext{}, "", fp);
     if (config_.on_evict) config_.on_evict(fp);
   }
@@ -62,19 +58,13 @@ bool ImageStore::evict(ImageHandle handle) {
   if (found == entries_.end()) return false;
   Entry& entry = *found->second;
   if (entry.pins.load(std::memory_order_acquire) > 0) {
-    ++evict_blocked_by_pin_;
-    if (telemetry_enabled())
-      global_metrics().add("store.evict_blocked_by_pin");
+    ++stats_.evict_blocked_by_pin;
     return false;
   }
   resident_bytes_ -= entry.bytes;
   lru_.erase(entry.lru);
   entries_.erase(found);
-  ++evicted_;
-  if (telemetry_enabled()) {
-    global_metrics().add("store.evictions");
-    export_gauges_locked();
-  }
+  ++stats_.evicted;
   flight_record(FlightEventKind::kStoreEvict, RequestContext{}, "", handle);
   if (config_.on_evict) config_.on_evict(handle);
   return true;
@@ -119,16 +109,14 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
     if (entry.image == canonical) {
       // Already resident: dedup, and refresh its recency.
       lru_.splice(lru_.begin(), lru_, entry.lru);
-      ++dedup_hits_;
-      if (telemetry_enabled()) global_metrics().add("store.dedup_hits");
+      ++stats_.dedup_hits;
       result.ok = true;
       result.deduplicated = true;
       return result;
     }
     // Fingerprint taken by different pixels.  Refuse — the caller gets a
     // typed failure instead of two images silently sharing one handle.
-    ++collisions_;
-    if (telemetry_enabled()) global_metrics().add("store.collisions");
+    ++stats_.collisions;
     result.collision = true;
     return result;
   }
@@ -141,11 +129,7 @@ ImageStore::RegisterResult ImageStore::register_image(const RleImage& image) {
   entry->lru = lru_.begin();
   resident_bytes_ += entry->bytes;
   entries_.emplace(fp, std::move(entry));
-  ++registered_;
-  if (telemetry_enabled()) {
-    global_metrics().add("store.registered");
-    export_gauges_locked();
-  }
+  ++stats_.registered;
   result.ok = true;
   return result;
 }
@@ -154,14 +138,12 @@ SharedImage ImageStore::acquire(ImageHandle handle) {
   const std::lock_guard<std::mutex> lock(mu_);
   auto found = entries_.find(handle);
   if (found == entries_.end()) {
-    ++lookup_misses_;
-    if (telemetry_enabled()) global_metrics().add("store.lookup_misses");
+    ++stats_.lookup_misses;
     return SharedImage{};
   }
   std::shared_ptr<Entry> entry = found->second;
   lru_.splice(lru_.begin(), lru_, entry->lru);
-  ++acquires_;
-  if (telemetry_enabled()) global_metrics().add("store.acquires");
+  ++stats_.acquires;
 
   entry->pins.fetch_add(1, std::memory_order_acq_rel);
   // Aliasing pointer: shares the entry's lifetime but exposes the image, so
@@ -184,25 +166,12 @@ bool ImageStore::contains(ImageHandle handle) const {
 
 StoreStats ImageStore::stats() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  StoreStats s;
-  s.registered = registered_;
-  s.dedup_hits = dedup_hits_;
-  s.collisions = collisions_;
-  s.evicted = evicted_;
-  s.evict_blocked_by_pin = evict_blocked_by_pin_;
-  s.acquires = acquires_;
-  s.lookup_misses = lookup_misses_;
+  StoreStats s = stats_;
   s.resident = entries_.size();
   s.resident_bytes = resident_bytes_;
   for (const auto& [fp, entry] : entries_)
     if (entry->pins.load(std::memory_order_acquire) > 0) ++s.pinned;
   return s;
-}
-
-void ImageStore::export_gauges_locked() const {
-  MetricsRegistry& m = global_metrics();
-  m.set_gauge("store.resident", static_cast<double>(entries_.size()));
-  m.set_gauge("store.resident_bytes", static_cast<double>(resident_bytes_));
 }
 
 }  // namespace sysrle

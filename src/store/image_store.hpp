@@ -35,10 +35,9 @@
 // Thread-safe: all entry points lock; pin release is a lock-free atomic
 // decrement so dropping a SharedImage never contends with the serving path.
 //
-// Metrics (docs/OBSERVABILITY.md): store.registered, store.dedup_hits,
-// store.collisions, store.evictions, store.evict_blocked_by_pin,
-// store.acquires, store.lookup_misses, store.resident / .resident_bytes
-// gauges.  Evictions record a FlightRecorder store_evict event.
+// Counts live only in StoreStats (the serve JSON's store{} block); the
+// store writes nothing to the metrics registry.  Evictions record a
+// FlightRecorder store_evict event.
 
 #include <atomic>
 #include <cstddef>
@@ -173,20 +172,12 @@ class ImageStore {
   /// nothing evictable remains).  Lock held.
   void evict_for_locked(std::size_t incoming);
 
-  void export_gauges_locked() const;
-
   StoreConfig config_;
   mutable std::mutex mu_;
   std::unordered_map<ImageHandle, std::shared_ptr<Entry>> entries_;
   std::list<ImageHandle> lru_;  ///< front = most recently used
   std::size_t resident_bytes_ = 0;
-  std::uint64_t registered_ = 0;
-  std::uint64_t dedup_hits_ = 0;
-  std::uint64_t collisions_ = 0;
-  std::uint64_t evicted_ = 0;
-  std::uint64_t evict_blocked_by_pin_ = 0;
-  std::uint64_t acquires_ = 0;
-  std::uint64_t lookup_misses_ = 0;
+  StoreStats stats_;  ///< counters; stats() fills the resident figures
 };
 
 }  // namespace sysrle

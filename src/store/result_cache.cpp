@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/assert.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sysrle {
 
@@ -32,7 +31,6 @@ void ResultCache::evict_for_locked(std::size_t incoming) {
     lru_.pop_back();
     entries_.erase(found);
     ++stats_.evictions;
-    if (telemetry_enabled()) global_metrics().add("cache.evictions");
   }
 }
 
@@ -40,11 +38,6 @@ void ResultCache::count_locked(bool hit, bool collision) {
   ++stats_.lookups;
   ++(hit ? stats_.hits : stats_.misses);
   if (collision) ++stats_.collisions;
-  if (!telemetry_enabled()) return;
-  MetricsRegistry& m = global_metrics();
-  m.add("cache.lookups");
-  m.add(hit ? "cache.hits" : "cache.misses");
-  if (collision) m.add("cache.collisions");
 }
 
 ResultCache::Map::iterator ResultCache::pending_locked(const ResultKey& key,
@@ -120,12 +113,6 @@ std::shared_ptr<const CachedDiff> ResultCache::complete(
   entry.lru = lru_.begin();
   resident_bytes_ += entry.bytes;
   ++stats_.insertions;
-  if (telemetry_enabled()) {
-    MetricsRegistry& m = global_metrics();
-    m.add("cache.insertions");
-    m.set_gauge("cache.resident", static_cast<double>(lru_.size()));
-    m.set_gauge("cache.resident_bytes", static_cast<double>(resident_bytes_));
-  }
   return entry.result;
 }
 

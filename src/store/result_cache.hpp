@@ -36,8 +36,8 @@
 // under its own lock on the submit path and complete()/release()/reassign()
 // on the completion path; lock ordering is always router → table.
 //
-// Metrics: cache.lookups, cache.hits, cache.misses, cache.collisions,
-// cache.insertions, cache.evictions, cache.resident / .resident_bytes.
+// Counts live only in CacheStats (the serve JSON's cache{} block); the
+// table writes nothing to the metrics registry.
 
 #include <cstddef>
 #include <cstdint>

@@ -12,7 +12,6 @@
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace sysrle {
 
@@ -146,14 +145,9 @@ void StoreJournal::append_record_locked(std::string& record) {
   file_bytes_ += record.size();
   ++stats_.appends;
   stats_.appended_bytes += record.size();
-  if (telemetry_enabled()) {
-    global_metrics().add("store.journal.appends");
-    global_metrics().add("store.journal.bytes", record.size());
-  }
   SYSRLE_REQUIRE(::fsync(fd_) == 0,
                  "StoreJournal: fsync failed for " + path_);
   ++stats_.fsyncs;
-  if (telemetry_enabled()) global_metrics().add("store.journal.fsyncs");
 }
 
 void StoreJournal::append_register(ImageHandle handle,
@@ -196,7 +190,6 @@ void StoreJournal::truncate_to_header() {
                  "StoreJournal: fsync failed for " + path_);
   file_bytes_ = kHeaderBytes;
   ++stats_.truncations;
-  if (telemetry_enabled()) global_metrics().add("store.journal.truncations");
 }
 
 JournalStats StoreJournal::stats() const {

@@ -720,6 +720,18 @@ TEST_F(CliFixture, ServeRejectsMalformedRequestLineNamingIt) {
   const CliRun r2 = cli({"serve", "--requests", reqs2});
   EXPECT_EQ(r2.exit_code, 2);
   EXPECT_NE(r2.err.find("line 1"), std::string::npos);
+  // An optional last operand that does not parse, or any token after the
+  // last operand, is refused rather than defaulted or ignored.
+  for (const char* bad :
+       {"batch 4 64 0.1 abc\n", "batch 4 64 0.1 5 extra junk\n",
+        "register x 4 64 zz\n", "register x 4 64 0.2 zz\n",
+        "diff-handles batch x x 5x\n"}) {
+    const std::string reqs3 = write_requests_file(
+        "serve_bad3.txt", std::string("register x 4 64\n") + bad);
+    const CliRun r3 = cli({"serve", "--requests", reqs3, "--store"});
+    EXPECT_EQ(r3.exit_code, 2) << bad;
+    EXPECT_NE(r3.err.find("line 2"), std::string::npos) << bad << r3.err;
+  }
 }
 
 TEST_F(CliFixture, ServeRequiresRequestsFlag) {
@@ -812,7 +824,9 @@ TEST_F(CliFixture, ServeRejectsBadStoreFlags) {
       write_requests_file("serve_store_flags.txt", "batch 2 100 0.0\n");
   // Capacity flags demand a positive integer.
   for (const char* flag : {"--store-cap-mb", "--cache-cap-mb"}) {
-    for (const char* bad : {"0", "-3", "banana"}) {
+    // 2^44 MiB wraps a 64-bit byte count to 0; 2^44 + 1 MiB to 1 MiB.
+    for (const char* bad : {"0", "-3", "banana", "17592186044416",
+                            "17592186044417"}) {
       const CliRun r =
           cli({"serve", "--requests", reqs, "--store", flag, bad});
       EXPECT_EQ(r.exit_code, 2) << flag << " " << bad;

@@ -363,6 +363,7 @@ TEST(Service, DestructorDrainsWithoutExplicitCall) {
 TEST(Service, PublishesServingMetrics) {
   reset_telemetry();
   set_telemetry_enabled(true);
+  ServiceStats stats;
   {
     const Workload w = make_workload(11, 4);
     ServiceConfig cfg;
@@ -386,12 +387,15 @@ TEST(Service, PublishesServingMetrics) {
           make_request(w, i, i % 2 ? Priority::kInteractive : Priority::kBatch));
     release.store(true);
     service.drain();
+    stats = service.stats();
   }
+  // Counts live in ServiceStats only; the registry holds the distributions
+  // and the queue-depth gauges.
+  EXPECT_GT(stats.offered, 0u);
+  EXPECT_GT(stats.admitted, 0u);
+  EXPECT_GT(stats.completed, 0u);
+  EXPECT_GT(stats.shed_queue_full, 0u);
   const MetricsSnapshot snap = global_metrics().snapshot();
-  EXPECT_GT(snap.counter("service.requests_offered"), 0u);
-  EXPECT_GT(snap.counter("service.requests_admitted"), 0u);
-  EXPECT_GT(snap.counter("service.requests_completed"), 0u);
-  EXPECT_GT(snap.counter("service.shed_total.queue_full"), 0u);
   EXPECT_EQ(snap.gauge("service.queue_depth", -1.0), 0.0);  // drained
   const Histogram* wait = snap.histogram("service.queue_wait_us");
   ASSERT_NE(wait, nullptr);

@@ -6,17 +6,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <span>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
 #include "core/systolic_diff.hpp"
 #include "rle/serialize.hpp"
+#include "service/shard_router.hpp"
+#include "store/durable_store.hpp"
+#include "store/result_cache.hpp"
 #include "telemetry/bench_report.hpp"
 #include "telemetry/exporters.hpp"
 #include "test_util.hpp"
+#include "workload/generator.hpp"
 
 namespace sysrle {
 namespace {
@@ -231,6 +238,129 @@ TEST_F(TelemetryTest, SerializeBytesInCountsOneImageExactly) {
   s = global_metrics().snapshot();
   EXPECT_EQ(s.counter("serialize.images_read"), 2u);
   EXPECT_EQ(s.counter("serialize.bytes_in"), 2 * bytes.size());
+}
+
+// ------------------------------------------------------------ serving stack
+
+/// Every metric name in the snapshot, counters, gauges and histograms alike.
+std::vector<std::string> metric_names(const MetricsSnapshot& s) {
+  std::vector<std::string> names;
+  for (const auto& [name, v] : s.counters) names.push_back(name);
+  for (const auto& [name, v] : s.gauges) names.push_back(name);
+  for (const auto& [name, v] : s.histograms) names.push_back(name);
+  return names;
+}
+
+// The serving stack and the store count each event once, in their typed
+// stats; the registry keeps only what no stats struct holds (the service's
+// queue-wait and latency distributions and its queue-depth gauges).
+TEST_F(TelemetryTest, ServingStackCountsOnlyInTypedStats) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("sysrle_telemetry_test_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+       "_" + std::to_string(reinterpret_cast<std::uintptr_t>(this)));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  Rng rng(24);
+  RowGenParams p;
+  p.width = 256;
+  const RleImage a = generate_image(rng, 8, p);
+  const RleImage b = generate_image(rng, 8, p);
+  const RleImage c = generate_image(rng, 8, p);
+  set_telemetry_enabled(true);
+
+  RouterStats router_stats;
+  ServiceStats backend;
+  StoreStats store_stats;
+  CacheStats cache_stats;
+  DurabilityStats durability;
+  {
+    DurableStoreConfig dcfg;
+    dcfg.dir = dir.string();
+    dcfg.snapshot_every = 2;
+    // Room for two of the three images: registering the third evicts.
+    dcfg.store.capacity_bytes = canonical_rle_size(a) + canonical_rle_size(b) +
+                                canonical_rle_size(c) - 1;
+    DurableStore durable(dcfg);
+    RouterConfig cfg;
+    cfg.shards = 2;
+    cfg.replicas = 2;
+    cfg.replica_service.workers = 1;
+    cfg.store = durable.store_ptr();
+    cfg.cache = std::make_shared<ResultCache>();
+    std::atomic<std::size_t> responses{0};
+    ShardRouter router(cfg, [&](ServiceResponse) { ++responses; });
+    auto wait_for = [&](std::size_t n) {
+      for (int i = 0; i < 5000 && responses.load() < n; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ASSERT_GE(responses.load(), n);
+    };
+
+    const ImageHandle ha = durable.register_image(a, "a").handle;
+    const ImageHandle hb = durable.register_image(b, "b").handle;
+    ServiceRequest by_value;
+    by_value.id = 0;
+    by_value.reference = a;
+    by_value.scan = b;
+    ASSERT_FALSE(router.try_submit(std::move(by_value)).has_value());
+    for (std::uint64_t id = 1; id <= 3; ++id) {  // the last two duplicate
+      ServiceRequest by_handle;
+      by_handle.id = id;
+      by_handle.ref_handle = ha;
+      by_handle.scan_handle = hb;
+      ASSERT_FALSE(router.try_submit(std::move(by_handle)).has_value());
+      wait_for(id + 1);
+    }
+    ServiceRequest unknown;
+    unknown.id = 4;
+    unknown.ref_handle = ha ^ 1;
+    unknown.scan_handle = hb;
+    EXPECT_EQ(router.try_submit(std::move(unknown)),
+              RejectReason::kUnknownHandle);
+    router.drain();
+    ASSERT_TRUE(durable.register_image(c, "c").ok);
+
+    router_stats = router.stats();
+    backend = router.backend_stats();
+    store_stats = durable.store().stats();
+    cache_stats = cfg.cache->stats();
+    durability = durable.durability_stats();
+  }
+  fs::remove_all(dir);
+
+  EXPECT_GE(router_stats.cache_hits, 1u);
+  EXPECT_GE(store_stats.evicted, 1u);
+  EXPECT_GE(durability.snapshots, 1u);
+  EXPECT_TRUE(router_stats.accounted());
+  EXPECT_TRUE(store_stats.accounted());
+  EXPECT_TRUE(cache_stats.accounted());
+  EXPECT_EQ(backend.offered, backend.admitted + backend.shed_queue_full +
+                                 backend.shed_shutdown +
+                                 backend.shed_deadline_at_submit);
+  EXPECT_EQ(backend.responses(), backend.admitted);
+  EXPECT_EQ(durability.journal.appends, durability.journal.fsyncs);
+
+  // Every service.* name is a distribution, a queue-depth gauge or breaker
+  // state; no name belongs to the router, the store or the cache.
+  const MetricsSnapshot snap = global_metrics().snapshot();
+  for (const std::string& name : metric_names(snap)) {
+    const std::string_view n = name;
+    EXPECT_FALSE(n.starts_with("router.") || n.starts_with("store.") ||
+                 n.starts_with("cache."))
+        << name;
+    if (n.starts_with("service.")) {
+      EXPECT_TRUE(n == "service.queue_wait_us" ||
+                  n.starts_with("service.latency_us.") ||
+                  n.starts_with("service.queue_depth") ||
+                  n.starts_with("service.breaker_"))
+          << name;
+    }
+  }
+  EXPECT_NE(snap.histogram("service.queue_wait_us"), nullptr);
+  EXPECT_EQ(snap.gauges.count("service.queue_depth"), 1u);
 }
 
 // -------------------------------------------------------------------- spans
