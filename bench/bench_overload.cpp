@@ -133,18 +133,23 @@ struct PhaseOutcome {
 
 /// Measures the fleet's saturated throughput: `n` requests are queued all at
 /// once against `workers` workers (caps wide open) and the wall time per
-/// request is the effective service interval, contention included.  The
-/// returned value is the µs of *fleet* time one request costs, i.e. the
-/// at-capacity inter-arrival interval.
+/// request, from the first submit to the drained queue, is the effective
+/// service interval, contention included.  One untimed warm-up round comes
+/// first, and the result is the median of kCalibrationRounds timed rounds,
+/// so neither a cold start nor one descheduled round sets the capacity the
+/// load phases scale from.  The returned value is the µs of *fleet* time one
+/// request costs, i.e. the at-capacity inter-arrival interval.
 double calibrate_interarrival_us(const std::vector<ImagePair>& pool, int n,
                                  std::size_t workers) {
+  constexpr int kCalibrationRounds = 3;
   ServiceConfig cfg;
   cfg.workers = workers;
   cfg.admission.interactive_capacity = static_cast<std::size_t>(n) + 1;
   cfg.admission.batch_capacity = static_cast<std::size_t>(n) + 1;
-  const auto t0 = std::chrono::steady_clock::now();
-  {
+  std::vector<double> rounds_us;
+  for (int round = 0; round <= kCalibrationRounds; ++round) {
     DiffService service(cfg, nullptr);
+    const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < n; ++i) {
       ServiceRequest req;
       req.id = static_cast<std::uint64_t>(i);
@@ -157,12 +162,14 @@ double calibrate_interarrival_us(const std::vector<ImagePair>& pool, int n,
       service.try_submit(std::move(req));
     }
     service.drain();
+    const auto wall = std::chrono::steady_clock::now() - t0;
+    if (round == 0) continue;  // the warm-up round
+    rounds_us.push_back(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::microseconds>(wall).count()));
   }
-  const double wall_us = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  return std::max(wall_us / static_cast<double>(n), 1.0);
+  std::sort(rounds_us.begin(), rounds_us.end());
+  return std::max(rounds_us[rounds_us.size() / 2] / static_cast<double>(n),
+                  1.0);
 }
 
 /// Derives a phase's Poisson arrival-stream seed from (seed, phase index)

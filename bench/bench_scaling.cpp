@@ -8,7 +8,8 @@
 // additionally runs the row-parallel thread sweep and writes its own
 // sysrle.bench.v1 report; --dispatch-json FILE runs the word-parallel
 // engine speedup + θ recalibration sweep (the BENCH_pr10.json evidence);
-// --smoke shrinks every sweep for CI.
+// --smoke shrinks every sweep for CI.  Exits 1 when any check a written
+// report holds is false, 2 on a usage error.
 
 #include <algorithm>
 #include <chrono>
@@ -40,8 +41,9 @@ using namespace sysrle;
 /// 1, 2, 4, ... threads on one fixed workload.  Emits wall_us / rows_per_sec
 /// / speedup series plus a `hardware_threads` scalar so the 4-thread >= 2x
 /// expectation is only enforced where the silicon can deliver it (a 1-core
-/// CI runner cannot speed anything up; see docs/PERFORMANCE.md).
-void run_thread_sweep(const std::string& json_path, bool smoke) {
+/// CI runner cannot speed anything up; see docs/PERFORMANCE.md).  Returns
+/// whether every check holds.
+bool run_thread_sweep(const std::string& json_path, bool smoke) {
   const pos_t rows = smoke ? 512 : 2048;
   const pos_t width = smoke ? 2048 : 8192;
   const int reps = smoke ? 3 : 5;
@@ -142,6 +144,7 @@ void run_thread_sweep(const std::string& json_path, bool smoke) {
   report.set_check("deterministic_across_threads", deterministic);
   report.write_file(json_path);
   std::cout << "wrote " << json_path << '\n';
+  return report.all_checks_pass();
 }
 
 /// Best-of-`reps` wall time of `fn` over every pair, in microseconds *per
@@ -215,7 +218,8 @@ RleRow delete_run_fraction(Rng& rng, const RleRow& base, double fraction) {
 ///
 /// Perf-dependent bands are relaxed in --smoke (CI wiring run on noisy
 /// shared hardware); the committed BENCH_pr10.json comes from a full run.
-void run_dispatch_sweep(const std::string& json_path, bool smoke) {
+/// Returns whether every check holds.
+bool run_dispatch_sweep(const std::string& json_path, bool smoke) {
   const int pairs_per_point = smoke ? 24 : 192;
   const int reps = smoke ? 2 : 5;
 
@@ -439,6 +443,7 @@ void run_dispatch_sweep(const std::string& json_path, bool smoke) {
   report.write_file(json_path);
   std::cout << "wrote " << json_path << '\n';
   if (sink == 0xdeadbeef) std::cout << "";  // keep the checksums alive
+  return report.all_checks_pass();
 }
 
 }  // namespace
@@ -525,6 +530,7 @@ int main(int argc, char** argv) {
             << '\n';
   std::cout << "\nCSV:\n" << table.csv();
 
+  bool all_ok = true;
   if (!json_path.empty()) {
     BenchReport report("scaling");
     report.set_param("seeds", static_cast<std::int64_t>(kSeeds));
@@ -541,11 +547,13 @@ int main(int argc, char** argv) {
     report.set_scalar("growth_sequential", seq_last / seq_first);
     report.set_check("constant_time_claim", claim_holds);
     report.write_file(json_path);
+    all_ok = report.all_checks_pass();
     std::cout << "\nwrote " << json_path << '\n';
   }
 
-  if (!threads_json_path.empty()) run_thread_sweep(threads_json_path, smoke);
+  if (!threads_json_path.empty())
+    all_ok = run_thread_sweep(threads_json_path, smoke) && all_ok;
   if (!dispatch_json_path.empty())
-    run_dispatch_sweep(dispatch_json_path, smoke);
-  return 0;
+    all_ok = run_dispatch_sweep(dispatch_json_path, smoke) && all_ok;
+  return all_ok ? 0 : 1;
 }

@@ -1640,8 +1640,10 @@ void print_help(std::ostream& out) {
          "         and the modelled systolic iterations);\n"
          "         systolic is the default for diff/inspect/perf, sequential\n"
          "         (the word-parallel host fast path) for serve\n"
-         "threads: --threads N forces N row workers (N >= 1); omitted or 0\n"
-         "         sizes the pool from the hardware (1 when unknown)\n"
+         "threads: --threads N runs up to N row workers (N >= 1); omitted or\n"
+         "         0 sizes the pool from the hardware (1 when unknown); an\n"
+         "         image with too few runs to pay for waking workers runs\n"
+         "         on the calling thread\n"
          "formats: auto-detected on read; chosen by extension on write\n"
          "         (.pbm, .srlt = text RLE, otherwise binary RLE)\n";
 }

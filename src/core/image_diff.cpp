@@ -99,43 +99,29 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
 
 namespace {
 
-/// The scheduling grain, matching the old `schedule(dynamic, 16)`.
-constexpr std::size_t kRowChunk = 16;
+/// Runs in a pair below which waking helpers costs more than it saves (about
+/// 30 µs of work: a few ns a run on the host engines, far more on the
+/// cycle-level simulators; crossovers measured on 4 vCPUs, 8–128 rows).
+constexpr std::size_t kSerialRuns = 8192;
+constexpr std::size_t kSerialSimulatedRuns = 512;
 
 /// Per-row spans contend on the shared trace buffer at high thread counts,
 /// so only every kRowSpanStride-th row opens one.  Sampling by row index is
 /// deterministic: the same rows are sampled at any thread count.
 constexpr std::size_t kRowSpanStride = 64;
 
-RowDiff diff_one_row(std::size_t y, const RleRow& ra, const RleRow& rb,
-                     const ImageDiffOptions& options,
-                     SystolicDiffMachine& machine) {
-  if (y % kRowSpanStride == 0) {
-    TELEMETRY_SPAN("row_diff", "image");
-    return diff_row(ra, rb, options, machine);
-  }
-  return diff_row(ra, rb, options, machine);
-}
-
-RowRunStats run_rows(const RleImage& a, const RleImage& b,
-                     const ImageDiffOptions& options,
-                     std::vector<RowDiff>& outcomes) {
-  RowExecutor& executor = RowExecutor::global();
-  const std::size_t n = outcomes.size();
-  std::vector<SystolicDiffMachine> machines(
-      std::max<std::size_t>(1, executor.plan_slots(n, options.threads,
-                                                   kRowChunk)));
-  return executor.run(
-      n,
-      [&](std::size_t i, std::size_t slot) {
-        const pos_t y = static_cast<pos_t>(i);
-        outcomes[i] = diff_one_row(i, a.row(y), b.row(y), options,
-                                   machines[slot]);
-      },
-      options.threads, kRowChunk);
-}
-
 }  // namespace
+
+std::size_t row_parallelism(const RleImage& a, const RleImage& b,
+                            const ImageDiffOptions& options) {
+  const bool simulated = options.engine == DiffEngine::kSystolic ||
+                         options.engine == DiffEngine::kBusSystolic;
+  const std::size_t enough = simulated ? kSerialSimulatedRuns : kSerialRuns;
+  std::size_t runs = 0;
+  for (pos_t y = 0; y < a.height() && runs < enough; ++y)
+    runs += a.row(y).run_count() + b.row(y).run_count();
+  return runs < enough ? 1 : options.threads;
+}
 
 ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
                            const ImageDiffOptions& options) {
@@ -143,9 +129,21 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
   SYSRLE_REQUIRE(a.width() == b.width() && a.height() == b.height(),
                  "image_diff: image dimensions differ");
   const pos_t height = a.height();
-  std::vector<RowDiff> outcomes(static_cast<std::size_t>(height));
+  const auto n = static_cast<std::size_t>(height);
+  std::vector<RowDiff> outcomes(n);
 
-  const RowRunStats stats = run_rows(a, b, options, outcomes);
+  RowExecutor& executor = RowExecutor::global();
+  const std::size_t threads = row_parallelism(a, b, options);
+  std::vector<SystolicDiffMachine> machines(executor.plan_slots(n, threads));
+  const RowRunStats stats = executor.run(
+      n,
+      [&](std::size_t i, std::size_t slot) {
+        const pos_t y = static_cast<pos_t>(i);
+        std::optional<TelemetrySpan> span;
+        if (i % kRowSpanStride == 0) span.emplace("row_diff", "image");
+        outcomes[i] = diff_row(a.row(y), b.row(y), options, machines[slot]);
+      },
+      threads);
 
   ImageDiffResult result;
   result.diff = RleImage(a.width(), height);

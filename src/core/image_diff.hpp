@@ -10,6 +10,7 @@
 // decides who computes a row, never what, and aggregation is serial in row
 // order.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -51,8 +52,10 @@ struct ImageDiffOptions {
   std::size_t bus_width = 0;
 
   /// Worker threads for the row loop: 0 = auto (everything the shared pool
-  /// offers), 1 = serial in the calling thread, N = exactly N participants
-  /// (growing the pool on demand, capped at RowExecutor::kMaxThreads).
+  /// offers), 1 = serial in the calling thread, N = up to N participants
+  /// (growing the pool on demand, capped at RowExecutor::kMaxThreads).  A
+  /// pair too small to be worth waking helpers runs serially either way
+  /// (row_parallelism).
   std::size_t threads = 0;
 };
 
@@ -103,6 +106,13 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
 /// which the Observation-bound telemetry needs — otherwise.
 SequentialDiffResult sequential_row(const RleRow& a, const RleRow& b,
                                     bool canonicalize);
+
+/// The max_parallelism image_diff hands the row executor: options.threads,
+/// or 1 when the pair has too few runs (both images together) for the
+/// engine's row loop to pay for waking a helper.  Reads run counts only,
+/// and stops once the threshold is met.
+std::size_t row_parallelism(const RleImage& a, const RleImage& b,
+                            const ImageDiffOptions& options);
 
 /// Computes the per-row XOR of two equal-sized RLE images with the selected
 /// engine.  Rows are processed in parallel on the native executor; output

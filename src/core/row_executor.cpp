@@ -23,9 +23,14 @@ std::uint64_t RowRunStats::parallel_rows() const {
 /// One run() in flight.  The atomic cursor is the scheduling state; slot
 /// assignment and helper accounting stay under the pool mutex.
 struct RowExecutor::Job {
+  /// Claims per participant the grain aims at: several, so skewed row costs
+  /// and late-waking helpers even out, and no more, so the shared cursor
+  /// stays cold on tall images.
+  static constexpr std::size_t kClaimsPerSlot = 8;
+
   const RowFn* fn = nullptr;
   std::size_t n = 0;
-  std::size_t chunk = 1;
+  std::size_t grain = 1;
   std::size_t max_slots = 1;
 
   std::atomic<std::size_t> next{0};    ///< first unclaimed index
@@ -46,9 +51,7 @@ struct RowExecutor::Job {
 };
 
 RowExecutor::RowExecutor(RowExecutorConfig config)
-    : config_(config), auto_parallelism_(resolve_threads(config.threads)) {
-  if (config_.chunk == 0) config_.chunk = 1;
-}
+    : auto_parallelism_(resolve_threads(config.threads)) {}
 
 RowExecutor::~RowExecutor() {
   {
@@ -70,24 +73,19 @@ RowExecutor& RowExecutor::global() {
   return executor;
 }
 
-std::size_t RowExecutor::plan_slots(std::size_t n, std::size_t max_parallelism,
-                                    std::size_t chunk) const {
-  if (n == 0) return 0;
-  const std::size_t grain = chunk == 0 ? config_.chunk : chunk;
+std::size_t RowExecutor::plan_slots(std::size_t n,
+                                    std::size_t max_parallelism) const {
   const std::size_t limit = max_parallelism == 0
                                 ? auto_parallelism_
                                 : std::min(max_parallelism, kMaxThreads);
-  // More participants than chunks could never all receive work.
-  const std::size_t by_work = (n + grain - 1) / grain;
-  return std::max<std::size_t>(1, std::min(limit, by_work));
+  return std::min(limit, n);
 }
 
 RowRunStats RowExecutor::run(std::size_t n, const RowFn& fn,
-                             std::size_t max_parallelism, std::size_t chunk) {
+                             std::size_t max_parallelism) {
   RowRunStats stats;
   if (n == 0) return stats;
-  const std::size_t grain = chunk == 0 ? config_.chunk : chunk;
-  const std::size_t slots = plan_slots(n, max_parallelism, grain);
+  const std::size_t slots = plan_slots(n, max_parallelism);
 
   if (slots <= 1) {
     // Serial fast path: no pool traffic, no wakeups.
@@ -100,7 +98,7 @@ RowRunStats RowExecutor::run(std::size_t n, const RowFn& fn,
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->n = n;
-  job->chunk = grain;
+  job->grain = std::max<std::size_t>(1, n / (slots * Job::kClaimsPerSlot));
   job->max_slots = slots;
   job->rows_per_slot.assign(slots, 0);
 
@@ -148,9 +146,9 @@ void RowExecutor::execute(Job& job, std::size_t slot) {
   try {
     while (!job.failed.load(std::memory_order_relaxed)) {
       const std::size_t begin =
-          job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+          job.next.fetch_add(job.grain, std::memory_order_relaxed);
       if (begin >= job.n) break;
-      const std::size_t end = std::min(begin + job.chunk, job.n);
+      const std::size_t end = std::min(begin + job.grain, job.n);
       for (std::size_t i = begin; i < end; ++i) (*job.fn)(i, slot);
       done += end - begin;
     }

@@ -1,18 +1,19 @@
 #pragma once
-// Native row-parallel execution: a persistent std::thread pool with chunked
-// dynamic scheduling, built for the image-level diff loop.
+// Native row-parallel execution: a persistent std::thread pool with dynamic
+// scheduling, built for the image-level diff loop.
 //
 // The paper's systolic array gets its speed from row independence; the
 // software hot path must too, with no parallel runtime to depend on.
-// RowExecutor is that guarantee: plain
-// std::thread workers parked on a condition variable, woken per run() to
-// claim fixed-size chunks of the index space from a shared atomic cursor
-// (the software analogue of `#pragma omp for schedule(dynamic, chunk)`).
+// RowExecutor is that guarantee: plain std::thread workers parked on a
+// condition variable, woken per run() to claim index ranges from a shared
+// atomic cursor (`#pragma omp for schedule(dynamic, grain)` in software).
+// Each run derives its grain from its size, about 8 claims per participant:
+// a 48-row image on 4 participants claims a row at a time, so a helper that
+// wakes late still finds work; a 2048-row image claims 64.
 //
 // Key properties:
 //   * caller participation — the thread calling run() works too (slot 0),
-//     so a 1-thread run never pays a handoff and small images never pay a
-//     wakeup;
+//     so a 1-thread run never pays a handoff;
 //   * per-slot identity — the body receives a dense slot index, letting
 //     callers keep one scratch workspace (e.g. a SystolicDiffMachine whose
 //     cell storage is recycled across rows) per participant with no
@@ -27,10 +28,9 @@
 //     at kMaxThreads, so oversubscription is the caller's call, not a
 //     silent clamp.
 //
-// One process-wide pool (global()) is shared by image_diff and anything
-// else that wants row fan-out; per-call parallelism is limited through
-// run()'s max_parallelism, so concurrent callers coexist without each
-// owning threads.
+// One process-wide pool (global()); per-call parallelism is limited through
+// run()'s max_parallelism, which is also how a caller keeps work too small
+// to wake helpers on itself (image_diff's row_parallelism).
 
 #include <condition_variable>
 #include <cstddef>
@@ -49,9 +49,6 @@ struct RowExecutorConfig {
   /// Worker parallelism for max_parallelism == 0 runs: 0 = auto, i.e.
   /// std::thread::hardware_concurrency() with 0 treated as 1.
   std::size_t threads = 0;
-
-  /// Default indices claimed per grab (the dynamic-scheduling grain).
-  std::size_t chunk = 16;
 };
 
 /// Who ran what in one run(): rows_per_slot[s] counts the indices executed
@@ -67,7 +64,7 @@ struct RowRunStats {
   std::uint64_t parallel_rows() const;
 };
 
-/// Persistent worker pool with chunked dynamic scheduling.
+/// Persistent worker pool with dynamic scheduling.
 class RowExecutor {
  public:
   /// `fn(index, slot)`: slot is dense in [0, plan_slots(...)) and unique
@@ -89,21 +86,20 @@ class RowExecutor {
   /// max_parallelism == 0 run may use.
   std::size_t thread_count() const { return auto_parallelism_; }
 
-  /// Upper bound on the slot indices a run with these parameters can hand
-  /// out — size per-slot scratch with this.  Deterministic for fixed
+  /// The participants a run with these parameters admits, at most one per
+  /// index — size per-slot scratch with this.  Deterministic for fixed
   /// arguments; 0 only when n == 0.
-  std::size_t plan_slots(std::size_t n, std::size_t max_parallelism = 0,
-                         std::size_t chunk = 0) const;
+  std::size_t plan_slots(std::size_t n, std::size_t max_parallelism = 0) const;
 
-  /// Runs fn over [0, n) with chunked dynamic scheduling.  max_parallelism
-  /// limits participants for this run (0 = the pool's auto sizing; values
-  /// above the current pool size grow it, up to kMaxThreads); chunk
-  /// overrides the config grain (0 = default).  Blocks until every index
-  /// has executed; rethrows the first exception a body threw (remaining
-  /// chunks are abandoned, the pool stays usable).  Thread-safe: concurrent
-  /// run() calls share the workers.
+  /// Runs fn over [0, n) with dynamic scheduling, claiming
+  /// max(1, n / (8 * plan_slots(n, max_parallelism))) indices per grab.
+  /// max_parallelism limits participants for this run (0 = the pool's auto
+  /// sizing; values above the current pool size grow it, up to
+  /// kMaxThreads).  Blocks until every index has executed; rethrows the
+  /// first exception a body threw (unclaimed indices are abandoned, the pool
+  /// stays usable).  Thread-safe: concurrent run() calls share the workers.
   RowRunStats run(std::size_t n, const RowFn& fn,
-                  std::size_t max_parallelism = 0, std::size_t chunk = 0);
+                  std::size_t max_parallelism = 0);
 
   /// The one thread-count resolution rule (shared by the CLI, the service
   /// and the pool itself): requested > 0 is honoured (capped at
@@ -124,7 +120,6 @@ class RowExecutor {
   /// Removes `job` from the pending deque if present.  Caller holds mu_.
   void unlist(const std::shared_ptr<Job>& job);
 
-  RowExecutorConfig config_;
   std::size_t auto_parallelism_ = 1;
 
   mutable std::mutex mu_;

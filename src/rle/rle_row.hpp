@@ -6,6 +6,7 @@
 #include <initializer_list>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rle/run.hpp"
@@ -88,6 +89,13 @@ class RleRow {
   }
 
  private:
+  /// Adopts runs checked_row (rle/serialize.cpp) has already validated
+  /// against the image width, a superset of the row invariant, so a decoded
+  /// row is checked once.
+  struct Checked {};
+  RleRow(std::vector<Run> runs, Checked) : runs_(std::move(runs)) {}
+  friend RleRow checked_row(std::vector<Run> runs, pos_t width);
+
   void validate() const;
   std::vector<Run> runs_;
 };

@@ -72,14 +72,19 @@ void encode_binary(const RleImage& img, bool canonical, Sink&& sink) {
   }
 }
 
-/// Wraps raw runs in an RleRow after validating them against the width.
+}  // namespace
+
+/// Wraps raw runs in an RleRow after validating them against the width: the
+/// decoders' one check of a row (RleRow's friend, so not repeated there).
 RleRow checked_row(std::vector<Run> runs, pos_t width) {
   ValidateOptions opts;
   opts.width = width;
   const RowValidationReport report = validate_runs(runs, opts);
   SYSRLE_REQUIRE(report.ok(), "RLE: invalid row in stream — " + report.to_string());
-  return RleRow(std::move(runs));
+  return RleRow(std::move(runs), RleRow::Checked{});
 }
+
+namespace {
 
 RleImage read_text(std::istream& in) {
   long long width = -1, height = -1;

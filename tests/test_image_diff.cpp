@@ -6,11 +6,13 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bitmap/bit_ops.hpp"
 #include "bitmap/convert.hpp"
 #include "common/assert.hpp"
+#include "core/row_executor.hpp"
 #include "workload/generator.hpp"
 #include "workload/rng.hpp"
 
@@ -100,10 +102,30 @@ TEST(ImageDiff, EmptyImages) {
   EXPECT_EQ(r.counters.iterations, 0u);
 }
 
-// The determinism pin: a 4-thread run must be bit-identical to the serial
-// run — same RleImage, same aggregated counters, same per-row maxima.  This
-// is the guarantee that makes the parallel executor a drop-in replacement
-// (scheduling decides who computes a row, never what).
+/// A 48-row pair from the paper's §5 generator (10000 px rows, runs of
+/// 4–20 px, error runs of 2–6 px) at the given error fraction: batch_diff's
+/// shape, which the row executor spreads over every participant.
+std::pair<RleImage, RleImage> paper_pair(Rng& rng, double error_fraction) {
+  RowGenParams rp;
+  ErrorGenParams ep;
+  ep.error_fraction = error_fraction;
+  std::vector<RleRow> a, b;
+  for (pos_t y = 0; y < 48; ++y) {
+    RowPairSample s = generate_pair(rng, rp, ep);
+    a.push_back(std::move(s.first));
+    b.push_back(std::move(s.second));
+  }
+  return {RleImage(rp.width, std::move(a)), RleImage(rp.width, std::move(b))};
+}
+
+// The determinism pin: a run at 2–8 threads must be bit-identical to the
+// serial run — same RleImage, same aggregated counters, same per-row
+// maxima.  This is the guarantee that makes the parallel executor a drop-in
+// replacement (scheduling decides who computes a row, never what).  The
+// inputs: a 64-row random pair, and 48-row §5 pairs in the similar (3.5%
+// error) and run-dense (30% error) regimes on the host engines (the
+// cycle-level simulator on 10000-px rows takes minutes under the thread
+// sanitizer; the 64-row pair runs it on every thread count).
 TEST(ImageDiff, ParallelMatchesSerialBitForBit) {
   Rng rng(804);
   const RleImage a = random_image(rng, 600, 64, 0.3);
@@ -112,28 +134,66 @@ TEST(ImageDiff, ParallelMatchesSerialBitForBit) {
     Rng row_rng = rng.split();
     b.set_row(y, inject_errors(row_rng, a.row(y), a.width(), {}));
   }
+  const std::vector<std::pair<RleImage, RleImage>> inputs = {
+      {a, b}, paper_pair(rng, 0.035), paper_pair(rng, 0.30)};
 
+  for (std::size_t in = 0; in < inputs.size(); ++in) {
+    const auto& [ia, ib] = inputs[in];
+    for (const DiffEngine engine :
+         {DiffEngine::kSystolic, DiffEngine::kSequentialMerge,
+          DiffEngine::kAdaptive}) {
+      if (engine == DiffEngine::kSystolic && in > 0) continue;
+      ImageDiffOptions serial;
+      serial.engine = engine;
+      serial.threads = 1;
+      const ImageDiffResult rs = image_diff(ia, ib, serial);
+
+      for (std::size_t threads = 2; threads <= 8; ++threads) {
+        ImageDiffOptions parallel = serial;
+        parallel.threads = threads;
+        const ImageDiffResult rp = image_diff(ia, ib, parallel);
+        SCOPED_TRACE(::testing::Message() << "input " << in << ", "
+                                          << to_string(engine) << ", "
+                                          << threads << " threads");
+        EXPECT_EQ(rp.diff, rs.diff);
+        EXPECT_EQ(rp.counters.to_string(), rs.counters.to_string());
+        EXPECT_EQ(rp.max_row_iterations, rs.max_row_iterations);
+        EXPECT_EQ(rp.sequential_iterations, rs.sequential_iterations);
+        EXPECT_EQ(rp.adaptive_systolic_rows, rs.adaptive_systolic_rows);
+        EXPECT_EQ(rp.adaptive_sequential_rows, rs.adaptive_sequential_rows);
+        EXPECT_EQ(rp.adaptive_modelled_iterations,
+                  rs.adaptive_modelled_iterations);
+      }
+    }
+  }
+}
+
+TEST(ImageDiff, PaperHeightImagesFillThePoolAndTinyOnesStaySerial) {
+  // A 48-row §5 pair gets every auto participant of the shared pool; a
+  // pair below the serial threshold plans one slot, whatever was asked.
+  Rng rng(809);
+  RowExecutor& pool = RowExecutor::global();
+  ImageDiffOptions opts;
+  opts.engine = DiffEngine::kAdaptive;
+  for (const double error : {0.035, 0.30}) {
+    const auto [a, b] = paper_pair(rng, error);
+    for (const std::size_t threads : {0, 4}) {
+      opts.threads = threads;
+      EXPECT_EQ(pool.plan_slots(48, row_parallelism(a, b, opts)),
+                threads == 0 ? pool.thread_count() : threads);
+    }
+  }
+
+  const RleImage tiny = random_image(rng, 100, 48, 0.3);
   for (const DiffEngine engine :
-       {DiffEngine::kSystolic, DiffEngine::kSequentialMerge,
-        DiffEngine::kAdaptive}) {
-    ImageDiffOptions serial;
-    serial.engine = engine;
-    serial.threads = 1;
-    const ImageDiffResult rs = image_diff(a, b, serial);
-
-    ImageDiffOptions parallel = serial;
-    parallel.threads = 4;
-    const ImageDiffResult rp = image_diff(a, b, parallel);
-
-    EXPECT_EQ(rp.diff, rs.diff) << to_string(engine);
-    EXPECT_EQ(rp.counters.to_string(), rs.counters.to_string())
-        << to_string(engine);
-    EXPECT_EQ(rp.max_row_iterations, rs.max_row_iterations);
-    EXPECT_EQ(rp.sequential_iterations, rs.sequential_iterations);
-    EXPECT_EQ(rp.adaptive_systolic_rows, rs.adaptive_systolic_rows);
-    EXPECT_EQ(rp.adaptive_sequential_rows, rs.adaptive_sequential_rows);
-    EXPECT_EQ(rp.adaptive_modelled_iterations,
-              rs.adaptive_modelled_iterations);
+       {DiffEngine::kAdaptive, DiffEngine::kSystolic}) {
+    opts.engine = engine;
+    for (const std::size_t threads : {0, 4}) {
+      opts.threads = threads;
+      EXPECT_EQ(pool.plan_slots(48, row_parallelism(tiny, tiny, opts)), 1u)
+          << to_string(engine) << ", " << threads << " threads";
+      EXPECT_EQ(image_diff(tiny, tiny, opts).threads_used, 1u);
+    }
   }
 }
 
@@ -157,7 +217,7 @@ TEST(ImageDiff, ConcurrentCallsShareTheGlobalPool) {
   // pattern); every caller must still get the exact serial answer.  The
   // TSan CI job runs this for data races.
   Rng rng(807);
-  const RleImage a = random_image(rng, 300, 48, 0.3);
+  const RleImage a = random_image(rng, 5000, 48, 0.3);
   RleImage b = a;
   for (pos_t y = 0; y < b.height(); ++y) {
     Rng row_rng = rng.split();
@@ -169,6 +229,7 @@ TEST(ImageDiff, ConcurrentCallsShareTheGlobalPool) {
   const ImageDiffResult expected = image_diff(a, b, opts);
 
   opts.threads = 3;
+  ASSERT_EQ(row_parallelism(a, b, opts), 3u);  // the calls share the pool
   std::vector<std::thread> callers;
   std::atomic<int> mismatches{0};
   for (int c = 0; c < 4; ++c) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -20,11 +21,13 @@ namespace sysrle {
 namespace {
 
 TEST(RowExecutor, EveryIndexRunsExactlyOnce) {
-  RowExecutor pool(RowExecutorConfig{4, 16});
+  RowExecutor pool(RowExecutorConfig{4});
+  // 1000 indices on 4 participants claim 31 at a time: the last claim is
+  // short.
   constexpr std::size_t kN = 1000;
   std::vector<std::atomic<int>> hits(kN);
   const RowRunStats stats = pool.run(
-      kN, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); }, 4, 7);
+      kN, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); }, 4);
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
   const std::uint64_t total = std::accumulate(
       stats.rows_per_slot.begin(), stats.rows_per_slot.end(), std::uint64_t{0});
@@ -33,7 +36,7 @@ TEST(RowExecutor, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(RowExecutor, MaxParallelismOneRunsOnCallerOnly) {
-  RowExecutor pool(RowExecutorConfig{4, 16});
+  RowExecutor pool(RowExecutorConfig{4});
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ran_on(100);
   const RowRunStats stats = pool.run(
@@ -49,7 +52,7 @@ TEST(RowExecutor, MaxParallelismOneRunsOnCallerOnly) {
 }
 
 TEST(RowExecutor, EmptyAndSingleIndexRuns) {
-  RowExecutor pool(RowExecutorConfig{2, 16});
+  RowExecutor pool(RowExecutorConfig{2});
   bool ran = false;
   RowRunStats stats = pool.run(0, [&](std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
@@ -65,8 +68,8 @@ TEST(RowExecutor, EmptyAndSingleIndexRuns) {
 }
 
 TEST(RowExecutor, SlotsAreDenseAndWithinPlan) {
-  RowExecutor pool(RowExecutorConfig{4, 4});
-  const std::size_t plan = pool.plan_slots(64, 4, 4);
+  RowExecutor pool(RowExecutorConfig{4});
+  const std::size_t plan = pool.plan_slots(64, 4);
   EXPECT_GE(plan, 1u);
   EXPECT_LE(plan, 4u);
   std::mutex mu;
@@ -78,20 +81,25 @@ TEST(RowExecutor, SlotsAreDenseAndWithinPlan) {
         std::lock_guard<std::mutex> lk(mu);
         seen.insert(slot);
       },
-      4, 4);
+      4);
   EXPECT_GE(seen.size(), 1u);
 }
 
-TEST(RowExecutor, PlanSlotsBoundedByChunks) {
-  RowExecutor pool(RowExecutorConfig{8, 16});
-  // 20 indices at chunk 16 is at most 2 chunks: no 3rd participant possible.
-  EXPECT_LE(pool.plan_slots(20, 8, 16), 2u);
-  EXPECT_EQ(pool.plan_slots(0, 8, 16), 0u);
-  EXPECT_EQ(pool.plan_slots(1, 8, 16), 1u);
+TEST(RowExecutor, PlanSlotsBoundedByIndexCount) {
+  RowExecutor pool(RowExecutorConfig{8});
+  // 3 indices admit at most 3 participants: a 4th could never get work.
+  EXPECT_LE(pool.plan_slots(3, 8), 3u);
+  EXPECT_EQ(pool.plan_slots(0, 8), 0u);
+  EXPECT_EQ(pool.plan_slots(1, 8), 1u);
+  // A 48-row image (the paper's §5 shape) is claimed about a row at a
+  // time, so every participant asked for, auto or explicit, is planned.
+  EXPECT_EQ(pool.plan_slots(48), 8u);
+  EXPECT_EQ(pool.plan_slots(48, 4), 4u);
+  EXPECT_EQ(pool.plan_slots(48, 1), 1u);
 }
 
 TEST(RowExecutor, ExceptionPropagatesAndPoolSurvives) {
-  RowExecutor pool(RowExecutorConfig{4, 1});
+  RowExecutor pool(RowExecutorConfig{4});
   EXPECT_THROW(
       pool.run(100,
                [](std::size_t i, std::size_t) {
@@ -118,9 +126,9 @@ TEST(RowExecutor, ForcedParallelismEngagesHelpers) {
   // until all 4 slots have arrived, so the run *must* use 4 threads even on
   // a 1-core machine.  This is the oversubscription guarantee --threads
   // relies on.
-  RowExecutor pool(RowExecutorConfig{4, 1});
+  RowExecutor pool(RowExecutorConfig{4});
   constexpr std::size_t kSlots = 4;
-  ASSERT_EQ(pool.plan_slots(kSlots, kSlots, 1), kSlots);
+  ASSERT_EQ(pool.plan_slots(kSlots, kSlots), kSlots);
   std::mutex mu;
   std::condition_variable cv;
   std::size_t arrived = 0;
@@ -132,15 +140,41 @@ TEST(RowExecutor, ForcedParallelismEngagesHelpers) {
         cv.notify_all();
         cv.wait(lk, [&] { return arrived == kSlots; });
       },
-      kSlots, 1);
+      kSlots);
   EXPECT_EQ(stats.threads_used(), kSlots);
   EXPECT_EQ(stats.parallel_rows(), kSlots - 1);
+}
+
+TEST(RowExecutor, EveryParticipantWorksOnPaperHeightImage) {
+  // Each participant holds its first row until all 4 have one, so the run
+  // completes only if the 48 rows are split into at least 4 claims.  The
+  // wait is bounded: a schedule that leaves a participant without work
+  // fails the test instead of hanging it.
+  RowExecutor pool(RowExecutorConfig{4});
+  constexpr std::size_t kSlots = 4;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::size_t> arrived;
+  bool all_arrived = true;
+  const RowRunStats stats = pool.run(
+      48,
+      [&](std::size_t, std::size_t slot) {
+        std::unique_lock<std::mutex> lk(mu);
+        if (!arrived.insert(slot).second) return;
+        cv.notify_all();
+        if (!cv.wait_for(lk, std::chrono::seconds(10),
+                         [&] { return arrived.size() == kSlots; }))
+          all_arrived = false;
+      },
+      kSlots);
+  EXPECT_TRUE(all_arrived);
+  EXPECT_EQ(stats.threads_used(), kSlots);
 }
 
 TEST(RowExecutor, ConcurrentCallersShareThePool) {
   // Several threads issue run() against one pool at once — the service's
   // usage pattern.  Checked for data races by the TSan CI job.
-  RowExecutor pool(RowExecutorConfig{4, 8});
+  RowExecutor pool(RowExecutorConfig{4});
   constexpr int kCallers = 4;
   constexpr std::size_t kN = 300;
   std::atomic<std::uint64_t> grand_total{0};
