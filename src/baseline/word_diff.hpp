@@ -24,12 +24,17 @@
 // levels compiled into the binary.
 //
 // Dispatch guard: the packed pass wins when run boundaries are dense per
-// word — fragmented rows are exactly where the scalar merge drowns in
-// mispredicted branches — and loses when runs are few and far apart, where
-// the merge's Θ(k1 + k2) is small and packing the extent is pure overhead.
+// word — fragmented rows are exactly where a merge drowns in mispredicted
+// branches — and loses when runs are few and far apart, where the merge's
+// Θ(k1 + k2) is small and packing the extent is pure overhead.
 // sequential_engine_xor routes to the word path only when
 // k1 + k2 >= kMinRunsPerWord * extent_words, which also caps its cost at a
-// constant factor of min(O(k1+k2), O(width/64)) for every input.
+// constant factor of min(O(k1+k2), O(width/64)) for every input.  Sparse
+// rows and rows with an empty side take a toggle merge: one walk over both
+// rows' boundary toggles that emits canonical runs directly and skips every
+// identical run pair whenever both rows sit outside a run, so a similar
+// pair costs what its differences cost (the paper's §5 result, on the
+// host).
 
 #include <cstdint>
 #include <vector>
@@ -66,7 +71,9 @@ SequentialDiffResult word_parallel_xor(const RleRow& a, const RleRow& b,
 /// active_simd_level(), applies the run-density guard, and always returns
 /// canonical output (the scalar level canonicalizes the oracle's result so
 /// all levels agree bit-for-bit).  `iterations` is words scanned on the
-/// word path or merge iterations on the scalar path.
+/// word path, input runs touched on the toggle merge (one per skipped
+/// identical pair, so within k1 + k2 and above 0 for non-empty input), and
+/// sequential_xor's merge iterations at the scalar level.
 SequentialDiffResult sequential_engine_xor(const RleRow& a, const RleRow& b);
 
 namespace detail {

@@ -20,8 +20,8 @@ std::uint64_t RowRunStats::parallel_rows() const {
   return rows;
 }
 
-/// One run() in flight.  The atomic cursor is the scheduling state; slot
-/// assignment and helper accounting stay under the pool mutex.
+/// One run() in flight.  The atomic cursors are the scheduling and
+/// completion state; slot assignment and the error stay under the pool mutex.
 struct RowExecutor::Job {
   /// Claims per participant the grain aims at: several, so skewed row costs
   /// and late-waking helpers even out, and no more, so the shared cursor
@@ -33,21 +33,16 @@ struct RowExecutor::Job {
   std::size_t grain = 1;
   std::size_t max_slots = 1;
 
-  std::atomic<std::size_t> next{0};    ///< first unclaimed index
-  std::atomic<bool> failed{false};     ///< a body threw; stop claiming
+  std::atomic<std::size_t> next{0};      ///< first unclaimed index
+  std::atomic<std::size_t> finished{0};  ///< indices run or abandoned
 
   // Guarded by RowExecutor::mu_.
   std::size_t slots_taken = 1;         ///< slot 0 is the caller's
-  std::size_t active_helpers = 0;
   std::exception_ptr error;
 
-  /// Written once per participant at its unique slot index; read by the
-  /// caller only after every helper has retired.
+  /// Written at a participant's unique slot index before each of its
+  /// claims counts in `finished`; read by the caller once it reaches n.
   std::vector<std::uint64_t> rows_per_slot;
-
-  bool exhausted() const {
-    return next.load(std::memory_order_relaxed) >= n;
-  }
 };
 
 RowExecutor::RowExecutor(RowExecutorConfig config)
@@ -111,11 +106,10 @@ RowRunStats RowExecutor::run(std::size_t n, const RowFn& fn,
 
   execute(*job, 0);  // the caller is participant 0
 
-  std::unique_lock<std::mutex> lk(mu_);
-  // All indices are claimed; helpers that have not joined yet would find no
-  // work, so stop advertising the job.
-  unlist(job);
-  done_cv_.wait(lk, [&] { return job->active_helpers == 0; });
+  // Every index is claimed: whoever finishes the last one wakes us.  A helper
+  // joining later finds the cursor spent and touches only the job it shares.
+  for (std::size_t f; (f = job->finished.load(std::memory_order_acquire)) < n;)
+    job->finished.wait(f, std::memory_order_acquire);
   if (job->error) std::rethrow_exception(job->error);
   stats.rows_per_slot = std::move(job->rows_per_slot);
   return stats;
@@ -127,37 +121,42 @@ void RowExecutor::worker_loop() {
     work_cv_.wait(lk, [&] { return stop_ || !jobs_.empty(); });
     if (stop_) return;
     std::shared_ptr<Job> job = jobs_.front();
-    if (job->slots_taken >= job->max_slots || job->exhausted()) {
+    if (job->slots_taken >= job->max_slots ||
+        job->next.load(std::memory_order_relaxed) >= job->n) {
       unlist(job);  // stale entry; re-examine the queue
       continue;
     }
     const std::size_t slot = job->slots_taken++;
     if (job->slots_taken >= job->max_slots) unlist(job);
-    ++job->active_helpers;
     lk.unlock();
     execute(*job, slot);
     lk.lock();
-    if (--job->active_helpers == 0) done_cv_.notify_all();
   }
 }
 
 void RowExecutor::execute(Job& job, std::size_t slot) {
   std::uint64_t done = 0;
-  try {
-    while (!job.failed.load(std::memory_order_relaxed)) {
-      const std::size_t begin =
-          job.next.fetch_add(job.grain, std::memory_order_relaxed);
-      if (begin >= job.n) break;
-      const std::size_t end = std::min(begin + job.grain, job.n);
+  for (;;) {
+    const std::size_t begin =
+        job.next.fetch_add(job.grain, std::memory_order_relaxed);
+    if (begin >= job.n) return;
+    const std::size_t end = std::min(begin + job.grain, job.n);
+    std::size_t count = end - begin;
+    try {
       for (std::size_t i = begin; i < end; ++i) (*job.fn)(i, slot);
-      done += end - begin;
+      job.rows_per_slot[slot] = done += count;
+    } catch (...) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!job.error) job.error = std::current_exception();
+      // Abandon every unclaimed index, counted with this claim's rest.
+      const std::size_t rest = job.next.exchange(job.n);
+      if (rest < job.n) count += job.n - rest;
     }
-  } catch (...) {
-    job.failed.store(true, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lk(mu_);
-    if (!job.error) job.error = std::current_exception();
+    // Whoever finishes the last index wakes the caller.
+    if (job.finished.fetch_add(count, std::memory_order_acq_rel) + count ==
+        job.n)
+      job.finished.notify_all();
   }
-  job.rows_per_slot[slot] = done;
 }
 
 void RowExecutor::ensure_workers(std::size_t helpers) {

@@ -21,8 +21,13 @@
 //   * deterministic results — scheduling only decides *who* computes an
 //     index, never *what*; callers write outcomes into per-index slots and
 //     aggregate serially, so output is bit-identical to a serial run;
-//   * exception safety — a throwing body stops the run early, the first
-//     exception is rethrown on the caller, and the pool stays usable;
+//   * completion at the last index — participants count finished indices
+//     in one atomic, and whoever finishes the last wakes the caller, so
+//     run() does not wait for helpers to retire; a helper that joins late
+//     finds the cursor spent and touches only the job it shares;
+//   * exception safety — a throwing body takes the rest of the cursor and
+//     counts it as abandoned, the first exception is rethrown on the
+//     caller, and the pool stays usable;
 //   * demand growth — explicit parallelism requests beyond the auto sizing
 //     (e.g. `--threads 8` on a 2-core box) spawn the extra workers, capped
 //     at kMaxThreads, so oversubscription is the caller's call, not a
@@ -95,7 +100,7 @@ class RowExecutor {
   /// max(1, n / (8 * plan_slots(n, max_parallelism))) indices per grab.
   /// max_parallelism limits participants for this run (0 = the pool's auto
   /// sizing; values above the current pool size grow it, up to
-  /// kMaxThreads).  Blocks until every index has executed; rethrows the
+  /// kMaxThreads).  Returns when every index has executed; rethrows the
   /// first exception a body threw (unclaimed indices are abandoned, the pool
   /// stays usable).  Thread-safe: concurrent run() calls share the workers.
   RowRunStats run(std::size_t n, const RowFn& fn,
@@ -124,7 +129,6 @@ class RowExecutor {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait here for jobs
-  std::condition_variable done_cv_;  ///< callers wait here for helpers
   std::deque<std::shared_ptr<Job>> jobs_;
   std::vector<std::thread> workers_;
   bool stop_ = false;

@@ -10,6 +10,8 @@
 #include <string>
 
 #include "baseline/sequential_diff.hpp"
+#include "baseline/simd_dispatch.hpp"
+#include "baseline/word_diff.hpp"
 #include "core/bus_variant.hpp"
 #include "core/systolic_diff.hpp"
 #include "rle/encode.hpp"
@@ -54,6 +56,49 @@ TEST(Exhaustive, AllWidth7PairsAllEngines) {
           << "sequential: " << sa << " ^ " << sb;
     }
   }
+}
+
+/// The same row with every run of length >= 2 split in two adjacent pieces
+/// (legal, non-canonical input).
+RleRow split_runs(const RleRow& row) {
+  RleRow out;
+  for (const Run& r : row) {
+    if (r.length < 2) {
+      out.push_back(r);
+      continue;
+    }
+    out.push_back(Run{r.start, 1});
+    out.push_back(Run{r.start + 1, r.length - 1});
+  }
+  return out;
+}
+
+TEST(Exhaustive, AllWidth7PairsThroughTheEngineAtEveryLevel) {
+  // The production engine (merge branch with identical-pair skips, the word
+  // path, and the scalar oracle level) on every width-7 pair, canonical and
+  // split inputs alike: output equals string XOR and is canonical.
+  const SimdLevel saved = active_simd_level();
+  for (const SimdLevel level : supported_simd_levels()) {
+    set_simd_level(level);
+    for (unsigned va = 0; va < (1u << kWidth); ++va) {
+      const RleRow a = encode_bitstring(bits_of(va));
+      const RleRow as = split_runs(a);
+      for (unsigned vb = 0; vb < (1u << kWidth); ++vb) {
+        const RleRow b = encode_bitstring(bits_of(vb));
+        const RleRow expected = encode_bitstring(bits_of(va ^ vb));
+        const RleRow bs = split_runs(b);
+        for (const RleRow* x : {&a, &as}) {
+          for (const RleRow* y : {&b, &bs}) {
+            const SequentialDiffResult r = sequential_engine_xor(*x, *y);
+            ASSERT_EQ(r.output, expected)
+                << to_string(level) << ": " << *x << " ^ " << *y;
+            ASSERT_TRUE(r.output.is_canonical());
+          }
+        }
+      }
+    }
+  }
+  set_simd_level(saved);
 }
 
 TEST(Exhaustive, Theorem1BoundIsTight) {

@@ -114,6 +114,37 @@ TEST(RowExecutor, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(count.load(), 50u);
 }
 
+TEST(RowExecutor, ThrowingBodyAbandonsTheRestExactlyOnce) {
+  // A throw at one index abandons the unclaimed rest: the run rethrows, no
+  // index runs twice, and the next run still executes every index once.
+  RowExecutor pool(RowExecutorConfig{4});
+  constexpr std::size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  for (int repeat = 0; repeat < 200; ++repeat) {
+    for (auto& h : hits) h.store(0);
+    const std::size_t bad = static_cast<std::size_t>(repeat * 37) % kN;
+    EXPECT_THROW(pool.run(
+                     kN,
+                     [&](std::size_t i, std::size_t) {
+                       hits[i].fetch_add(1);
+                       if (i == bad) throw std::runtime_error("bad row");
+                     },
+                     4),
+                 std::runtime_error);
+    for (std::size_t i = 0; i < kN; ++i) ASSERT_LE(hits[i].load(), 1) << i;
+    ASSERT_EQ(hits[bad].load(), 1);
+
+    for (auto& h : hits) h.store(0);
+    const RowRunStats stats =
+        pool.run(kN, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); },
+                 4);
+    for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+    ASSERT_EQ(std::accumulate(stats.rows_per_slot.begin(),
+                              stats.rows_per_slot.end(), std::uint64_t{0}),
+              kN);
+  }
+}
+
 TEST(RowExecutor, ResolveThreadsRules) {
   EXPECT_GE(RowExecutor::resolve_threads(0), 1u);  // auto is never 0
   EXPECT_EQ(RowExecutor::resolve_threads(1), 1u);

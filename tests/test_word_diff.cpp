@@ -112,6 +112,30 @@ std::vector<std::pair<RleRow, RleRow>> adversarial_pairs() {
   out.push_back({RleRow{{3, 2}, {999999, 3}}, RleRow{{500000, 1}}});
   // Adjacent runs in the input (legal, non-canonical).
   out.push_back({RleRow{{0, 4}, {4, 4}}, RleRow{{2, 4}}});
+  // Identical-pair skips on the merge branch: wide sparse rows stay under
+  // the run-density guard.
+  const RleRow sparse{{10, 5}, {1000, 7}, {5000, 3}, {9000, 9}};
+  out.push_back({sparse, sparse});  // identical: empty XOR
+  out.push_back({sparse, RleRow{{11, 4}, {1000, 7}, {5000, 3}, {9000, 9}}});
+  out.push_back({sparse, RleRow{{10, 5}, {1000, 7}, {5000, 3}, {9000, 8}}});
+  // b splits a's second run: the later identical pairs sit at shifted
+  // indices.
+  out.push_back({sparse,
+                 RleRow{{10, 5}, {1000, 2}, {1004, 3}, {5000, 3}, {9000, 9}}});
+  // A mismatched window ending exactly at a skipped pair, and one whose
+  // diff run [995, 999] ends right before the skipped run at 1000 (the
+  // output must not merge across, nor split, at the skip).
+  out.push_back({sparse, RleRow{{10, 10}, {1000, 7}, {5000, 3}, {9000, 9}}});
+  out.push_back({RleRow{{10, 5}, {990, 5}, {1000, 7}, {5000, 3}},
+                 RleRow{{10, 5}, {990, 10}, {1000, 7}, {5000, 3}}});
+  // Adjacent (non-canonical) input runs next to a skipped pair.
+  out.push_back({RleRow{{10, 5}, {15, 5}, {1000, 7}, {5000, 3}},
+                 RleRow{{10, 10}, {1000, 7}, {5000, 3}}});
+  out.push_back({RleRow{{10, 5}, {1000, 7}, {1007, 2}, {5000, 3}},
+                 RleRow{{10, 5}, {1000, 7}, {5000, 3}}});
+  // One empty side: a canonical copy of the other.
+  out.push_back({RleRow{{10, 5}, {15, 5}, {1000, 7}}, RleRow{}});
+  out.push_back({RleRow{}, sparse});
   return out;
 }
 
