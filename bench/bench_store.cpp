@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   // The library fast path, not the cycle-level machine simulation: the
   // claim under test is that the store amortizes per-request *ingestion*
   // (parse + fingerprint), which only shows once the diff itself runs at
-  // production speed.
-  options.engine = DiffEngine::kParitySweep;
+  // production speed.  That is the default engine.
 
   // --- 1. hot-reference throughput ---------------------------------------
   // One reference, a small pool of scans, both sides pre-registered.  The
@@ -291,14 +290,14 @@ int main(int argc, char** argv) {
           diff_fp_by_id[i] ==
           diff_fp_by_id[i % static_cast<std::uint64_t>(kPairs)];
     const bool cache_serves_repeats =
-        rt.cache_hits == expected_hits &&
+        cs.hits == expected_hits &&
         bk.engine_invocations == static_cast<std::uint64_t>(kPairs);
     const bool cache_accounted = cs.accounted() && rt.accounted();
 
     std::cout << "--- 2. result-cache hit ratio (" << kPairs << " pairs x "
               << kRepeats << " sequential repeats) ---\n"
               << "engine invocations: " << bk.engine_invocations
-              << "  cache hits: " << rt.cache_hits << "/" << cs.lookups
+              << "  cache hits: " << cs.hits << "/" << cs.lookups
               << " lookups (ratio " << hit_ratio << ")\n"
               << "replay bit-identical: " << (replay_identical ? "yes" : "NO")
               << "\n\n";
@@ -387,7 +386,7 @@ int main(int argc, char** argv) {
                         static_cast<double>(hot_stats.acquires));
       report.set_scalar("cache_engine_invocations",
                         static_cast<double>(bk.engine_invocations));
-      report.set_scalar("cache_hits", static_cast<double>(rt.cache_hits));
+      report.set_scalar("cache_hits", static_cast<double>(cs.hits));
       report.set_scalar("cache_lookups", static_cast<double>(cs.lookups));
       report.set_scalar("cache_hit_ratio", hit_ratio);
       report.set_scalar("churn_registered",

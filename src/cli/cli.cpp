@@ -227,11 +227,9 @@ DiffEngine parse_engine(const std::string& name) {
   if (name == "systolic") return DiffEngine::kSystolic;
   if (name == "bus") return DiffEngine::kBusSystolic;
   if (name == "sequential") return DiffEngine::kSequentialMerge;
-  if (name == "sweep") return DiffEngine::kParitySweep;
-  if (name == "pixel") return DiffEngine::kPixelParallel;
   if (name == "adaptive") return DiffEngine::kAdaptive;
   usage_error("unknown engine '" + name +
-              "' (systolic|bus|sequential|sweep|pixel|adaptive)");
+              "' (systolic|bus|sequential|adaptive)");
 }
 
 /// Resolves --threads: absent = 0 (auto); present values must be >= 1 —
@@ -1149,6 +1147,8 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
   if (flight) set_flight_recorder(nullptr);
   const RouterStats rt = router.stats();
   const ServiceStats st = router.backend_stats();
+  // The router's cache counts are its own cache's (all 0 without --store).
+  const CacheStats cs = cache ? cache->stats() : CacheStats{};
 
   const std::uint64_t slo_now = slo_now_us();
   const SloTracker::Burn slo_short = slo.short_window(slo_now);
@@ -1213,9 +1213,9 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.member("coalesce_promotions", rt.coalesce_promotions);
     w.member("coalesce_collisions", rt.coalesce_collisions);
     w.member("waiter_deadline_sheds", rt.waiter_deadline_sheds);
-    w.member("cache_hits", rt.cache_hits);
-    w.member("cache_misses", rt.cache_misses);
-    w.member("cache_stores", rt.cache_stores);
+    w.member("cache_hits", cs.hits);
+    w.member("cache_misses", cs.misses);
+    w.member("cache_stores", cs.insertions);
     w.end_object();
     // Backend view, aggregated over every replica DiffService.
     w.key("backend");
@@ -1260,7 +1260,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     }
     w.key("cache");
     if (cache) {
-      const CacheStats cs = cache->stats();
       w.begin_object();
       w.member("lookups", cs.lookups);
       w.member("hits", cs.hits);
@@ -1355,7 +1354,7 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     w.member("accounting_ok",
              rt.accounted() && st.responses() == st.admitted &&
                  (!store || store->stats().accounted()) &&
-                 (!cache || cache->stats().accounted()));
+                 (!cache || cs.accounted()));
     // Interactive SLO (sysrle.serve.v3): latency-objective burn rates over
     // the short/long rolling windows at drain time.
     w.key("slo");
@@ -1417,8 +1416,8 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
     table.add_row({"failovers", FixedTable::num(rt.failovers)});
     table.add_row({"coalesced", FixedTable::num(rt.coalesced)});
     if (use_store) {
-      table.add_row({"cache hits", FixedTable::num(rt.cache_hits)});
-      table.add_row({"cache misses", FixedTable::num(rt.cache_misses)});
+      table.add_row({"cache hits", FixedTable::num(cs.hits)});
+      table.add_row({"cache misses", FixedTable::num(cs.misses)});
     }
     table.add_row({"deadline misses", FixedTable::num(st.deadline_misses)});
     out << table.str();
@@ -1430,7 +1429,6 @@ int cmd_serve(ArgParser& args, std::ostream& out) {
           << (ss.accounted() ? "true" : "false") << '\n';
     }
     if (cache) {
-      const CacheStats cs = cache->stats();
       out << "cache: lookups=" << cs.lookups << " hits=" << cs.hits
           << " misses=" << cs.misses << " accounting_ok="
           << (cs.accounted() ? "true" : "false") << '\n';
@@ -1635,9 +1633,9 @@ void print_help(std::ostream& out) {
          "                    SYSRLE_SIMD environment variable sets the same\n"
          "                    knob (--simd wins).  Unsupported levels are a\n"
          "                    usage error, never a silent downgrade.\n\n"
-         "engines: systolic | bus | sequential | sweep | pixel |\n"
-         "         adaptive (runs sequential; reports each row's theta route\n"
-         "         and the modelled systolic iterations);\n"
+         "engines: systolic | bus | sequential | adaptive (runs sequential;\n"
+         "         reports each row's theta route and the modelled systolic\n"
+         "         iterations);\n"
          "         systolic is the default for diff/inspect/perf, sequential\n"
          "         (the word-parallel host fast path) for serve\n"
          "threads: --threads N runs up to N row workers (N >= 1); omitted or\n"

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "baseline/pixel_parallel.hpp"
 #include "baseline/sequential_diff.hpp"
 #include "baseline/word_diff.hpp"
 #include "common/assert.hpp"
@@ -12,7 +11,6 @@
 #include "core/cost_model.hpp"
 #include "core/row_executor.hpp"
 #include "core/systolic_diff.hpp"
-#include "rle/ops.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace sysrle {
@@ -25,10 +23,6 @@ const char* to_string(DiffEngine engine) {
       return "bus-systolic";
     case DiffEngine::kSequentialMerge:
       return "sequential-merge";
-    case DiffEngine::kParitySweep:
-      return "parity-sweep";
-    case DiffEngine::kPixelParallel:
-      return "pixel-parallel";
     case DiffEngine::kAdaptive:
       return "adaptive";
   }
@@ -83,18 +77,18 @@ RowDiff diff_row(const RleRow& a, const RleRow& b,
       out.sequential_iterations = r.iterations;
       break;
     }
-    case DiffEngine::kParitySweep:
-      out.output = xor_rows(a, b);  // canonical by construction
-      break;
-    case DiffEngine::kPixelParallel: {
-      // Rows carry no width, so the pipeline spans the rows' joint extent.
-      const pos_t extent = std::max(a.empty() ? 0 : a.last_pixel() + 1,
-                                    b.empty() ? 0 : b.last_pixel() + 1);
-      out.output = pixel_parallel_xor(a, b, extent).output;  // canonical
-      break;
-    }
   }
   return out;
+}
+
+void RowTally::add(const RowDiff& row) {
+  counters += row.counters;
+  max_row_iterations = std::max(max_row_iterations, row.counters.iterations);
+  sequential_iterations += row.sequential_iterations;
+  if (row.adaptive_route == AdaptiveRoute::kSystolic) ++adaptive_systolic_rows;
+  if (row.adaptive_route == AdaptiveRoute::kSequential)
+    ++adaptive_sequential_rows;
+  adaptive_modelled_iterations += row.adaptive_modelled_iterations;
 }
 
 namespace {
@@ -149,15 +143,7 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
   result.diff = RleImage(a.width(), height);
   for (pos_t y = 0; y < height; ++y) {
     RowDiff& o = outcomes[static_cast<std::size_t>(y)];
-    result.max_row_iterations =
-        std::max(result.max_row_iterations, o.counters.iterations);
-    result.counters += o.counters;
-    result.sequential_iterations += o.sequential_iterations;
-    if (o.adaptive_route == AdaptiveRoute::kSystolic)
-      ++result.adaptive_systolic_rows;
-    if (o.adaptive_route == AdaptiveRoute::kSequential)
-      ++result.adaptive_sequential_rows;
-    result.adaptive_modelled_iterations += o.adaptive_modelled_iterations;
+    result.add(o);
     result.diff.set_row(y, std::move(o.output));
   }
   result.threads_used = std::max<std::uint64_t>(stats.threads_used(), 1);
@@ -170,11 +156,6 @@ ImageDiffResult image_diff(const RleImage& a, const RleImage& b,
     for (const std::uint64_t rows : stats.rows_per_slot)
       if (rows > 0)
         m.observe("image.rows_per_thread", static_cast<double>(rows));
-    m.add("image.parallel_rows", result.parallel_rows);
-    if (options.engine == DiffEngine::kAdaptive) {
-      m.add("adaptive.picked_systolic", result.adaptive_systolic_rows);
-      m.add("adaptive.picked_sequential", result.adaptive_sequential_rows);
-    }
   }
   return result;
 }

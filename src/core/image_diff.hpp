@@ -29,8 +29,6 @@ enum class DiffEngine {
   kSystolic,         ///< the paper's machine (cycle-level simulation)
   kBusSystolic,      ///< section-6 broadcast-bus variant
   kSequentialMerge,  ///< the paper's sequential comparator
-  kParitySweep,      ///< library fast path (rle/ops.hpp xor_rows)
-  kPixelParallel,    ///< decompress + word-parallel XOR + recompress
   kAdaptive,         ///< runs kSequentialMerge on every row and reports
                      ///< the route θ picks on the cheap half of the §5
                      ///< cost model plus the modelled systolic iterations
@@ -59,10 +57,23 @@ struct ImageDiffOptions {
   std::size_t threads = 0;
 };
 
-/// Aggregated result of an image-level diff.
-struct ImageDiffResult {
-  RleImage diff{0, 0};             ///< per-row XOR of the two images
-  SystolicCounters counters;       ///< summed machine activity (systolic/bus)
+/// One row's diff as produced by diff_row.
+struct RowDiff {
+  RleRow output;
+  SystolicCounters counters;                ///< machine activity (systolic/bus)
+  std::uint64_t sequential_iterations = 0;  ///< merge or word iterations
+  /// kAdaptive only: the route θ picked (the row ran on kSequentialMerge).
+  std::optional<AdaptiveRoute> adaptive_route;
+  /// kAdaptive only: modelled systolic iterations, |k1 - k2| when θ routes
+  /// the row to the array and 0 otherwise.  A model, not a count.
+  std::uint64_t adaptive_modelled_iterations = 0;
+};
+
+/// The per-row counts summed over an image or a stream.  add() is the only
+/// place they are summed, so image_diff and StreamDiffer agree by
+/// construction.
+struct RowTally {
+  SystolicCounters counters;  ///< summed machine activity (systolic/bus)
   std::uint64_t sequential_iterations = 0;  ///< summed merge iterations
   cycle_t max_row_iterations = 0;  ///< worst row (array latency if machines
                                    ///< process rows in parallel)
@@ -75,23 +86,19 @@ struct ImageDiffResult {
   /// `counters` and `max_row_iterations` stay zero.
   std::uint64_t adaptive_modelled_iterations = 0;
 
+  void add(const RowDiff& row);
+  bool operator==(const RowTally&) const = default;
+};
+
+/// Aggregated result of an image-level diff.
+struct ImageDiffResult : RowTally {
+  RleImage diff{0, 0};  ///< per-row XOR of the two images
+
   /// Effective parallelism of this call: participants that processed at
   /// least one row, and rows processed off the calling thread.  A silently
   /// serial run is detectable as threads_used == 1 / parallel_rows == 0.
   std::uint64_t threads_used = 1;
   std::uint64_t parallel_rows = 0;
-};
-
-/// One row's diff as produced by diff_row.
-struct RowDiff {
-  RleRow output;
-  SystolicCounters counters;                ///< machine activity (systolic/bus)
-  std::uint64_t sequential_iterations = 0;  ///< merge or word iterations
-  /// kAdaptive only: the route θ picked (the row ran on kSequentialMerge).
-  std::optional<AdaptiveRoute> adaptive_route;
-  /// kAdaptive only: modelled systolic iterations, |k1 - k2| when θ routes
-  /// the row to the array and 0 otherwise.  A model, not a count.
-  std::uint64_t adaptive_modelled_iterations = 0;
 };
 
 /// The single row-engine dispatch shared by image_diff, StreamDiffer and

@@ -47,17 +47,13 @@ void StreamDiffer::report(pos_t y, const std::string& diagnostic) {
 bool StreamDiffer::refuse_if_expired() {
   if (!deadline_expired_ || !deadline_expired_()) return false;
   ++summary_.expired_rows;
-  if (telemetry_enabled()) global_metrics().add("stream.expired_rows");
   return true;
 }
 
 void StreamDiffer::record_row_telemetry(
-    std::chrono::steady_clock::time_point t0, double queue_depth_runs,
-    bool fell_back, bool poisoned) {
+    std::chrono::steady_clock::time_point t0, double queue_depth_runs) {
+  if (first_push_ == std::chrono::steady_clock::time_point{}) first_push_ = t0;
   MetricsRegistry& m = global_metrics();
-  m.add("stream.rows");
-  if (fell_back) m.add("stream.fallback_rows");
-  if (poisoned) m.add("stream.poisoned_rows");
   const auto t1 = std::chrono::steady_clock::now();
   const auto us = [](std::chrono::steady_clock::duration d) {
     return static_cast<double>(
@@ -85,18 +81,11 @@ bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
   if (refuse_if_expired()) return false;
   TELEMETRY_SPAN("stream.push_row", "stream");
   const bool telem = telemetry_enabled();
-  std::chrono::steady_clock::time_point t0{};
-  if (telem) {
-    t0 = std::chrono::steady_clock::now();
-    if (!saw_first_push_) {
-      first_push_ = t0;
-      saw_first_push_ = true;
-    }
-  }
+  const auto t0 = telem ? std::chrono::steady_clock::now()
+                        : std::chrono::steady_clock::time_point{};
 
   const pos_t y = static_cast<pos_t>(summary_.rows);
   RowDiff row;
-  bool fell_back = false;
 
   try {
     row = run_engine(reference, scan);
@@ -110,37 +99,23 @@ bool StreamDiffer::push_row(const RleRow& reference, const RleRow& scan) {
     row.output = std::move(r.output);
     row.sequential_iterations = r.iterations;
     ++summary_.fallback_rows;
-    fell_back = true;
   }
 
-  const SystolicCounters& row_counters = row.counters;
   ++summary_.rows;
-  summary_.sequential_iterations += row.sequential_iterations;
-  if (row.adaptive_route == AdaptiveRoute::kSystolic)
-    ++summary_.adaptive_systolic_rows;
-  if (row.adaptive_route == AdaptiveRoute::kSequential)
-    ++summary_.adaptive_sequential_rows;
-  summary_.adaptive_modelled_iterations += row.adaptive_modelled_iterations;
+  summary_.add(row);
   // Saturating: hostile near-len_t-max runs must not overflow the total.
   const len_t pixels = row.output.foreground_pixels();
   summary_.difference_pixels =
       pixels > std::numeric_limits<len_t>::max() - summary_.difference_pixels
           ? std::numeric_limits<len_t>::max()
           : summary_.difference_pixels + pixels;
-  summary_.max_row_iterations =
-      std::max(summary_.max_row_iterations, row_counters.iterations);
   // Double-buffered latency: computing this row overlaps loading the next
   // one, streamed into the shadow registers at one run per cycle.
   const cycle_t load_cycles = reference.run_count() + scan.run_count();
   summary_.pipelined_cycles +=
-      std::max<cycle_t>(row_counters.iterations, load_cycles);
-  summary_.counters += row_counters;
+      std::max<cycle_t>(row.counters.iterations, load_cycles);
 
-  if (telem) {
-    record_row_telemetry(
-        t0, static_cast<double>(reference.run_count() + scan.run_count()),
-        fell_back, /*poisoned=*/false);
-  }
+  if (telem) record_row_telemetry(t0, static_cast<double>(load_cycles));
 
   on_row_(y, row.output);
   return true;
@@ -153,14 +128,8 @@ bool StreamDiffer::push_row_runs(std::vector<Run> reference,
   if (!ra.ok() || !rb.ok()) {
     if (refuse_if_expired()) return false;
     const bool telem = telemetry_enabled();
-    std::chrono::steady_clock::time_point t0{};
-    if (telem) {
-      t0 = std::chrono::steady_clock::now();
-      if (!saw_first_push_) {
-        first_push_ = t0;
-        saw_first_push_ = true;
-      }
-    }
+    const auto t0 = telem ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
     const pos_t y = static_cast<pos_t>(summary_.rows);
     report(y, !ra.ok() ? describe("reference", ra) : describe("scan", rb));
     ++summary_.rows;
@@ -168,8 +137,7 @@ bool StreamDiffer::push_row_runs(std::vector<Run> reference,
     // A poisoned row carries zero runs into the machine, so the queue-depth
     // gauge is recorded at baseline (0) rather than left at the previous
     // row's value.
-    if (telem)
-      record_row_telemetry(t0, 0.0, /*fell_back=*/false, /*poisoned=*/true);
+    if (telem) record_row_telemetry(t0, 0.0);
     on_row_(y, RleRow{});
     return true;
   }

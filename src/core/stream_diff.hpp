@@ -25,25 +25,17 @@
 
 namespace sysrle {
 
-/// Aggregate state of a streaming run.
-struct StreamSummary {
+/// Aggregate state of a streaming run.  The per-row counts are the
+/// RowTally that image_diff sums too.
+struct StreamSummary : RowTally {
   std::uint64_t rows = 0;
   len_t difference_pixels = 0;  ///< saturates at the len_t maximum
-  SystolicCounters counters;          ///< summed machine activity
-  cycle_t max_row_iterations = 0;
   /// Pipeline latency in cycles for a double-buffered machine: each row
   /// costs max(iterations, load_cycles), because the next row's runs stream
   /// into the shadow registers while the current row computes.
   cycle_t pipelined_cycles = 0;
-  /// Merge-loop iterations by the sequential engine (the kSequentialMerge
-  /// and kAdaptive engines, and fallback recomputes).
-  std::uint64_t sequential_iterations = 0;
-  /// kAdaptive route mix and modelled systolic iterations, as in
-  /// ImageDiffResult (all zero for fixed engines).
-  std::uint64_t adaptive_systolic_rows = 0;
-  std::uint64_t adaptive_sequential_rows = 0;
-  std::uint64_t adaptive_modelled_iterations = 0;
-  /// Rows recomputed by the sequential fallback after the engine threw.
+  /// Rows recomputed by the sequential fallback after the engine threw
+  /// (their merge iterations are in sequential_iterations).
   std::uint64_t fallback_rows = 0;
   /// Invalid input rows degraded to an empty difference row.
   std::uint64_t poisoned_rows = 0;
@@ -120,10 +112,10 @@ class StreamDiffer {
   /// True (and accounts the refusal) when the deadline has expired.
   bool refuse_if_expired();
   /// Telemetry epilogue shared by the normal and poisoned row paths, so the
-  /// queue-depth and rows/sec gauges stay balanced on every path.
+  /// queue-depth and rows/sec gauges stay balanced on every path.  The first
+  /// call's `t0` anchors the rows/sec gauge.
   void record_row_telemetry(std::chrono::steady_clock::time_point t0,
-                            double queue_depth_runs, bool fell_back,
-                            bool poisoned);
+                            double queue_depth_runs);
 
   ImageDiffOptions options_;
   RowCallback on_row_;
@@ -134,10 +126,9 @@ class StreamDiffer {
   /// Machine workspace recycled across rows for the systolic engine (the
   /// stream is serial, so one workspace suffices).
   SystolicDiffMachine machine_workspace_;
-  /// Wall-clock time of the first pushed row; anchors the rows/sec gauge
-  /// when telemetry is enabled.  Unused (never read) otherwise.
+  /// Wall-clock start of the first row timed with telemetry enabled (the
+  /// epoch until then); anchors the rows/sec gauge.
   std::chrono::steady_clock::time_point first_push_{};
-  bool saw_first_push_ = false;
 };
 
 }  // namespace sysrle

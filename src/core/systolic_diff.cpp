@@ -166,7 +166,6 @@ SystolicResult finish_systolic_run(SystolicDiffMachine& machine,
 
   if (telemetry_enabled()) {
     MetricsRegistry& m = global_metrics();
-    m.add("systolic.rows");
     m.observe("systolic.row_iterations",
               static_cast<double>(result.counters.iterations));
     m.observe("systolic.row_swaps", static_cast<double>(result.counters.swaps));

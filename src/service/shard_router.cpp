@@ -198,10 +198,8 @@ std::optional<RejectReason> ShardRouter::submit_locked(
         results_->admit(result_key, request.reference.share(),
                         request.scan.share(), next_call_id_, cacheable);
     using Kind = ResultCache::Admission::Kind;
-    if (cacheable && admission.kind != Kind::kHit) {
-      ++stats_.cache_misses;
+    if (cacheable && admission.kind != Kind::kHit)
       flight_record(FlightEventKind::kCacheMiss, cctx, "", result_key.fp_a);
-    }
     switch (admission.kind) {
       case Kind::kHit: {
         // Bit-identical replay of the original completion; no engine, no
@@ -209,7 +207,6 @@ std::optional<RejectReason> ShardRouter::submit_locked(
         // response.
         ++stats_.admitted;
         ++stats_.completed;
-        ++stats_.cache_hits;
         flight_record(FlightEventKind::kAdmit, cctx, "cache");
         flight_record(FlightEventKind::kCacheHit, cctx, "", result_key.fp_a);
         ServiceResponse resp;
@@ -540,9 +537,8 @@ void ShardRouter::finish_call_locked(const std::shared_ptr<Call>& call,
   // the new primary and its completion settles the entry as admitted.
   if (call->registered) {
     if (result.status == ServiceResponse::Status::kCompleted) {
-      if (results_->complete(call->result_key, call->call_id, payload,
-                             result.rows_processed, result.fallback_rows))
-        ++stats_.cache_stores;
+      results_->complete(call->result_key, call->call_id, payload,
+                         result.rows_processed, result.fallback_rows);
     } else if (promoted_to != 0) {
       results_->reassign(call->result_key, call->call_id, promoted_to);
     } else {

@@ -80,7 +80,8 @@ struct RouterConfig {
   std::uint64_t seed = 42;
 };
 
-/// Monotonic counters over the router lifetime.
+/// Monotonic counters over the router lifetime.  Result-cache hits, misses
+/// and stores are the cache's own CacheStats.
 struct RouterStats {
   std::uint64_t offered = 0;
   std::uint64_t admitted = 0;  ///< offered - synchronous sheds
@@ -110,10 +111,6 @@ struct RouterStats {
   std::uint64_t coalesce_promotions = 0;
   std::uint64_t coalesce_collisions = 0;  ///< in-flight key, other operands
   std::uint64_t waiter_deadline_sheds = 0;
-
-  std::uint64_t cache_hits = 0;    ///< responses served from the result cache
-  std::uint64_t cache_misses = 0;  ///< cache-eligible requests that ran
-  std::uint64_t cache_stores = 0;  ///< completions inserted into the cache
 
   std::uint64_t responses() const { return completed + failed + rejected; }
   std::uint64_t shed_submit_total() const {

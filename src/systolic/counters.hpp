@@ -24,6 +24,7 @@ struct SystolicCounters {
 
   /// Element-wise accumulation (iterations add; cells_used takes the max).
   SystolicCounters& operator+=(const SystolicCounters& o);
+  bool operator==(const SystolicCounters&) const = default;
 
   /// One-line human-readable summary.
   std::string to_string() const;

@@ -39,8 +39,7 @@ TEST(ImageDiff, AllEnginesAgreeWithBitmapGroundTruth) {
 
   for (const DiffEngine engine :
        {DiffEngine::kSystolic, DiffEngine::kBusSystolic,
-        DiffEngine::kSequentialMerge, DiffEngine::kParitySweep,
-        DiffEngine::kPixelParallel, DiffEngine::kAdaptive}) {
+        DiffEngine::kSequentialMerge, DiffEngine::kAdaptive}) {
     ImageDiffOptions opts;
     opts.engine = engine;
     opts.canonicalize_output = true;
@@ -91,7 +90,7 @@ TEST(ImageDiff, CountersAggregateAcrossRows) {
 TEST(ImageDiff, EngineNamesAreDistinct) {
   EXPECT_STRNE(to_string(DiffEngine::kSystolic),
                to_string(DiffEngine::kBusSystolic));
-  EXPECT_STRNE(to_string(DiffEngine::kParitySweep),
+  EXPECT_STRNE(to_string(DiffEngine::kAdaptive),
                to_string(DiffEngine::kSequentialMerge));
 }
 

@@ -225,7 +225,6 @@ TEST(ImageStore, ConcurrentRegisterEvictDiffHammer) {
   for (int t = 0; t < 2; ++t)
     threads.emplace_back([&store, &warm, &stop, &diffs_done] {
       ImageDiffOptions opt;
-      opt.engine = DiffEngine::kParitySweep;
       opt.threads = 1;
       std::size_t i = 0;
       while (!stop.load(std::memory_order_acquire)) {

@@ -27,9 +27,10 @@ using sysrle::testing::random_row;
 constexpr pos_t kWidth = 320;  // five 64-bit words
 
 constexpr DiffEngine kEngines[] = {
-    DiffEngine::kSystolic,        DiffEngine::kBusSystolic,
-    DiffEngine::kSequentialMerge, DiffEngine::kParitySweep,
-    DiffEngine::kPixelParallel,   DiffEngine::kAdaptive,
+    DiffEngine::kSystolic,
+    DiffEngine::kBusSystolic,
+    DiffEngine::kSequentialMerge,
+    DiffEngine::kAdaptive,
 };
 
 /// Row pairs at kWidth: adversarial shapes first, then random rows from
@@ -118,10 +119,10 @@ TEST(RowDispatch, EveryEngineAndCallerMatchesOracleInBothOutputModes) {
           // One dispatch: the stream produces exactly the image's row.
           EXPECT_EQ(streamed[y], got) << where();
         }
-        EXPECT_EQ(summary.counters.iterations, image.counters.iterations);
-        EXPECT_EQ(summary.counters.xors, image.counters.xors);
-        EXPECT_EQ(summary.sequential_iterations, image.sequential_iterations);
-        EXPECT_EQ(summary.max_row_iterations, image.max_row_iterations);
+        // One tally: every summed count agrees, adaptive mix included.
+        EXPECT_TRUE(static_cast<const RowTally&>(summary) == image)
+            << "level=" << to_string(level)
+            << " engine=" << to_string(engine) << " canonical=" << canonical;
       }
     }
     set_simd_level(saved);

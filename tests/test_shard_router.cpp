@@ -547,13 +547,13 @@ TEST(ShardRouter, MixedBurstWithEverythingEnabledStaysAccounted) {
 
   // Backend-level accounting survives too: every backend admission got a
   // backend response (completed, failed, or typed rejection), and each
-  // dispatched call — an admission that neither joined another nor hit the
-  // cache, or a promoted waiter — is exactly one backend admission.
+  // dispatched call — an admission that did not join another (this router
+  // has no cache to hit), or a promoted waiter — is exactly one backend
+  // admission.
   const ServiceStats bs = router.backend_stats();
   EXPECT_EQ(bs.responses(), bs.admitted);
   EXPECT_EQ(bs.cancelled, 0u);
-  EXPECT_EQ(bs.admitted, st.admitted - st.coalesced - st.cache_hits +
-                             st.coalesce_promotions);
+  EXPECT_EQ(bs.admitted, st.admitted - st.coalesced + st.coalesce_promotions);
 }
 
 // ------------------------------------------------------------- by handle
@@ -739,10 +739,11 @@ TEST(ShardRouter, PromotedWaiterCompletionIsCached) {
 
   const RouterStats st = router.stats();
   EXPECT_EQ(st.coalesce_promotions, 1u);
-  EXPECT_EQ(st.cache_stores, 1u);
-  EXPECT_EQ(st.cache_hits, 1u);
   EXPECT_TRUE(st.accounted());
-  EXPECT_TRUE(cache->stats().accounted());
+  const CacheStats cs = cache->stats();
+  EXPECT_EQ(cs.insertions, 1u);
+  EXPECT_EQ(cs.hits, 1u);
+  EXPECT_TRUE(cs.accounted());
 }
 
 // The tentpole's acceptance bar: the second identical by-handle diff is
@@ -780,14 +781,14 @@ TEST(ShardRouter, SecondIdenticalByHandleDiffIsServedFromCache) {
   EXPECT_EQ(second.diff, first.diff);  // bit-identical payload
   expect_correct_diff(second, w);
 
-  const RouterStats st = router.stats();
-  EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.cache_misses, 1u);
-  EXPECT_EQ(st.cache_stores, 1u);
-  EXPECT_TRUE(st.accounted());
+  EXPECT_TRUE(router.stats().accounted());
+  const CacheStats cs = cache->stats();
+  EXPECT_EQ(cs.hits, 1u);
+  EXPECT_EQ(cs.misses, 1u);
+  EXPECT_EQ(cs.insertions, 1u);
+  EXPECT_TRUE(cs.accounted());
   // The engine ran once; the cache served the repeat without re-running it.
   EXPECT_EQ(router.backend_stats().engine_invocations, 1u);
-  EXPECT_TRUE(cache->stats().accounted());
 }
 
 TEST(ShardRouter, UnknownHandleIsATypedShed) {
@@ -914,11 +915,12 @@ TEST(ShardRouter, MixedHandleAndValueOperandsRun) {
   EXPECT_EQ(self.diff, RleImage(w.a.width(), w.a.height()));  // a ^ a
   const RouterStats st = router.stats();
   EXPECT_EQ(st.shed_unknown_handle, 0u);
-  EXPECT_EQ(st.cache_misses, 0u);
-  EXPECT_EQ(st.cache_stores, 0u);
   EXPECT_TRUE(st.accounted());
   EXPECT_EQ(router.backend_stats().engine_invocations, 3u);
-  EXPECT_EQ(cache->stats().lookups, 0u);
+  const CacheStats cs = cache->stats();
+  EXPECT_EQ(cs.lookups, 0u);
+  EXPECT_EQ(cs.misses, 0u);
+  EXPECT_EQ(cs.insertions, 0u);
 }
 
 // Operands are shared, never copied, from the caller to the engine: the

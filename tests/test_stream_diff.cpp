@@ -102,8 +102,7 @@ TEST(StreamDiff, EnginesAgreeRowByRow) {
   std::vector<std::vector<RleRow>> results;
   for (const DiffEngine engine :
        {DiffEngine::kSystolic, DiffEngine::kBusSystolic,
-        DiffEngine::kSequentialMerge, DiffEngine::kParitySweep,
-        DiffEngine::kAdaptive}) {
+        DiffEngine::kSequentialMerge, DiffEngine::kAdaptive}) {
     ImageDiffOptions opts;
     opts.engine = engine;
     opts.canonicalize_output = true;
@@ -357,8 +356,8 @@ TEST(StreamDiff, GaugesStayBalancedAcrossErrorAndFallbackPaths) {
                                                 -1.0),
               3.0);
 
-    // Fallback row (engine throws): counters tick, gauge still tracks the
-    // row's real load.
+    // Fallback row (engine throws): the summary counts it, the gauge still
+    // tracks the row's real load.
     differ.set_engine_override(
         [](const RleRow&, const RleRow&, SystolicCounters&) -> RleRow {
           throw contract_error("broken engine");
@@ -366,17 +365,24 @@ TEST(StreamDiff, GaugesStayBalancedAcrossErrorAndFallbackPaths) {
     differ.push_row(RleRow{{0, 4}}, RleRow{{6, 2}});
     differ.set_engine_override(nullptr);
     MetricsSnapshot snap = global_metrics().snapshot();
-    EXPECT_EQ(snap.counter("stream.fallback_rows"), 1u);
+    EXPECT_EQ(differ.finish().fallback_rows, 1u);
     EXPECT_EQ(snap.gauge("stream.queue_depth_runs", -1.0), 2.0);
 
     // Poisoned row: zero runs enter the machine, so the gauge returns to
     // baseline instead of advertising phantom queued work.
     differ.push_row_runs({{5, 2}, {0, 2}}, {{1, 1}});
     snap = global_metrics().snapshot();
-    EXPECT_EQ(snap.counter("stream.poisoned_rows"), 1u);
+    EXPECT_EQ(differ.finish().poisoned_rows, 1u);
     EXPECT_EQ(snap.gauge("stream.queue_depth_runs", -1.0), 0.0);
     EXPECT_GT(snap.gauge("stream.rows_per_sec", -1.0), 0.0);
-    EXPECT_EQ(snap.counter("stream.rows"), 3u);
+    EXPECT_EQ(differ.finish().rows, 3u);
+    // Every row was timed, on every path; the row counts live in the
+    // summary, not in registry counters.
+    const Histogram* latency = snap.histogram("stream.row_latency_us");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency->stat().count(), 3u);
+    for (const auto& [name, value] : snap.counters)
+      EXPECT_NE(name.rfind("stream.", 0), 0u) << name;
   }
   set_telemetry_enabled(false);
   reset_telemetry();
